@@ -97,11 +97,13 @@ identical to serial execution at any worker count.  Per-worker kernel
 counters are merged back into :class:`ScorerStats`
 (:meth:`ScorerStats.merge_worker_counters`), keeping aggregate counters
 equal to a serial run's; the parallel-only ``parallel_batches`` /
-``parallel_shards`` counters record how much work the pool took.  Any
-pool failure (worker crash, shard timeout) falls back to serial scoring
-for the rest of the scorer's life, with a warning — results are always
-produced.  Batches that fit in a single shard skip the pool entirely,
-and cache-hit / fallback predicates are always handled in the parent.
+``parallel_shards`` counters record how much work the pool took.  A
+failed parallel batch (worker crash, shard timeout) is retried on a
+restarted pool; past the restart budget, batches run serially until a
+cool-down probe succeeds (README "Failure semantics" has the policy).
+Results are always produced.  Batches that fit in a single shard skip
+the pool entirely, and cache-hit / fallback predicates are always
+handled in the parent.
 """
 
 from __future__ import annotations
@@ -548,11 +550,12 @@ class InfluenceScorer:
         """The group's aggregate value after the predicate acts on rows
         whose summed state is ``removed_state``.
 
-        Encapsulates the perturbation semantics for every state-based
-        caller (the Merger's approximation and MC's support index as well
-        as :meth:`delta`): ``delete`` removes the state outright; ``mean``
-        replaces it with ``removed_count`` mean-valued tuples.  Returns
-        NaN when the result is undefined (delete mode emptying a group).
+        The scalar path's perturbation rules (:meth:`delta`): ``delete``
+        removes the state outright; ``mean`` replaces it with
+        ``removed_count`` mean-valued tuples.  Returns NaN when the
+        result is undefined (delete mode emptying a group).  The batched
+        scoring kernels and the Merger's estimate apply the same rules
+        row-wise through :meth:`_updated_from_removed_batch`.
         """
         assert context.total_state is not None
         if self.perturbation == "mean":
@@ -1708,7 +1711,8 @@ class InfluenceScorer:
             assert removed_states is not None
             self.stats.incremental_deltas += len(matched)
             updated = self._updated_from_removed_batch(
-                context, removed_states[matched], counts_f)
+                context.total_state, removed_states[matched], counts_f,
+                context.mean_state)
             deltas = context.total_value - updated
         else:
             assert local_matrix is not None
@@ -1723,19 +1727,29 @@ class InfluenceScorer:
         influences[matched] = np.where(np.isnan(deltas), INVALID_INFLUENCE, values)
         return influences
 
-    def _updated_from_removed_batch(self, context: GroupContext,
+    def _updated_from_removed_batch(self, total_states: np.ndarray,
                                     removed_states: np.ndarray,
-                                    removed_counts: np.ndarray) -> np.ndarray:
-        """Vector counterpart of :meth:`updated_from_removed` — the
-        group's post-removal aggregate per predicate, NaN where the
-        perturbation leaves it undefined."""
-        assert context.total_state is not None
+                                    removed_counts: np.ndarray,
+                                    mean_states: np.ndarray | None,
+                                    ) -> np.ndarray:
+        """The delete/mean perturbation rules, row-wise: each row's
+        post-removal aggregate, NaN where the perturbation leaves it
+        undefined.
+
+        ``removed_states`` is ``(m, k)`` and ``removed_counts`` ``(m,)``.
+        ``total_states`` and ``mean_states`` (the state of one
+        mean-valued tuple, read by the ``mean`` perturbation only) are
+        either one group's ``(k,)`` state — the scoring kernel, one group
+        and many predicates — or ``(m, k)`` stacks of per-row group
+        states — the Merger's estimate, many (merge, group) pairs.  The
+        arithmetic is elementwise, so a row's value does not depend on
+        the other rows."""
         if self.perturbation == "mean":
-            assert context.mean_state is not None
-            adjusted = (context.total_state - removed_states
-                        + removed_counts[:, np.newaxis] * context.mean_state)
+            assert mean_states is not None
+            adjusted = (total_states - removed_states
+                        + removed_counts[:, np.newaxis] * mean_states)
             return self.aggregate.recover_batch(adjusted)
-        remaining = context.total_state - removed_states
+        remaining = total_states - removed_states
         updated = self.aggregate.recover_batch(remaining)
         emptied = remaining[:, -1] < 0.5  # deleted whole groups
         if np.any(emptied):

@@ -23,6 +23,23 @@ size, strictly more accurate — see DESIGN.md §4 item 7); partially
 overlapping partitions contribute volume-weighted fractions of their
 state exactly as Section 6.3's ``n_p`` estimates do.
 
+The approximation is one vectorized kernel per expansion call
+(:meth:`_ApproxIndex.estimate`): for P merged boxes over n candidate
+partitions and G outlier groups it builds a ``(P, n)`` share matrix
+from broadcast lo/hi bounds (discrete clauses through a
+code-membership matrix), derives the removed count and state of all
+P·G (merge, group) pairs, and recovers them through one
+:meth:`InfluenceScorer._updated_from_removed_batch` call — the same
+perturbation rules the scoring kernel applies.  Every estimate equals
+the one-merge, one-group-at-a-time computation bit for bit, because
+each reduction keeps that computation's order: removed counts are one
+``shares[p] @ counts`` vector product per merge, removed states an
+``einsum`` that sums candidates in ascending order, and the sum over
+groups a left-to-right ``cumsum``.  A single ``(P, n) @ (n, G)`` BLAS
+matmul is deliberately avoided, as in the scoring kernel (see the
+equivalence contract in :mod:`repro.core.influence`): its blocked
+reductions differ from the vector product's in the last bits.
+
 When the approximation is *off* (the MC partitioner's default merger
 configuration), each expansion round collects its candidate merges and
 scores them through one :meth:`InfluenceScorer.score_batch` call, and
@@ -37,45 +54,67 @@ scorer's ``workers`` knob is set).  The per-start accept/reject
 decisions are identical to expanding each start to completion with
 scalar verification: a start's trajectory reads only its own state and
 the shared read-only candidate list, and ``score_batch`` returns
-exactly what ``score`` would.
+exactly what ``score`` would.  In approximation mode each adoption
+check also records how far the estimate was from the exact score, in
+the ``scorpion_merge_approx_error`` histogram and the ``merge_round``
+span's ``approx_error_max`` attribute.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
+from repro.core.influence import (
+    INVALID_INFLUENCE,
+    InfluenceScorer,
+    _scalar_pow,
+)
 from repro.core.partition import CandidatePredicate, ScoredPredicate
 from repro.errors import PartitionerError
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.predicates.space import Domain
 
+#: Buckets of ``scorpion_merge_approx_error``: the relative gap between
+#: a proposal's estimated and exact influence.
+APPROX_ERROR_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0)
+
 
 class _ApproxIndex:
-    """Vectorized geometry for the cached-state approximation.
+    """Candidate partitions packed for the batched cached-state estimate.
 
-    Packs every candidate partition's box into numpy arrays so one merge
-    evaluation computes all candidates' overlap shares — and therefore
-    the estimated removed count/state per outlier group — in a handful
-    of numpy operations instead of per-candidate Python box algebra.
+    Built once per :meth:`Merger.run`.  Each candidate box is stored as
+    ``(n, C)`` lo/hi arrays over the C continuous attributes (an
+    unconstrained attribute spans its whole domain) and, per discrete
+    attribute, a row of a 0/1 code-membership matrix over the value
+    codes.  Each candidate's removal statistics are an ``(n, G)`` count
+    matrix and an ``(n, G, k)`` summed-state tensor over the G outlier
+    groups (zero where the candidate has no ``group_stats``).
+
+    :meth:`shares` turns P predicates into the ``(P, n)`` fraction of
+    every candidate box lying inside every predicate, and
+    :meth:`estimate` turns those shares into P influence estimates with
+    no per-merge or per-group Python loop.  Discrete overlaps are
+    membership-matrix products: their 0/1 terms sum to the same small
+    integers in any order, so BLAS is exact there.  The count and state
+    reductions, whose terms are not integers, keep the scalar
+    computation's order instead (see the module docstring).
     """
 
     def __init__(self, candidates: list[CandidatePredicate], domain: Domain,
                  scorer: InfluenceScorer):
-        self.domain = domain
+        self.scorer = scorer
         self.continuous = [a for a in domain if a.is_continuous]
         self.discrete = [a for a in domain if not a.is_continuous]
         n = len(candidates)
         self.los = np.empty((n, len(self.continuous)))
         self.his = np.empty((n, len(self.continuous)))
-        self.sets: list[list[frozenset]] = []
         for i, candidate in enumerate(candidates):
-            row_sets = []
             for j, attr in enumerate(self.continuous):
                 clause = candidate.predicate.clause_for(attr.name)
                 if isinstance(clause, RangeClause):
@@ -84,21 +123,32 @@ class _ApproxIndex:
                 else:
                     self.los[i, j] = attr.lo
                     self.his[i, j] = attr.hi
-            for attr in self.discrete:
-                clause = candidate.predicate.clause_for(attr.name)
-                if isinstance(clause, SetClause):
-                    row_sets.append(clause.values)
-                else:
-                    row_sets.append(frozenset(attr.values))
-            self.sets.append(row_sets)
         self.widths = np.maximum(self.his - self.los, 0.0)
+        #: Per discrete attribute: value → column code, the ``(n, V)``
+        #: membership matrix, and each candidate's set size.
+        self.codes: list[dict] = []
+        self.members: list[np.ndarray] = []
+        self.sizes: list[np.ndarray] = []
+        for attr in self.discrete:
+            sets = []
+            for candidate in candidates:
+                clause = candidate.predicate.clause_for(attr.name)
+                sets.append(clause.values if isinstance(clause, SetClause)
+                            else frozenset(attr.values))
+            codes = {value: code for code, value
+                     in enumerate(frozenset().union(*sets))}
+            members = np.zeros((n, len(codes)))
+            for i, values in enumerate(sets):
+                members[i, [codes[value] for value in values]] = 1.0
+            self.codes.append(codes)
+            self.members.append(members)
+            self.sizes.append(members.sum(axis=1))
 
-        self.group_keys = [ctx.key for ctx in scorer.outlier_contexts]
-        key_index = {key: g for g, key in enumerate(self.group_keys)}
-        self.counts = np.zeros((n, len(self.group_keys)))
-        state_size = (scorer.outlier_contexts[0].total_state.shape[0]
-                      if scorer.outlier_contexts[0].total_state is not None else 0)
-        self.states = np.zeros((n, len(self.group_keys), state_size))
+        contexts = scorer.outlier_contexts
+        key_index = {ctx.key: g for g, ctx in enumerate(contexts)}
+        self.counts = np.zeros((n, len(contexts)))
+        self.states = np.zeros((n, len(contexts),
+                                contexts[0].total_state.shape[0]))
         for i, candidate in enumerate(candidates):
             if not candidate.group_stats:
                 continue
@@ -109,39 +159,82 @@ class _ApproxIndex:
                 self.counts[i, g] = stats.count
                 if stats.state_sum is not None:
                     self.states[i, g] = stats.state_sum
+        self.total_states = np.stack([ctx.total_state for ctx in contexts])
+        self.mean_states = (np.stack([ctx.mean_state for ctx in contexts])
+                            if scorer.perturbation == "mean" else None)
+        self.total_values = np.asarray([ctx.total_value for ctx in contexts],
+                                       dtype=np.float64)
+        self.error_vectors = np.asarray(
+            [ctx.error_vector for ctx in contexts], dtype=np.float64)
 
-    def overlap_shares(self, predicate: Predicate) -> np.ndarray:
-        """Fraction of each candidate box lying inside ``predicate``."""
-        n = len(self.los)
-        shares = np.ones(n)
+    def shares(self, predicates: list[Predicate]) -> np.ndarray:
+        """``(P, n)``: the fraction of each candidate box lying inside
+        each predicate, one factor per constrained attribute multiplied
+        in domain order."""
+        shares = np.ones((len(predicates), len(self.los)))
         for j, attr in enumerate(self.continuous):
-            clause = predicate.clause_for(attr.name)
-            if clause is None:
+            clauses = [p.clause_for(attr.name) for p in predicates]
+            rows = [r for r, clause in enumerate(clauses) if clause is not None]
+            if not rows:
                 continue
-            assert isinstance(clause, RangeClause)
-            overlap = (np.minimum(self.his[:, j], clause.hi)
-                       - np.maximum(self.los[:, j], clause.lo))
-            overlap = np.clip(overlap, 0.0, None)
+            lo = np.asarray([[clauses[r].lo] for r in rows])
+            hi = np.asarray([[clauses[r].hi] for r in rows])
+            cand_lo, width = self.los[:, j], self.widths[:, j]
+            overlap = np.clip(np.minimum(self.his[:, j], hi)
+                              - np.maximum(cand_lo, lo), 0.0, None)
             with np.errstate(divide="ignore", invalid="ignore"):
-                fraction = overlap / self.widths[:, j]
+                fraction = overlap / width
             # Zero-width candidate boxes: inside iff the point overlaps.
-            point_inside = ((self.los[:, j] >= clause.lo)
-                            & (self.los[:, j] <= clause.hi))
-            fraction = np.where(self.widths[:, j] > 0, fraction,
-                                point_inside.astype(float))
-            shares *= fraction
-        for d_index, attr in enumerate(self.discrete):
-            clause = predicate.clause_for(attr.name)
-            if clause is None:
+            point_inside = (cand_lo >= lo) & (cand_lo <= hi)
+            shares[rows] *= np.where(width > 0, fraction,
+                                     point_inside.astype(float))
+        for d, attr in enumerate(self.discrete):
+            clauses = [p.clause_for(attr.name) for p in predicates]
+            rows = [r for r, clause in enumerate(clauses) if clause is not None]
+            if not rows:
                 continue
-            assert isinstance(clause, SetClause)
-            for i in range(n):
-                if shares[i] == 0.0:
-                    continue
-                candidate_values = self.sets[i][d_index]
-                shares[i] *= (len(candidate_values & clause.values)
-                              / len(candidate_values))
+            codes = self.codes[d]
+            wanted = np.zeros((len(rows), len(codes)))
+            for w, r in enumerate(rows):
+                wanted[w, [codes[v] for v in clauses[r].values
+                           if v in codes]] = 1.0
+            common = wanted @ self.members[d].T
+            shares[rows] *= common / self.sizes[d]
         return shares
+
+    def estimate(self, predicates: list[Predicate]) -> np.ndarray:
+        """Cached-state influence estimates (Section 6.3), one per
+        predicate.
+
+        Every partition intersecting a predicate contributes the volume
+        fraction of its rows (and of its summed state) that falls
+        inside; Δ is recovered from each outlier group's state with that
+        contribution removed, skipping groups that lose under half a
+        row.  Hold-out terms are unknown at this level and treated as
+        zero — the final expanded predicate is always scored exactly.
+        """
+        scorer = self.scorer
+        shares = self.shares(predicates)
+        # One vector product per merge: a (P, n) @ (n, G) matmul would
+        # round differently (module docstring).
+        counts = np.stack([row @ self.counts for row in shares])
+        states = np.einsum("pi,igk->pgk", shares, self.states)
+        active = counts >= 0.5
+        merge_of, group_of = np.nonzero(active)
+        removed = counts[active]
+        updated = scorer._updated_from_removed_batch(
+            self.total_states[group_of], states[active], removed,
+            None if self.mean_states is None else self.mean_states[group_of])
+        terms = np.zeros_like(counts)
+        terms[active] = ((self.total_values[group_of] - updated)
+                         / _scalar_pow(removed, scorer.c)
+                         * self.error_vectors[group_of])
+        # A left-to-right sum over groups; "+ 0.0" makes an all-(-0.0)
+        # row +0.0, as a running total started at 0.0 would be.
+        totals = np.cumsum(terms, axis=1)[:, -1] + 0.0
+        scores = scorer.lam * totals / len(self.total_values)
+        scores[merge_of[np.isnan(updated)]] = INVALID_INFLUENCE
+        return scores
 
 
 @dataclass
@@ -192,11 +285,12 @@ class Merger:
 
     def __init__(self, scorer: InfluenceScorer, domain: Domain,
                  params: MergerParams | None = None, **overrides):
-        params = params or MergerParams()
-        for key, value in overrides.items():
-            if not hasattr(params, key):
+        known = {field.name for field in fields(MergerParams)}
+        for key in overrides:
+            if key not in known:
                 raise PartitionerError(f"unknown Merger parameter {key!r}")
-            setattr(params, key, value)
+        # A copy: the caller's params may be shared (Scorpion, MC).
+        params = replace(params or MergerParams(), **overrides)
         if not 0 < params.expand_fraction <= 1:
             raise PartitionerError("expand_fraction must be in (0, 1]")
         self.scorer = scorer
@@ -293,10 +387,14 @@ class Merger:
         if not starts:
             return []
         start_exacts = self.scorer.score_batch(starts)
+        if self._index is None:
+            start_estimates = [self.scorer.score(p) for p in starts]
+        else:
+            start_estimates = self._estimate_batch(starts)
         states = [_Expansion(current=predicate, exact=float(exact),
-                             estimate=self._estimate(predicate, candidates),
-                             members={predicate})
-                  for predicate, exact in zip(starts, start_exacts)]
+                             estimate=estimate, members={predicate})
+                  for predicate, exact, estimate
+                  in zip(starts, start_exacts, start_estimates)]
         round_no = 0
         while True:
             round_no += 1
@@ -340,6 +438,9 @@ class Merger:
                     break
                 exacts = self.scorer.score_batch(
                     [merged for _, merged, _, _ in proposals])
+                if self._index is not None:
+                    self._record_approx_error(
+                        [estimate for *_, estimate in proposals], exacts, rsp)
                 adopted = 0
                 for (state, merged, member, estimate), exact in zip(proposals,
                                                                     exacts):
@@ -358,47 +459,36 @@ class Merger:
     # ------------------------------------------------------------------
     # Influence estimation
     # ------------------------------------------------------------------
-    def _estimate(self, predicate: Predicate,
-                  candidates: list[CandidatePredicate]) -> float:
-        if self._index is None:
-            return self.scorer.score(predicate)
-        self.report.n_scorer_calls_saved += 1
-        return self._approximate(predicate)
-
     def _estimate_batch(self, predicates: list[Predicate]) -> np.ndarray:
-        """One expansion round's candidate-merge influences.  Without the
-        cached-state index every merge needs an exact score — batched
-        through the Scorer's vectorized path; with it, the per-merge
-        approximation already avoids the Scorer entirely."""
+        """Influences of a batch of merges (or expansion starts).  Without
+        the cached-state index every merge needs an exact score — batched
+        through the Scorer's vectorized path; with it, one
+        :meth:`_ApproxIndex.estimate` call avoids the Scorer entirely."""
         if self._index is None:
             return self.scorer.score_batch(predicates)
         self.report.n_scorer_calls_saved += len(predicates)
-        return np.asarray([self._approximate(p) for p in predicates],
-                          dtype=np.float64)
+        return self._index.estimate(predicates)
 
-    def _approximate(self, predicate: Predicate) -> float:
-        """Cached-state influence estimate (Section 6.3).
-
-        Every partition intersecting ``predicate`` contributes the volume
-        fraction of its rows (and of its summed state) that falls inside;
-        Δ is recovered from the group state with that contribution
-        removed.  Hold-out terms are unknown at this level and treated as
-        zero — the final expanded predicate is always scored exactly.
-        """
-        index = self._index
-        assert index is not None
-        shares = index.overlap_shares(predicate)
-        removed_counts = shares @ index.counts           # (n_groups,)
-        removed_states = np.einsum("i,igk->gk", shares, index.states)
-        total = 0.0
-        for g, context in enumerate(self.scorer.outlier_contexts):
-            count = removed_counts[g]
-            if count < 0.5:
-                continue
-            updated = self.scorer.updated_from_removed(
-                context, removed_states[g], count)
-            if np.isnan(updated):
-                return INVALID_INFLUENCE
-            delta = context.total_value - updated
-            total += delta / (count ** self.scorer.c) * context.error_vector
-        return self.scorer.lam * total / max(len(self.scorer.outlier_contexts), 1)
+    @staticmethod
+    def _record_approx_error(estimates: list[float], exacts: np.ndarray,
+                             rsp) -> None:
+        """Approximation provenance: the relative gap between each
+        adoption proposal's estimate and its exact score.  The estimate
+        omits hold-out terms, so the gap includes the hold-out penalty.
+        Non-finite gaps (an invalid estimate or score) are not
+        recorded."""
+        with np.errstate(invalid="ignore"):
+            gaps = (np.abs(np.asarray(estimates) - exacts)
+                    / np.maximum(np.abs(exacts), 1e-12))
+        gaps = gaps[np.isfinite(gaps)]
+        if not len(gaps):
+            return
+        histogram = REGISTRY.histogram(
+            "scorpion_merge_approx_error",
+            "Relative gap between the Merger's cached-state estimate and "
+            "the exact influence of each adoption proposal",
+            buckets=APPROX_ERROR_BUCKETS)
+        for gap in gaps.tolist():
+            histogram.observe(gap)
+        if rsp:
+            rsp.annotate(approx_error_max=float(gaps.max()))
