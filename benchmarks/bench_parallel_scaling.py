@@ -10,21 +10,22 @@ at increasing ``workers`` settings, on the three hot shard shapes:
   prepared and the mask kernel priced out (``force_index_model``), so
   shards are binary-search/prefix lookups against the shared index
   views;
-* *group sharded* — a batch far smaller than ``workers × batch_chunk``
-  over a many-group problem, so the predicate axis alone cannot keep
-  the pool busy and the cost model tiles the **group axis** instead:
-  shards become (predicate-chunk × group-range) tiles whose per-group
-  partials the parent reassembles.
+* *few predicates* — a batch far smaller than ``workers ×
+  batch_chunk`` over a many-group problem, so ``batch_chunk``-sized
+  shards alone cannot keep the pool busy and the cost model's
+  automatic split cuts the batch into ``2 × workers`` smaller
+  predicate shards instead.
 
 Per shape the cost model is pinned, so the routing — and therefore the
 work a shard does — is identical on every machine; what varies with
 ``workers`` is only the sharding.  Influences and stats counters
 (routing and cost decisions included) must be identical at every worker
 count (the parallel equivalence contract; always asserted, including in
-CI smoke runs), and the group-sharded shape must actually produce group
-tiles at ``workers >= 2``.  Predicates/second is measured after a
-warm-up batch so pool spin-up and shared-memory packing are reported
-separately (``spinup_ms``) rather than folded into throughput.
+CI smoke runs), and the few-predicates shape must actually be split
+into at least two shards at ``workers >= 2``.  Predicates/second is
+measured after a warm-up batch so pool spin-up and shared-memory
+packing are reported separately (``spinup_ms``) rather than folded
+into throughput.
 
 The wall-clock expectation — the ISSUE 4 acceptance bar — is ≥ 2.5×
 predicates/sec at 4 workers over serial on the mask-kernel shape at
@@ -65,11 +66,12 @@ BATCH_SIZE = 4096 if SCALE == "paper" else 1536
 #: worker in flight (sharding never affects results).
 BATCH_CHUNK = 128
 WORKER_SWEEP = (1, 2, 4, 8) if SCALE == "paper" else (1, 2, 4)
-#: The group-sharded shape: far fewer predicates than
-#: ``workers × BATCH_CHUNK`` (one predicate shard), over many groups.
-GROUP_SHARD_BATCH = 48
-GROUP_SHARD_GROUPS = 64
-GROUP_SHARD_GROUP_SIZE = 300
+#: The few-predicates shape: far fewer predicates than
+#: ``workers × BATCH_CHUNK`` (one ``BATCH_CHUNK`` shard), over many
+#: groups.
+FEW_PREDS_BATCH = 48
+FEW_PREDS_GROUPS = 64
+FEW_PREDS_GROUP_SIZE = 300
 #: Counters that must match across worker counts — kernel totals,
 #: routing tallies, and the cost model's decisions (timing and the
 #: parallel-only shard counters excluded by design).
@@ -118,13 +120,12 @@ def _routed_batch(n: int) -> list[Predicate]:
 
 
 def _many_group_problem() -> ScorpionQuery:
-    """A SUM workload over ``GROUP_SHARD_GROUPS`` labeled groups — the
-    shape where the group axis, not the predicate axis, carries the
-    parallelism."""
+    """A SUM workload over ``FEW_PREDS_GROUPS`` labeled groups — enough
+    rows that a shard of a few predicates outweighs its dispatch."""
     rng = np.random.default_rng(31)
-    groups = [f"g{i:02d}" for i in range(GROUP_SHARD_GROUPS)]
-    n = GROUP_SHARD_GROUP_SIZE * len(groups)
-    g = np.repeat(groups, GROUP_SHARD_GROUP_SIZE)
+    groups = [f"g{i:02d}" for i in range(FEW_PREDS_GROUPS)]
+    n = FEW_PREDS_GROUP_SIZE * len(groups)
+    g = np.repeat(groups, FEW_PREDS_GROUP_SIZE)
     a1 = rng.uniform(0.0, 100.0, n)
     a2 = rng.uniform(0.0, 100.0, n)
     av = np.abs(rng.normal(10.0, 5.0, n)) + 0.25
@@ -146,7 +147,7 @@ def _many_group_problem() -> ScorpionQuery:
 
 
 def _run_config(problem, batch, workers: int, prepare: tuple[str, ...],
-                cost_model, expect_tiles: bool):
+                cost_model, expect_split: bool):
     """One (shape, workers) measurement: spin-up, timed batch, counters."""
     scorer = InfluenceScorer(problem, cache_scores=False, workers=workers,
                              batch_chunk=BATCH_CHUNK, cost_model=cost_model)
@@ -165,9 +166,9 @@ def _run_config(problem, batch, workers: int, prepare: tuple[str, ...],
         if workers > 1:
             assert scorer.stats.parallel_shards > 0, \
                 "parallel run never reached the worker pool"
-            if expect_tiles:
-                assert scorer.stats.parallel_group_shards > 0, \
-                    "group-sharded shape never produced group tiles"
+            if expect_split:
+                assert scorer.stats.parallel_shards >= 2, \
+                    "few-predicates batch was never split across the pool"
         return values, elapsed, spinup, counters
     finally:
         scorer.close()
@@ -184,19 +185,19 @@ def _experiment():
          force_mask_model(), TUPLES_PER_GROUP, False),
         ("index-routed", problem, _routed_batch(BATCH_SIZE), ("a1",),
          force_index_model(), TUPLES_PER_GROUP, False),
-        ("group-sharded", _many_group_problem(),
-         _masked_batch(GROUP_SHARD_BATCH), (), force_mask_model(),
-         GROUP_SHARD_GROUP_SIZE, True),
+        ("few-predicates", _many_group_problem(),
+         _masked_batch(FEW_PREDS_BATCH), (), force_mask_model(),
+         FEW_PREDS_GROUP_SIZE, True),
     )
     for (shape, shape_problem, batch, prepare, cost_model, group_size,
-         expect_tiles) in shapes:
+         expect_split) in shapes:
         baseline_values = None
         baseline_counters = None
         baseline_time = None
         for workers in sweep:
             values, elapsed, spinup, counters = _run_config(
                 shape_problem, batch, workers, prepare, cost_model,
-                expect_tiles and workers > 1)
+                expect_split and workers > 1)
             if baseline_values is None:
                 baseline_values = values
                 baseline_counters = counters
@@ -236,17 +237,17 @@ def test_parallel_scaling(benchmark):
     emit_report("parallel_scaling", format_table(
         "Sharded parallel scoring vs worker count "
         f"(batch {BATCH_SIZE}, chunk {BATCH_CHUNK}, "
-        f"{TUPLES_PER_GROUP} tuples/group; group-sharded shape: "
-        f"{GROUP_SHARD_BATCH} predicates over {GROUP_SHARD_GROUPS} groups "
-        f"of {GROUP_SHARD_GROUP_SIZE}, {os.cpu_count()} CPUs)",
+        f"{TUPLES_PER_GROUP} tuples/group; few-predicates shape: "
+        f"{FEW_PREDS_BATCH} predicates over {FEW_PREDS_GROUPS} groups "
+        f"of {FEW_PREDS_GROUP_SIZE}, {os.cpu_count()} CPUs)",
         ["shape", "workers", "batch", "batch ms", "preds/s",
          "speedup", "spinup ms"], rows))
     emit_bench_json("parallel_scaling", {
         "description": "score_batch sharded over worker processes: "
                        "predicates/second vs workers on mask-kernel, "
-                       "index-routed, and group-sharded (few predicates, "
-                       "many groups) shapes (serial equality and counter "
-                       "parity asserted)",
+                       "index-routed, and few-predicates (automatic "
+                       "predicate split over many groups) shapes (serial "
+                       "equality and counter parity asserted)",
         "rows": json_rows,
     })
     if os.environ.get("SCORPION_BENCH_PERF_ASSERT", "1") == "0":

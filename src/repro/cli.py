@@ -90,27 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the prefix-aggregate index fast "
                              "path (mask-matrix scoring only)")
     parser.add_argument("--batch-chunk", type=int, default=None,
-                        help="predicates per vectorized scoring pass "
+                        help="most predicates per vectorized scoring pass "
                              "(default: SCORPION_BATCH_CHUNK env var or "
-                             "the built-in 1024; results are unaffected)")
+                             "the built-in 1024; with --workers > 1 a "
+                             "smaller batch is cut so every worker gets a "
+                             "shard; results are unaffected)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for sharded batch scoring "
                              "(default: SCORPION_WORKERS env var or 1 = "
                              "serial; 0 = one per CPU; results are "
                              "bit-for-bit identical at any setting)")
-    parser.add_argument("--group-chunk", type=int, default=None,
-                        help="contexts per group-axis tile for parallel "
-                             "scoring (default: SCORPION_GROUP_CHUNK env "
-                             "var or cost-model auto; 0 disables group "
-                             "tiling; results are unaffected)")
-    parser.add_argument("--backend", choices=["numpy", "duckdb"],
-                        default=None,
-                        help="execution backend for state building and "
-                             "index views (default: SCORPION_BACKEND env "
-                             "var or numpy; duckdb pushes aggregations "
-                             "into an embedded engine, falling back to "
-                             "numpy with a warning when the package is "
-                             "missing; results are bit-for-bit identical)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="per-shard worker deadline in seconds "
                              "(default: SCORPION_TASK_TIMEOUT env var or "
@@ -294,9 +283,8 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
         cache_bytes=args.cache_bytes, algorithm=args.algorithm,
         top_k=args.top_k, use_index=not args.no_index,
         batch_chunk=args.batch_chunk, workers=args.workers,
-        group_chunk=args.group_chunk, task_timeout=args.task_timeout,
-        backend=args.backend,
-        logger=logger, trace=True if args.trace else None)
+        task_timeout=args.task_timeout, logger=logger,
+        trace=True if args.trace else None)
     #: (trace_id, op, perf_counter at read, Future[payload]) per
     #: in-flight explain, in submission order.
     pending: deque = deque()
@@ -468,11 +456,9 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout,
                             use_index=not args.no_index,
                             batch_chunk=args.batch_chunk,
                             workers=args.workers,
-                            group_chunk=args.group_chunk,
                             task_timeout=args.task_timeout,
                             trace=(True if args.trace or args.profile
-                                   else None),
-                            backend=args.backend)
+                                   else None))
         if args.explore_c:
             exploration = CExplorer(scorpion).explore(problem)
             print(exploration.to_string(), file=out)

@@ -87,23 +87,26 @@ Parallel sharded execution
 
 With ``workers > 1`` (constructor / ``SCORPION_WORKERS`` /
 ``Scorpion(workers=...)`` / CLI ``--workers``; ``0`` = one worker per
-CPU), ``score_batch`` hands its ``batch_chunk``-sized shards to a
-persistent process pool instead of looping them in-process (see
-:mod:`repro.parallel`).  The problem's arrays go into shared memory
-once; each worker rebuilds this scorer's batch kernel around zero-copy
-views and runs *the same methods on byte-identical inputs*, and shards
-are reassembled in submission order — so influences are bit-for-bit
-identical to serial execution at any worker count.  Per-worker kernel
-counters are merged back into :class:`ScorerStats`
-(:meth:`ScorerStats.merge_worker_counters`), keeping aggregate counters
-equal to a serial run's; the parallel-only ``parallel_batches`` /
-``parallel_shards`` counters record how much work the pool took.  A
-failed parallel batch (worker crash, shard timeout) is retried on a
-restarted pool; past the restart budget, batches run serially until a
-cool-down probe succeeds (README "Failure semantics" has the policy).
-Results are always produced.  Batches that fit in a single shard skip
-the pool entirely, and cache-hit / fallback predicates are always
-handled in the parent.
+CPU), ``score_batch`` hands its predicate shards to a persistent process
+pool instead of looping them in-process (see :mod:`repro.parallel`).
+Shards are ``batch_chunk``-sized, except that a batch too small to fill
+``2 × workers`` of them is cut finer so every worker gets a share, when
+the per-shard work clears the pool's dispatch cost
+(:meth:`~repro.index.cost.CostModel.choose_shard_size`).  The problem's
+arrays go into shared memory once; each worker rebuilds this scorer's
+batch kernel around zero-copy views and runs *the same methods on
+byte-identical inputs*, and shards are reassembled in submission
+order — so influences are bit-for-bit identical to serial execution at
+any worker count.  Per-worker kernel counters are merged back into
+:class:`ScorerStats` (:meth:`ScorerStats.merge_worker_counters`),
+keeping aggregate counters equal to a serial run's; the parallel-only
+``parallel_batches`` / ``parallel_shards`` counters record how much work
+the pool took.  A failed parallel batch (worker crash, shard timeout) is
+retried on a restarted pool; past the restart budget, batches run
+serially until a cool-down probe succeeds (README "Failure semantics"
+has the policy).  Results are always produced.  Batches that fit in a
+single shard skip the pool entirely, and cache-hit / fallback
+predicates are always handled in the parent.
 """
 
 from __future__ import annotations
@@ -119,7 +122,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.aggregates.base import AggregateFunction
-from repro.backend import resolve_backend
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
 from repro.index import IndexPlanner, PrefixAggregateIndex
@@ -239,10 +241,6 @@ class ScorerStats:
     parallel_batches: int = 0
     #: Predicate shards executed by worker processes.
     parallel_shards: int = 0
-    #: (predicate-chunk × group-range) tiles executed by worker
-    #: processes — the group-axis sharding dimension; zero when only
-    #: the predicate axis was sharded.
-    parallel_group_shards: int = 0
     #: Cost-model routing decisions by winning route (counted in the
     #: parent at partition time, so serial and parallel runs of the
     #: same batch stream record identical values).  Only index-eligible
@@ -259,15 +257,6 @@ class ScorerStats:
     #: ``SCORPION_COST_CALIBRATE=off``, 1 after the first calibrated
     #: routing decision, never more within one process.
     cost_calibrations: int = 0
-    #: Execution-backend pushdown gauges — snapshots of the scorer's
-    #: backend :class:`~repro.backend.base.BackendStats` (set, not
-    #: incremented, like :attr:`cost_calibrations`).  All zero on the
-    #: numpy reference backend; with a pushdown backend they show how
-    #: many group state totals / index views the engine answered and
-    #: how often eligibility fell back to the reference path.
-    backend_routed_states: int = 0
-    backend_routed_views: int = 0
-    backend_fallbacks: int = 0
 
     #: Counters incremented *inside* the batch kernels and therefore on
     #: worker processes when scoring runs parallel; :meth:`worker_counters`
@@ -337,12 +326,14 @@ class InfluenceScorer:
         incrementally-removable path).  Benchmarks and the equivalence
         tests toggle it off to exercise the mask-matrix kernel.
     batch_chunk:
-        Row cap per vectorized ``score_batch`` pass.  Defaults to the
-        ``SCORPION_BATCH_CHUNK`` environment variable, else the class
-        default :attr:`BATCH_CHUNK`; chunking never affects results
-        (both kernels are row-deterministic), so benchmarks can sweep it
-        freely.  With ``workers > 1`` it is also the shard size the
-        executor fans out.
+        Predicate cap per vectorized ``score_batch`` pass.  Defaults to
+        the ``SCORPION_BATCH_CHUNK`` environment variable, else the
+        class default :attr:`BATCH_CHUNK`; chunking never affects
+        results (both kernels are row-deterministic), so benchmarks can
+        sweep it freely.  With ``workers > 1`` it is also the largest
+        shard the executor fans out; a smaller batch is cut so every
+        worker gets a shard (see
+        :meth:`~repro.index.cost.CostModel.choose_shard_size`).
     workers:
         Worker processes for sharded ``score_batch`` execution (see
         :mod:`repro.parallel`).  Defaults to the ``SCORPION_WORKERS``
@@ -357,29 +348,11 @@ class InfluenceScorer:
         Tests inject :func:`~repro.index.cost.force_index_model` /
         :func:`~repro.index.cost.force_mask_model` constants to pin a
         tier regardless of problem shape.
-    group_chunk:
-        Group-axis sharding granularity for parallel batches: contexts
-        per (predicate-chunk × group-range) tile.  ``None`` (default,
-        or the ``SCORPION_GROUP_CHUNK`` environment variable) lets the
-        cost model pick — tiling engages only when the predicate axis
-        alone cannot feed every worker and the per-tile work clears
-        the dispatch overhead.  ``0`` disables group tiling; ``>= 1``
-        forces that tile height.  Tiling never affects results: tiles
-        return per-group partial sums the parent reassembles into the
-        exact arrays the serial kernel computes.
     task_timeout:
         Per-shard worker deadline in seconds, forwarded to the
         executor (``None`` → the ``SCORPION_TASK_TIMEOUT`` /
         legacy ``SCORPION_WORKER_TIMEOUT`` environment variables, else
         the executor default; ``<= 0`` waits forever).
-    backend:
-        Execution backend for state building and index views — a
-        :class:`~repro.backend.base.ExecutionBackend` instance, a name
-        (``"numpy"`` / ``"duckdb"``), or ``None`` (default) to consult
-        the ``SCORPION_BACKEND`` environment variable.  Backends are an
-        execution strategy, never a semantics change: results are
-        bit-for-bit identical at any setting, and a named engine whose
-        package is missing degrades to numpy with a warning.
     """
 
     def __init__(self, query: ScorpionQuery, use_incremental: bool = True,
@@ -387,9 +360,7 @@ class InfluenceScorer:
                  batch_chunk: int | None = None,
                  workers: int | None = None,
                  cost_model: "CostModel | None" = None,
-                 group_chunk: int | None = None,
-                 task_timeout: float | None = None,
-                 backend=None):
+                 task_timeout: float | None = None):
         self.query = query
         self.aggregate: AggregateFunction = query.aggregate
         self.lam = query.lam
@@ -398,7 +369,6 @@ class InfluenceScorer:
         self.perturbation = query.perturbation
         self.table = query.table
         self.stats = ScorerStats()
-        self._backend = resolve_backend(backend)
         self._incremental = bool(
             use_incremental and self.aggregate.is_incrementally_removable
         )
@@ -410,16 +380,6 @@ class InfluenceScorer:
         if self.batch_chunk < 1:
             raise PredicateError(
                 f"batch_chunk must be >= 1, got {self.batch_chunk}")
-        if group_chunk is None:
-            env_group = os.environ.get("SCORPION_GROUP_CHUNK", "").strip()
-            if env_group:
-                group_chunk = int(env_group)
-        if group_chunk is not None and group_chunk < 0:
-            raise PredicateError(
-                f"group_chunk must be >= 0, got {group_chunk}")
-        #: None = cost model decides per batch; 0 = group tiling off;
-        #: >= 1 = fixed contexts per tile.
-        self.group_chunk = group_chunk
         self.task_timeout = task_timeout
         self.workers = resolve_workers(workers)
         self._executor = None
@@ -450,13 +410,6 @@ class InfluenceScorer:
         for result in query.holdout_results:
             self.holdout_contexts.append(self._build_context(
                 result, agg_values, 1.0, is_outlier=False))
-        if self._incremental:
-            # All groups' total states in one backend call — the seam a
-            # pushdown engine answers with a single GROUP BY.
-            totals = self._backend.group_total_states(
-                [ctx.tuple_states for ctx in self.contexts])
-            for context, total in zip(self.contexts, totals):
-                context.total_state = total
         # Influence only depends on labeled rows, so predicates are
         # evaluated against this much smaller concatenated slice of D.
         self._labeled_slices: list[tuple[GroupContext, int, int]] = []
@@ -499,15 +452,8 @@ class InfluenceScorer:
                                for attr in evaluator.discrete_attributes},
                 code_tables={attr: evaluator.code_table(attr)
                              for attr in evaluator.discrete_attributes},
-                backend=self._backend,
             )
         self._planner = IndexPlanner(self._index, cost_model)
-        #: Memoized column-span evaluators for masked group tiles
-        #: (key: labeled-column range) — sliced views over the labeled
-        #: evaluator's arrays, so tile masks are bit-identical slices
-        #: of the full mask matrix.
-        self._span_evaluators: dict[tuple[int, int], ArrayMaskEvaluator] = {}
-        self._sync_backend_stats()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -525,8 +471,7 @@ class InfluenceScorer:
         )
         if self._incremental:
             context.tuple_states = self.aggregate.tuple_states(group_values)
-            # total_state is filled in afterwards by one batched
-            # backend.group_total_states call over every context.
+            context.total_state = context.tuple_states.sum(axis=0)
             if self.perturbation == "mean":
                 mean = float(np.mean(group_values))
                 context.mean_state = self.aggregate.tuple_states(
@@ -754,15 +699,6 @@ class InfluenceScorer:
         self._index_builds_seen = builds
         self._index_seconds_seen = seconds
 
-    def _sync_backend_stats(self) -> None:
-        """Mirror the backend's pushdown counters into ``stats`` as
-        gauge snapshots (the :attr:`ScorerStats.cost_calibrations`
-        precedent: set, not incremented, so re-syncing is idempotent)."""
-        backend_stats = self._backend.stats
-        self.stats.backend_routed_states = backend_stats.routed_states
-        self.stats.backend_routed_views = backend_stats.routed_views
-        self.stats.backend_fallbacks = backend_stats.fallbacks
-
     def reset_stats(self) -> None:
         """Start a fresh :class:`ScorerStats` counting window.
 
@@ -826,9 +762,9 @@ class InfluenceScorer:
         Counts each owned array once: per-context indices, aggregate
         values and tuple states, the stacked state matrix, the labeled
         evaluator's comparison arrays, and every built index view.
-        Slice views (span evaluators) and small Python object overhead
-        are excluded — the arrays counted here are the artifacts whose
-        size actually scales with the problem.
+        Small Python object overhead is excluded — the arrays counted
+        here are the artifacts whose size actually scales with the
+        problem.
         """
         total = 0
         for context in self.contexts:
@@ -918,14 +854,19 @@ class InfluenceScorer:
         self.stats.cost_routed_gather += route.cost_routed_gather
         self.stats.cost_routed_conj += route.cost_routed_conj
         self.stats.cost_calibrations = calibration_count()
-        self._sync_backend_stats()
         if self._index is not None:
             # Conjunction planning may have built probe-side views.
             self._sync_index_stats()
 
+        size = self.batch_chunk
+        if not self._parallel_disabled:
+            # Cut a batch too small to feed every worker into finer
+            # shards (chunking never changes a result).
+            size = self._planner.cost_model.choose_shard_size(
+                len(pending), self._n_labeled, self.workers, size)
+
         def shard(items: list) -> list[list]:
-            return [items[lo:lo + self.batch_chunk]
-                    for lo in range(0, len(items), self.batch_chunk)]
+            return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
         masked_shards = shard(route.masked)
         range_shards = shard(route.ranges)
@@ -935,13 +876,10 @@ class InfluenceScorer:
                     + len(set_shards) + len(conj_shards))
 
         shard_values = None
-        if not self._parallel_disabled and n_shards >= 1:
-            group_tiles = self._plan_group_tiles(len(pending), n_shards,
-                                                 ignore_holdouts)
-            if n_shards >= 2 or group_tiles is not None:
-                shard_values = self._score_shards_parallel(
-                    masked_shards, range_shards, set_shards, conj_shards,
-                    ignore_holdouts, group_tiles)
+        if not self._parallel_disabled and n_shards >= 2:
+            shard_values = self._score_shards_parallel(
+                masked_shards, range_shards, set_shards, conj_shards,
+                ignore_holdouts)
         if shard_values is None:
             shard_values = (
                 [self._score_masked_chunk(chunk, ignore_holdouts)
@@ -1060,44 +998,9 @@ class InfluenceScorer:
             "pool_starts": self._pool_starts,
         }
 
-    def _plan_group_tiles(self, n_predicates: int, n_shards: int,
-                          ignore_holdouts: bool,
-                          ) -> list[tuple[int, int]] | None:
-        """The group-axis tiling for this batch: a list of context
-        ranges ``[lo, hi)`` partitioning the active contexts, or None
-        to shard the predicate axis only.
-
-        Tiling requires the incremental path (tiles return per-group
-        partial counts/states; black-box scoring needs whole mask rows)
-        and at least two active contexts.  ``group_chunk`` forces the
-        tile height (0 = off); by default the cost model decides — it
-        declines when predicate shards alone keep every worker busy or
-        when per-tile work would drown in dispatch overhead.
-        """
-        if not self._incremental or n_predicates == 0:
-            return None
-        active = self._count_active_contexts(ignore_holdouts)
-        if active < 2:
-            return None
-        chunk = self.group_chunk
-        if chunk == 0:
-            return None
-        if chunk is None:
-            chunk = self._planner.cost_model.choose_tiling(
-                n_predicates, active, self._n_labeled, self.workers,
-                self.batch_chunk)
-            if chunk is None:
-                return None
-        chunk = max(1, int(chunk))
-        if chunk >= active:
-            return None
-        return [(lo, min(lo + chunk, active))
-                for lo in range(0, active, chunk)]
-
     def _score_shards_parallel(self, masked_shards: list, range_shards: list,
                                set_shards: list, conj_shards: list,
-                               ignore_holdouts: bool,
-                               group_tiles: list[tuple[int, int]] | None = None):
+                               ignore_holdouts: bool):
         """Run routed shards on the worker pool.
 
         Returns ``(masked_values, range_values, set_values,
@@ -1105,13 +1008,6 @@ class InfluenceScorer:
         the serial loops would compute — or None after disabling
         parallelism (any failure: the caller then takes the serial path,
         so scoring always completes).
-
-        With ``group_tiles``, every predicate chunk fans out into one
-        task per (chunk × group-range) tile; tiles return per-group
-        partial counts and removed states which
-        :meth:`_reduce_group_tiles` reassembles into the exact arrays
-        the serial kernel computes before the shared influence fold —
-        so group sharding is invisible in the results.
 
         Failure policy (self-healing; see
         :class:`~repro.parallel.recovery.ParallelRecovery`): a pool
@@ -1140,7 +1036,7 @@ class InfluenceScorer:
                 # the dead pool would dangle.
                 tasks, meta = self._build_shard_tasks(
                     executor, masked_shards, range_shards, set_shards,
-                    conj_shards, ignore_holdouts, group_tiles)
+                    conj_shards, ignore_holdouts)
                 submit_s = time.perf_counter()
                 results = executor.run(tasks)
             except BaseException as exc:  # noqa: BLE001 - availability
@@ -1191,78 +1087,58 @@ class InfluenceScorer:
                 t0 = worker_counters.get("shard_t0")
                 t1 = worker_counters.get("shard_t1")
                 if t0 is not None and t1 is not None:
-                    attrs = {"kind": task[0], "items": len(task[1]),
-                             "queue_wait_ms": round(
-                                 max(0.0, t0 - submit_s) * 1e3, 3)}
-                    if task[4] is not None:
-                        attrs["tile"] = list(task[4])
-                    tracer.add_span("shard", t0, t1, attrs)
+                    tracer.add_span("shard", t0, t1, {
+                        "kind": task[0], "items": len(task[1]),
+                        "queue_wait_ms": round(
+                            max(0.0, t0 - submit_s) * 1e3, 3)})
         self.stats.parallel_batches += 1
         self.stats.parallel_shards += len(tasks)
         values: tuple[list, list, list, list] = (
             [None] * len(masked_shards), [None] * len(range_shards),
             [None] * len(set_shards), [None] * len(conj_shards))
-        if group_tiles is None:
-            for (tier, position, _), result in zip(meta, per_task):
-                values[tier][position] = result
-            return values
-        self.stats.parallel_group_shards += len(tasks)
-        partials: dict[tuple[int, int], list] = {}
-        for (tier, position, ti), result in zip(meta, per_task):
-            partials.setdefault((tier, position),
-                                [None] * len(group_tiles))[ti] = result
-        for (tier, position), tile_results in partials.items():
-            values[tier][position] = self._reduce_group_tiles(
-                tile_results, group_tiles, ignore_holdouts)
+        for (tier, position), result in zip(meta, per_task):
+            values[tier][position] = result
         return values
 
     def _build_shard_tasks(self, executor, masked_shards: list,
                            range_shards: list, set_shards: list,
                            conj_shards: list, ignore_holdouts: bool,
-                           group_tiles: list[tuple[int, int]] | None,
                            ) -> tuple[list[tuple], list[tuple]]:
         """Build the executor task list for one batch attempt, exporting
         any index attribute views the current pool has not seen.
 
         Returns ``(tasks, meta)`` where ``meta`` aligns task provenance
-        with ``tasks``: (tier, chunk position, tile position or None).
+        with ``tasks``: (tier, chunk position).
         """
         tasks: list[tuple] = []
-        meta: list[tuple[int, int, int | None]] = []
+        meta: list[tuple[int, int]] = []
 
         # Shards carry the live (c, c_holdout, λ) — the pool baked
         # the spec's values in at startup, but a resident scorer may
         # have been rebound since (see InfluenceScorer.rebind).
         scalars = (self.c, self.c_holdout, self.lam)
 
-        def add_tasks(tier: int, position: int, kind: str,
-                      payload: list, specs: tuple) -> None:
-            if group_tiles is None:
-                tasks.append((kind, payload, ignore_holdouts, specs,
-                              None, scalars))
-                meta.append((tier, position, None))
-                return
-            for ti, bounds in enumerate(group_tiles):
-                tasks.append((kind, payload, ignore_holdouts, specs,
-                              bounds, scalars))
-                meta.append((tier, position, ti))
+        def add_task(tier: int, position: int, kind: str,
+                     payload: list, specs: tuple) -> None:
+            tasks.append((kind, payload, ignore_holdouts, specs, scalars))
+            meta.append((tier, position))
 
         for ci, chunk in enumerate(masked_shards):
-            add_tasks(0, ci, "masked", list(chunk), ())
+            add_task(0, ci, "masked", list(chunk), ())
         for ci, chunk in enumerate(range_shards):
             attrs = sorted({clause.attribute for _, clause in chunk})
             specs = tuple(self._index_attribute_spec(executor, attr,
                                                      "range")
                           for attr in attrs)
-            add_tasks(1, ci, "indexed",
-                      [clause for _, clause in chunk], specs)
+            add_task(1, ci, "indexed",
+                     [clause for _, clause in chunk], specs)
         for ci, chunk in enumerate(set_shards):
             attrs = sorted({clause.attribute for _, clause in chunk})
             specs = tuple(self._index_attribute_spec(executor, attr,
                                                      "discrete")
                           for attr in attrs)
-            add_tasks(2, ci, "indexed_set",
-                      [clause for _, clause in chunk], specs)
+            add_task(2, ci, "indexed_set",
+                     [clause for _, clause in chunk], specs)
         for ci, chunk in enumerate(conj_shards):
             # Ship the probe side's view; the other side only reads
             # raw arrays every worker already maps.
@@ -1272,36 +1148,9 @@ class InfluenceScorer:
                 for _, plan in chunk})
             specs = tuple(self._index_attribute_spec(executor, attr, kind)
                           for kind, attr in probe_attrs)
-            add_tasks(3, ci, "indexed_conj",
-                      [plan for _, plan in chunk], specs)
+            add_task(3, ci, "indexed_conj",
+                     [plan for _, plan in chunk], specs)
         return tasks, meta
-
-    def _reduce_group_tiles(self, tile_results: list,
-                            group_tiles: list[tuple[int, int]],
-                            ignore_holdouts: bool) -> np.ndarray:
-        """Reassemble one predicate chunk's per-tile partial counts and
-        removed states into full ``(m, n_ctx)`` / ``(m, n_ctx, s)``
-        arrays and run the shared influence fold.
-
-        Every tile's partials are byte-identical slices of what the
-        serial kernel would have produced (same ascending-row bincount
-        accumulation per group), so filling them into zero-initialized
-        full-width arrays reproduces the serial arrays exactly — and
-        the fold (which also counts ``incremental_deltas``, parent-side
-        exactly as serial scoring does) yields bit-identical scores.
-        """
-        assert self._stacked_states is not None
-        m = tile_results[0][0].shape[0]
-        n_ctx = len(self._labeled_slices)
-        state_size = self._stacked_states.shape[1]
-        counts = np.zeros((m, n_ctx), dtype=np.int64)
-        removed = np.zeros((m, n_ctx, state_size), dtype=np.float64)
-        for (lo, hi), (tile_counts, tile_removed) in zip(group_tiles,
-                                                         tile_results):
-            counts[:, lo:hi] = tile_counts
-            removed[:, lo:hi] = tile_removed
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts)
 
     def _ensure_executor(self):
         """Lazily build the kernel spec, place the problem's arrays in
@@ -1408,131 +1257,6 @@ class InfluenceScorer:
         workers only execute)."""
         return self._score_conj_chunk([(None, plan) for plan in plans],
                                       ignore_holdouts)
-
-    # ------------------------------------------------------------------
-    # Group-axis tiles (see _plan_group_tiles / _reduce_group_tiles)
-    # ------------------------------------------------------------------
-    def _span_evaluator(self, start: int, stop: int) -> ArrayMaskEvaluator:
-        """A mask evaluator over labeled columns ``[start, stop)`` —
-        sliced views of the full evaluator's arrays, memoized per span.
-        Slicing commutes with every elementwise clause comparison, so a
-        span mask equals the corresponding columns of the full mask."""
-        key = (start, stop)
-        evaluator = self._span_evaluators.get(key)
-        if evaluator is None:
-            continuous, codes, code_of = self._labeled_evaluator.export_state()
-            evaluator = ArrayMaskEvaluator.from_state(
-                {attr: values[start:stop]
-                 for attr, values in continuous.items()},
-                {attr: values[start:stop] for attr, values in codes.items()},
-                code_of,
-            )
-            self._span_evaluators[key] = evaluator
-        return evaluator
-
-    def _partial_masked_chunk(self, chunk: Sequence[Predicate],
-                              ignore_holdouts: bool,
-                              group_range: tuple[int, int],
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """One mask-path (predicate-chunk × group-range) tile: matched
-        counts and summed removed states for contexts ``[lo, hi)`` only.
-
-        Evaluates the chunk's masks over just the tile's column span
-        and scatter-adds with tile-local context keys.  ``bincount``
-        accumulates in input (ascending-row) order and the tile's rows
-        are exactly the full matrix's rows for these contexts, so the
-        partials are byte-identical slices of the serial kernel's
-        arrays.  Requires the incremental path (the tiling planner
-        guarantees it) — partial tiles cannot carry black-box mask
-        rows.
-        """
-        assert self._stacked_states is not None
-        lo, hi = group_range
-        start = self._labeled_slices[lo][1]
-        stop = self._labeled_slices[hi - 1][2]
-        matrix = self._span_evaluator(start, stop).evaluate_batch(chunk)
-        m = matrix.shape[0]
-        n_tile = hi - lo
-        state_size = self._stacked_states.shape[1]
-        pred_rows, local_cols = np.nonzero(matrix)
-        keys = pred_rows * n_tile + (self._context_ids[start + local_cols] - lo)
-        counts = np.bincount(keys, minlength=m * n_tile).reshape(m, n_tile)
-        removed = np.zeros((m * n_tile, state_size), dtype=np.float64)
-        if len(keys):
-            gathered = self._stacked_states[start + local_cols]
-            for j in range(state_size):
-                removed[:, j] = np.bincount(
-                    keys, weights=gathered[:, j], minlength=m * n_tile)
-        return counts, removed.reshape(m, n_tile, state_size)
-
-    def _partial_index_chunk(self, items: list, ignore_holdouts: bool,
-                             group_range: tuple[int, int],
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        """One range-tier tile: the groups are scored independently by
-        construction (per-group binary searches), so restricting the
-        group loop to ``[lo, hi)`` yields exactly the serial arrays'
-        columns."""
-        assert self._index is not None and self._incremental
-        lo, hi = group_range
-        m = len(items)
-        counts = np.zeros((m, self._index.n_groups), dtype=np.int64)
-        removed = np.zeros((m, self._index.n_groups, self._index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, (_, clause) in enumerate(items):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            clauses = [items[j][1] for j in positions]
-            attr_counts, attr_removed = self._index.range_group_stats(
-                attribute,
-                np.asarray([clause.lo for clause in clauses], dtype=np.float64),
-                np.asarray([clause.hi for clause in clauses], dtype=np.float64),
-                np.asarray([clause.include_hi for clause in clauses], dtype=bool),
-                group_range=group_range,
-            )
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        self._sync_index_stats()
-        return counts[:, lo:hi], removed[:, lo:hi]
-
-    def _partial_set_chunk(self, items: list, ignore_holdouts: bool,
-                           group_range: tuple[int, int],
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """One bucket-tier tile (same per-group independence as
-        :meth:`_partial_index_chunk`)."""
-        assert self._index is not None and self._incremental
-        lo, hi = group_range
-        m = len(items)
-        counts = np.zeros((m, self._index.n_groups), dtype=np.int64)
-        removed = np.zeros((m, self._index.n_groups, self._index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, (_, clause) in enumerate(items):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            wanted_lists = [
-                self._index.translate(attribute, items[j][1].values)
-                for j in positions
-            ]
-            attr_counts, attr_removed = self._index.set_group_stats(
-                attribute, wanted_lists, group_range=group_range)
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        self._sync_index_stats()
-        return counts[:, lo:hi], removed[:, lo:hi]
-
-    def _partial_conj_chunk(self, items: list, ignore_holdouts: bool,
-                            group_range: tuple[int, int],
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """One conjunction-tier tile (per-group probe + mask-test, so
-        the same per-group independence applies)."""
-        assert self._index is not None and self._incremental
-        lo, hi = group_range
-        counts, removed = self._index.conjunction_group_stats(
-            [(plan.probe, plan.other) for _, plan in items],
-            group_range=group_range)
-        self._sync_index_stats()
-        return counts[:, lo:hi], removed[:, lo:hi]
 
     def _score_mask_matrix(self, matrix: np.ndarray,
                            ignore_holdouts: bool) -> np.ndarray:

@@ -118,10 +118,11 @@ class Scorpion:
         conjunctions — through the prefix-aggregate index (on by
         default; see :mod:`repro.index`).
     batch_chunk:
-        Override for the Scorer's per-pass predicate chunk size (None =
-        the ``SCORPION_BATCH_CHUNK`` environment variable, else the
+        Override for the Scorer's per-pass predicate cap (None = the
+        ``SCORPION_BATCH_CHUNK`` environment variable, else the
         built-in default); benchmarks sweep it.  With ``workers > 1``
-        it is also the shard size fanned out to worker processes.
+        it is also the largest shard fanned out to worker processes;
+        a smaller batch is cut so every worker gets a shard.
     workers:
         Worker processes for sharded batch scoring (None = the
         ``SCORPION_WORKERS`` environment variable, else 1 = serial;
@@ -129,12 +130,6 @@ class Scorpion:
         through ``InfluenceScorer.score_batch``, so NAIVE, MC, DT, and
         the Merger all inherit the parallelism; results are bit-for-bit
         identical at any setting (see :mod:`repro.parallel`).
-    group_chunk:
-        Group-axis sharding granularity for parallel batches: contexts
-        per (predicate-chunk × group-range) tile.  None (default, or
-        ``SCORPION_GROUP_CHUNK``) lets the cost model decide per batch;
-        ``0`` disables group tiling; ``>= 1`` forces that tile height.
-        Results are identical at any setting.
     task_timeout:
         Per-shard worker deadline in seconds (None = the
         ``SCORPION_TASK_TIMEOUT`` environment variable, else the
@@ -145,15 +140,6 @@ class Scorpion:
         off).  Tracing never changes results — the differential oracle
         runs a traced leg, and ``bench_obs_overhead.py`` pins the
         overhead.
-    backend:
-        Execution backend for the Scorer's state building and index
-        views: ``"numpy"`` (default), ``"duckdb"`` (pushdown into an
-        embedded DuckDB engine), or an
-        :class:`~repro.backend.base.ExecutionBackend` instance.  None
-        consults the ``SCORPION_BACKEND`` environment variable.
-        Backends never change results (bit-for-bit; see
-        :mod:`repro.backend`), and a missing engine package degrades to
-        numpy with a warning.
     """
 
     def __init__(self, algorithm: str = "auto", partitioner=None,
@@ -163,10 +149,8 @@ class Scorpion:
                  relevance_threshold: float = 0.05,
                  use_index: bool = True, batch_chunk: int | None = None,
                  workers: int | None = None,
-                 group_chunk: int | None = None,
                  task_timeout: float | None = None,
-                 trace: bool | None = None,
-                 backend=None):
+                 trace: bool | None = None):
         if algorithm not in ("auto", "dt", "mc", "naive"):
             raise PartitionerError(f"unknown algorithm {algorithm!r}")
         if top_k < 1:
@@ -181,10 +165,8 @@ class Scorpion:
         self.use_index = use_index
         self.batch_chunk = batch_chunk
         self.workers = workers
-        self.group_chunk = group_chunk
         self.task_timeout = task_timeout
         self.trace = tracing_enabled() if trace is None else bool(trace)
-        self.backend = backend
         self.cache = DTCache()
 
     # ------------------------------------------------------------------
@@ -205,9 +187,7 @@ class Scorpion:
             scorer = InfluenceScorer(query, use_index=self.use_index,
                                      batch_chunk=self.batch_chunk,
                                      workers=self.workers,
-                                     group_chunk=self.group_chunk,
-                                     task_timeout=self.task_timeout,
-                                     backend=self.backend)
+                                     task_timeout=self.task_timeout)
             if sp:
                 sp.annotate(groups=len(scorer.contexts),
                             attributes=len(query.attributes))

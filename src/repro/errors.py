@@ -47,28 +47,6 @@ class PartitionerError(ScorpionError):
     """A partitioning algorithm received an unusable problem instance."""
 
 
-class BackendError(ScorpionError):
-    """An execution backend was misconfigured or asked for an
-    unsupported pushdown.
-
-    Raised for unknown backend names, for pushdown requests the engine
-    cannot express (e.g. a cube over a continuous attribute), and for
-    cube size limits.  Eligibility misses on supported shapes are *not*
-    errors — backends answer them through the numpy reference path and
-    count a fallback instead.
-    """
-
-
-class BackendUnavailable(BackendError):
-    """The requested execution backend's engine is not importable.
-
-    ``resolve_backend`` catches this and degrades gracefully to the
-    numpy reference backend with a warning, so an explicit
-    ``--backend duckdb`` on a machine without ``duckdb`` still serves
-    correct (numpy-computed) results.
-    """
-
-
 class DatasetError(ScorpionError):
     """A synthetic dataset generator received inconsistent parameters."""
 

@@ -101,12 +101,6 @@ class RunRecord:
         return int(self.scorer_stats.get("parallel_shards", 0))
 
     @property
-    def parallel_group_shards(self) -> int:
-        """(predicate-chunk × group-range) tiles the run executed on
-        worker processes (0 when only the predicate axis was sharded)."""
-        return int(self.scorer_stats.get("parallel_group_shards", 0))
-
-    @property
     def cost_routed(self) -> dict:
         """Cost-model routing decisions by winning route (``mask`` /
         ``prefix`` / ``bucket`` / ``gather`` / ``conj``)."""

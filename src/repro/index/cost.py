@@ -217,8 +217,8 @@ class CostModel:
     AMORTIZED_PREDS = 64.0
 
     #: Estimated per-task dispatch overhead of the worker pool (pickle,
-    #: queue, result IPC); group tiles smaller than a couple of these
-    #: are not worth cutting.
+    #: queue, result IPC); shards smaller than a couple of these are
+    #: not worth cutting.
     DISPATCH_NS = 200_000.0
 
     def __init__(self, constants: CostConstants | None = None):
@@ -287,36 +287,29 @@ class CostModel:
         return c.conj_row * k_probe + per_group * n_groups + c.tier_pred
 
     # ------------------------------------------------------------------
-    # Parallel tiling
+    # Parallel shard size
     # ------------------------------------------------------------------
-    def choose_tiling(self, n_predicates: int, n_groups: int, n_rows: int,
-                      workers: int, batch_chunk: int) -> int | None:
-        """Group-axis tile size (contexts per tile) for a parallel
-        batch, or None for predicate-only sharding.
+    def choose_shard_size(self, n_predicates: int, n_rows: int,
+                          workers: int, batch_chunk: int) -> int:
+        """Predicates per shard for a parallel batch of ``n_predicates``
+        over ``n_rows`` labeled rows.
 
-        Tiles the group axis only when the predicate axis alone cannot
-        keep every worker busy (fewer than ``2 × workers`` predicate
-        shards) *and* the estimated per-tile work clears the pool's
-        dispatch overhead — cutting a microsecond of scoring into four
-        IPC round-trips is a loss at any worker count.  Deterministic
-        pure arithmetic, so serial/parallel runs of one process always
-        agree on the tiling.
+        ``batch_chunk`` unless the batch is too small to fill ``2 ×
+        workers`` chunks of it; then the batch is cut into ``2 ×
+        workers`` shards so every worker gets a share — provided one
+        such shard's estimated mask-kernel work clears a couple of
+        dispatch round-trips (cutting a microsecond of scoring into IPC
+        is a loss at any worker count).  Deterministic pure arithmetic,
+        and chunking never changes a result.
         """
-        if n_predicates <= 0 or workers <= 1 or n_groups < 2:
-            return None
-        pred_shards = -(-n_predicates // batch_chunk)
-        if pred_shards >= 2 * workers:
-            return None  # the predicate axis alone saturates the pool
-        tiles = min(n_groups, -(-(2 * workers) // pred_shards))
-        if tiles < 2:
-            return None
-        rows_per_tile = max(1, n_rows // tiles)
-        preds_per_shard = min(n_predicates, batch_chunk)
-        tile_cost = preds_per_shard * self.mask_cost(
-            rows_per_tile, rows_per_tile / 4)
-        if tile_cost < 2.0 * self.DISPATCH_NS:
-            return None
-        return -(-n_groups // tiles)
+        shards = 2 * workers
+        if (n_predicates <= 0 or workers <= 1
+                or -(-n_predicates // batch_chunk) >= shards):
+            return batch_chunk
+        size = -(-n_predicates // shards)
+        if size * self.mask_cost(n_rows, n_rows / 4) < 2.0 * self.DISPATCH_NS:
+            return batch_chunk
+        return size
 
 
 def force_index_model() -> CostModel:

@@ -256,21 +256,13 @@ class PrefixAggregateIndex:
         evaluator's factorization tables), required for every attribute
         in ``codes_by_attr`` — set-clause values are translated through
         it exactly like :meth:`ArrayMaskEvaluator.clause_mask` does.
-    backend:
-        Optional :class:`~repro.backend.base.ExecutionBackend` that
-        builds the per-group sorted views (the prefix cumsums and
-        code-bucket sums).  ``None`` keeps the original in-place numpy
-        construction; a backend must return bit-identical arrays (the
-        views are adopted via ``from_arrays``), so routing is invisible
-        to every query tier.
     """
 
     def __init__(self, values_by_attr: Mapping[str, np.ndarray],
                  group_slices: Sequence[tuple[int, int]],
                  group_states: Sequence[np.ndarray],
                  codes_by_attr: Mapping[str, np.ndarray] | None = None,
-                 code_tables: Mapping[str, dict] | None = None,
-                 backend=None):
+                 code_tables: Mapping[str, dict] | None = None):
         if len(group_slices) != len(group_states):
             raise PredicateError(
                 f"{len(group_slices)} group slices vs {len(group_states)} "
@@ -291,7 +283,6 @@ class PrefixAggregateIndex:
                     f"group slice [{start}, {stop}) does not match its "
                     "state matrix")
         self._exact = [exactly_summable(states) for states in self._states]
-        self._backend = backend
         self._by_attr: dict[str, list[GroupAttributeIndex]] = {}
         self._by_discrete: dict[str, list[GroupDiscreteIndex]] = {}
         #: Number of attributes indexed so far / seconds spent sorting
@@ -431,21 +422,12 @@ class PrefixAggregateIndex:
             sorted(code_of[v] for v in values if v in code_of),
             dtype=np.int64)
 
-    def _resolve_group_range(self, group_range: tuple[int, int] | None,
-                             active_groups: int | None) -> tuple[int, int]:
-        """Normalize the two group-restriction spellings to ``[lo, hi)``.
-
-        ``active_groups=N`` (the scorer's outlier-only scoring) is the
-        prefix ``[0, N)``; ``group_range`` is an arbitrary contiguous
-        span — the parallel executor's group-axis tiles.  ``group_range``
-        wins when both are given.
-        """
-        if group_range is not None:
-            lo, hi = group_range
-            return max(0, int(lo)), min(self.n_groups, int(hi))
+    def _active_count(self, active_groups: int | None) -> int:
+        """How many leading groups a query scores: all of them, or the
+        first ``active_groups`` (the scorer's outlier-only scoring)."""
         if active_groups is None:
-            return 0, self.n_groups
-        return 0, min(self.n_groups, int(active_groups))
+            return self.n_groups
+        return min(self.n_groups, int(active_groups))
 
     # ------------------------------------------------------------------
     def ensure(self, attribute: str) -> list[GroupAttributeIndex]:
@@ -461,20 +443,11 @@ class PrefixAggregateIndex:
             fault_point("index.build")
             started = time.perf_counter()
             with span("index_build") as sp:
-                if self._backend is None:
-                    per_group = [
-                        GroupAttributeIndex(values[start:stop], states, exact)
-                        for (start, stop), states, exact
-                        in zip(self._slices, self._states, self._exact)
-                    ]
-                else:
-                    per_group = [
-                        GroupAttributeIndex.from_arrays(
-                            *self._backend.build_range_view(
-                                values[start:stop], states, exact))
-                        for (start, stop), states, exact
-                        in zip(self._slices, self._states, self._exact)
-                    ]
+                per_group = [
+                    GroupAttributeIndex(values[start:stop], states, exact)
+                    for (start, stop), states, exact
+                    in zip(self._slices, self._states, self._exact)
+                ]
                 if sp:
                     sp.annotate(attribute=attribute, kind="range",
                                 groups=len(per_group))
@@ -498,21 +471,12 @@ class PrefixAggregateIndex:
             fault_point("index.build")
             started = time.perf_counter()
             with span("index_build") as sp:
-                if self._backend is None:
-                    per_group = [
-                        GroupDiscreteIndex(codes[start:stop], n_codes, states,
-                                           exact)
-                        for (start, stop), states, exact
-                        in zip(self._slices, self._states, self._exact)
-                    ]
-                else:
-                    per_group = [
-                        GroupDiscreteIndex.from_arrays(
-                            *self._backend.build_discrete_view(
-                                codes[start:stop], n_codes, states, exact))
-                        for (start, stop), states, exact
-                        in zip(self._slices, self._states, self._exact)
-                    ]
+                per_group = [
+                    GroupDiscreteIndex(codes[start:stop], n_codes, states,
+                                       exact)
+                    for (start, stop), states, exact
+                    in zip(self._slices, self._states, self._exact)
+                ]
                 if sp:
                     sp.annotate(attribute=attribute, kind="discrete",
                                 groups=len(per_group))
@@ -524,7 +488,6 @@ class PrefixAggregateIndex:
     def range_group_stats(self, attribute: str, los: np.ndarray,
                           his: np.ndarray, closed: np.ndarray,
                           active_groups: int | None = None,
-                          group_range: tuple[int, int] | None = None,
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Matched counts and removed states of ``m`` ranges per group.
 
@@ -533,20 +496,14 @@ class PrefixAggregateIndex:
         group order — exactly the quantities the scorer's batched
         influence arithmetic consumes.  ``active_groups`` restricts the
         work to the first N groups (the scorer's outlier-only scoring
-        skips hold-out groups entirely); ``group_range=(lo, hi)``
-        restricts it to an arbitrary contiguous span (the executor's
-        group-axis tiles).  Groups outside the span stay zero, and each
-        in-span group's result is identical to a full-width call's —
-        per-group work is independent, which is what makes group-tiled
-        parallel reassembly bit-for-bit equal to serial.
+        skips hold-out groups entirely); the other groups stay zero.
         """
         per_group = self.ensure(attribute)
-        lo_g, hi_g = self._resolve_group_range(group_range, active_groups)
         m = len(los)
         counts = np.zeros((m, self.n_groups), dtype=np.int64)
         removed = np.zeros((m, self.n_groups, self.state_size),
                            dtype=np.float64)
-        for gi in range(lo_g, hi_g):
+        for gi in range(self._active_count(active_groups)):
             group_index = per_group[gi]
             a, b = group_index.slice_bounds(los, his, closed)
             counts[:, gi] = b - a
@@ -557,14 +514,13 @@ class PrefixAggregateIndex:
     def set_group_stats(self, attribute: str,
                         wanted_lists: Sequence[np.ndarray],
                         active_groups: int | None = None,
-                        group_range: tuple[int, int] | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Matched counts and removed states of ``m`` set clauses per
         group, each clause given as its sorted wanted-code array (see
         :meth:`translate`).
 
         Same output contract as :meth:`range_group_stats` (including the
-        ``active_groups`` / ``group_range`` restriction semantics).
+        ``active_groups`` restriction).
         Bucket-tier groups answer with one 0/1-matrix product against
         their exact per-bucket states (every intermediate an exact
         integer, so the blocked BLAS reduction cannot deviate from the
@@ -572,7 +528,6 @@ class PrefixAggregateIndex:
         slices through the shared ascending-row gather kernel.
         """
         per_group = self.ensure_discrete(attribute)
-        lo_g, hi_g = self._resolve_group_range(group_range, active_groups)
         m = len(wanted_lists)
         counts = np.zeros((m, self.n_groups), dtype=np.int64)
         removed = np.zeros((m, self.n_groups, self.state_size),
@@ -589,7 +544,7 @@ class PrefixAggregateIndex:
                        if len(owners) else np.empty(0, dtype=np.int64))
         wanted_matrix = np.zeros((m, n_codes), dtype=np.float64)
         wanted_matrix[owners, flat_wanted] = 1.0
-        for gi in range(lo_g, hi_g):
+        for gi in range(self._active_count(active_groups)):
             group_index = per_group[gi]
             starts = group_index.offsets[flat_wanted]
             stops = group_index.offsets[flat_wanted + 1]
@@ -664,14 +619,13 @@ class PrefixAggregateIndex:
 
     def conjunction_group_stats(self, plans: Sequence[tuple[Clause, Clause]],
                                 active_groups: int | None = None,
-                                group_range: tuple[int, int] | None = None,
                                 ) -> tuple[np.ndarray, np.ndarray]:
         """Matched counts and removed states of ``m`` 2-clause
         conjunctions per group, each given as ``(probe, other)`` with the
         probe side chosen by the planner.
 
         Same output contract as :meth:`range_group_stats` (including the
-        ``active_groups`` / ``group_range`` restriction semantics).  Per
+        ``active_groups`` restriction).  Per
         group, every plan's probe clause contributes its sorted slice or
         code buckets as candidate ``(plan, row)`` pairs — one vectorized
         expansion per (probe kind, attribute) family — and only those
@@ -681,7 +635,6 @@ class PrefixAggregateIndex:
         survivors are reduced with the shared ascending-row-order
         scatter-add, so results are bit-for-bit equal to scalar scoring.
         """
-        lo_g, hi_g = self._resolve_group_range(group_range, active_groups)
         m = len(plans)
         counts = np.zeros((m, self.n_groups), dtype=np.int64)
         removed = np.zeros((m, self.n_groups, self.state_size),
@@ -746,7 +699,7 @@ class PrefixAggregateIndex:
                 families.append(key)
             family_of_plan[j] = fid
 
-        for gi in range(lo_g, hi_g):
+        for gi in range(self._active_count(active_groups)):
             start, stop = self._slices[gi]
             owner_chunks: list[np.ndarray] = []
             row_chunks: list[np.ndarray] = []

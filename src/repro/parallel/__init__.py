@@ -1,10 +1,10 @@
 """Shared-memory parallel scoring (the ``workers`` knob).
 
 :class:`~repro.core.influence.InfluenceScorer.score_batch` is
-embarrassingly parallel across its ``batch_chunk``-sized predicate
-shards: every shard's influences depend only on the problem's read-only
-arrays, and both batch kernels are row-deterministic, so sharding can
-never change a result.  This package exploits that:
+embarrassingly parallel across its predicate shards: every shard's
+influences depend only on the problem's read-only arrays, and both
+batch kernels are row-deterministic, so sharding can never change a
+result.  This package exploits that:
 
 * :mod:`repro.parallel.shm` — packs the problem's big arrays into
   :mod:`multiprocessing.shared_memory` segments once, so workers map

@@ -251,7 +251,6 @@ def build_worker_scorer(spec: KernelSpec,
     need shm plumbing).  Returns the scorer plus the attached segments,
     which must stay referenced for the scorer's lifetime.
     """
-    from repro.backend import NumpyBackend
     from repro.core.influence import GroupContext, InfluenceScorer, ScorerStats
     from repro.index import IndexPlanner, PrefixAggregateIndex
     from repro.predicates.evaluator import ArrayMaskEvaluator
@@ -289,10 +288,6 @@ def build_worker_scorer(spec: KernelSpec,
     scorer.c_holdout = spec.c_holdout
     scorer.perturbation = spec.perturbation
     scorer.stats = ScorerStats()
-    # Workers always run the numpy reference engine: the parent ships
-    # pre-built views and pre-summed totals, so any pushdown already
-    # happened (and was counted) parent-side.
-    scorer._backend = NumpyBackend()
     scorer._incremental = spec.incremental
     scorer.batch_chunk = spec.batch_chunk
     scorer._score_cache = None
@@ -328,8 +323,8 @@ def build_worker_scorer(spec: KernelSpec,
     scorer._planner = IndexPlanner(scorer._index)
     scorer._index_builds_seen = 0
     scorer._index_seconds_seen = 0.0
-    # Workers never parallelize recursively (and never re-plan routes
-    # or re-tile groups — they execute parent decisions only).
+    # Workers never parallelize recursively and never re-plan routes:
+    # they execute parent decisions only.
     scorer.workers = 1
     scorer._parallel_disabled = True
     scorer._executor = None
@@ -337,8 +332,6 @@ def build_worker_scorer(spec: KernelSpec,
     scorer._index_attr_specs = {}
     scorer._recovery = None
     scorer._pool_starts = 0
-    scorer._span_evaluators = {}
-    scorer.group_chunk = 0
     scorer.task_timeout = None
     return scorer, held
 

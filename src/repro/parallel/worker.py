@@ -3,8 +3,8 @@
 The process pool initializes each worker exactly once with
 :func:`initialize` (rebuilding the kernel-only scorer around the
 shared-memory views) and then feeds it :func:`run_shard` calls.  A
-shard is one ``batch_chunk``-sized slice of a ``score_batch`` call,
-already routed by the parent's :class:`~repro.index.IndexPlanner`:
+shard is one predicate slice of a ``score_batch`` call, already routed
+by the parent's :class:`~repro.index.IndexPlanner`:
 
 * ``"masked"`` shards carry the predicates themselves; the worker
   builds the mask matrix with its own labeled evaluator and runs the
@@ -63,18 +63,9 @@ def initialize(spec: KernelSpec) -> None:
 
 def run_shard(kind: str, items: Sequence, ignore_holdouts: bool,
               attr_specs: tuple,
-              group_range: tuple[int, int] | None = None,
               scalars: tuple[float, float, float] | None = None,
-              ) -> tuple[object, dict[str, float]]:
+              ) -> tuple[np.ndarray, dict[str, float]]:
     """Score one routed shard; see the module docstring.
-
-    With ``group_range`` the shard is a (predicate-chunk ×
-    group-range) *tile*: instead of final influences the worker returns
-    ``(counts, removed)`` partial arrays for contexts ``[lo, hi)``
-    only, which the parent's group-axis reduce step reassembles (see
-    ``InfluenceScorer._reduce_group_tiles``) — the parent then runs the
-    influence fold itself, so tile workers never fold and never count
-    fold-side stats.
 
     ``scalars`` is the parent scorer's current ``(c, c_holdout, λ)``.
     The pool initializer bakes the spec's scalars into the worker
@@ -110,25 +101,6 @@ def run_shard(kind: str, items: Sequence, ignore_holdouts: bool,
                 scorer, attr_spec, state.owner_tracker_pid))
             state.installed_attrs.add(key)
     scorer.stats.reset()
-    if group_range is not None:
-        if kind == "masked":
-            partial = scorer._partial_masked_chunk(items, ignore_holdouts,
-                                                   group_range)
-        elif kind == "indexed":
-            partial = scorer._partial_index_chunk(
-                [(None, clause) for clause in items], ignore_holdouts,
-                group_range)
-        elif kind == "indexed_set":
-            partial = scorer._partial_set_chunk(
-                [(None, clause) for clause in items], ignore_holdouts,
-                group_range)
-        elif kind == "indexed_conj":
-            partial = scorer._partial_conj_chunk(
-                [(None, plan) for plan in items], ignore_holdouts,
-                group_range)
-        else:  # pragma: no cover - guarded by the executor's task builder
-            raise ValueError(f"unknown shard kind {kind!r}")
-        return partial, _counters()
     if kind == "masked":
         values = scorer._score_masked_chunk(items, ignore_holdouts)
     elif kind == "indexed":

@@ -173,8 +173,8 @@ def _parse_literal(tokens: _Tokens) -> object:
         return value[1:-1].replace("''", "'")
     if kind == "number":
         # Integer literals stay ``int``: discrete columns are coded by
-        # exact Python values, and a SQL backend pushing the comparison
-        # down must see the same typed literal numpy membership sees.
+        # exact Python values, so set membership must compare against
+        # the same typed literal the column holds.
         if any(ch in value for ch in ".eE"):
             return float(value)
         return int(value)

@@ -181,15 +181,12 @@ class ExplainService:
         deadline expiries are logged as ``deadline_expired`` events.
     **scorpion_kwargs:
         Forwarded to each entry's :class:`~repro.core.scorpion.Scorpion`
-        (``algorithm``, ``workers``, ``top_k``, ``trace``,
-        ``backend``, ...).  Content keys are derived from the problem
-        alone, never from these kwargs — in particular ``backend`` is an
-        execution strategy with a bit-for-bit contract, so cached
-        artifacts are valid whichever engine built them.  When
-        tracing is on (``trace=True`` or ``SCORPION_TRACE=1``) the
-        service activates one tracer per request, so checkout/build
-        spans and the inner explain tree share one trace on
-        ``result.trace``.
+        (``algorithm``, ``workers``, ``top_k``, ``trace``, ...).
+        Content keys are derived from the problem alone, never from
+        these kwargs.  When tracing is on (``trace=True`` or
+        ``SCORPION_TRACE=1``) the service activates one tracer per
+        request, so checkout/build spans and the inner explain tree
+        share one trace on ``result.trace``.
     """
 
     def __init__(self, cache_bytes: int | None = None,

@@ -148,46 +148,46 @@ class TestCostMonotonicity:
             self.model.conjunction_cost(10, 100, True, 4)
 
 
-class TestChooseTiling:
-    """Group-axis tiling is deterministic pure arithmetic with sane
-    bounds — the parallel executor's serial-equality proof leans on
-    every process computing the same answer."""
+class TestChooseShardSize:
+    """The parallel shard size is deterministic pure arithmetic with
+    sane bounds — the parallel executor's serial-equality proof leans
+    on every process computing the same answer."""
 
     model = CostModel(DEFAULT_CONSTANTS)
 
     def test_degenerate_shapes_decline(self):
-        assert self.model.choose_tiling(0, 64, 10_000, 4, 8) is None
-        assert self.model.choose_tiling(16, 64, 10_000, 1, 8) is None
-        assert self.model.choose_tiling(16, 1, 10_000, 4, 8) is None
+        assert self.model.choose_shard_size(0, 10_000, 4, 8) == 8
+        assert self.model.choose_shard_size(16, 10_000, 1, 8) == 8
+        assert self.model.choose_shard_size(16, 0, 4, 8) == 8
 
     def test_saturated_predicate_axis_declines(self):
         # 64 predicates / chunk 8 = 8 shards >= 2 x 4 workers.
-        assert self.model.choose_tiling(64, 64, 100_000, 4, 8) is None
+        assert self.model.choose_shard_size(64, 100_000, 4, 8) == 8
 
-    def test_tiny_tiles_decline(self):
-        # Plenty of groups but almost no rows: a tile's work would be
-        # dwarfed by pool dispatch overhead.
-        assert self.model.choose_tiling(4, 64, 64, 4, 8) is None
+    def test_tiny_shards_decline(self):
+        # Almost no rows: a shard's work would be dwarfed by pool
+        # dispatch overhead.
+        assert self.model.choose_shard_size(4, 64, 4, 8) == 8
 
-    def test_few_predicates_many_groups_tiles(self):
-        chunk = self.model.choose_tiling(4, 64, 1_000_000, 4, 8)
-        assert chunk is not None and 1 <= chunk < 64
+    def test_few_predicates_many_rows_splits(self):
+        size = self.model.choose_shard_size(4, 1_000_000, 4, 8)
+        assert 1 <= size < 8
 
     @settings(max_examples=100, deadline=None)
-    @given(n_predicates=st.integers(0, 512), n_groups=st.integers(0, 512),
+    @given(n_predicates=st.integers(0, 512),
            n_rows=st.integers(0, 2_000_000), workers=st.integers(1, 16),
            batch_chunk=st.integers(1, 1024))
-    def test_deterministic_and_bounded(self, n_predicates, n_groups,
-                                       n_rows, workers, batch_chunk):
-        first = self.model.choose_tiling(n_predicates, n_groups, n_rows,
-                                         workers, batch_chunk)
-        again = self.model.choose_tiling(n_predicates, n_groups, n_rows,
-                                         workers, batch_chunk)
+    def test_deterministic_and_bounded(self, n_predicates, n_rows,
+                                       workers, batch_chunk):
+        first = self.model.choose_shard_size(n_predicates, n_rows,
+                                             workers, batch_chunk)
+        again = self.model.choose_shard_size(n_predicates, n_rows,
+                                             workers, batch_chunk)
         assert first == again
-        if first is not None:
-            assert 1 <= first <= n_groups
-            tiles = -(-n_groups // first)
-            assert tiles >= 2
+        assert 1 <= first <= batch_chunk
+        if first < batch_chunk:
+            # A split never cuts more than 2 x workers shards.
+            assert -(-n_predicates // first) <= 2 * workers
 
 
 # ----------------------------------------------------------------------
@@ -308,24 +308,22 @@ class TestDefaultRoutingRegression:
 
 
 # ----------------------------------------------------------------------
-# Group-range restriction: the tier kernels under a group-axis tile
+# Active-group restriction: the tier kernels under outlier-only scoring
 # ----------------------------------------------------------------------
-class TestGroupRangeRestriction:
-    """``group_range=(lo, hi)`` — the parallel executor's group-axis
-    tiles — must return full-width arrays that equal the unrestricted
-    answer inside ``[lo, hi)`` and zero outside.  Asserted directly
-    here (the differential oracle only reaches these paths through
-    worker processes)."""
+class TestActiveGroupsRestriction:
+    """``active_groups=N`` — the scorer's outlier-only scoring — must
+    return full-width arrays that equal the unrestricted answer in the
+    first ``N`` groups and zero after them.  Asserted directly here on
+    every tier kernel."""
 
-    RANGE = (3, 7)
+    ACTIVE = 7
 
-    def assert_restricted(self, full, tiled):
-        lo, hi = self.RANGE
-        for whole, part in zip(full, tiled):
+    def assert_restricted(self, full, restricted):
+        n = self.ACTIVE
+        for whole, part in zip(full, restricted):
             assert part.shape == whole.shape
-            np.testing.assert_array_equal(part[:, lo:hi], whole[:, lo:hi])
-            assert not part[:, :lo].any()
-            assert not part[:, hi:].any()
+            np.testing.assert_array_equal(part[:, :n], whole[:, :n])
+            assert not part[:, n:].any()
 
     def test_range_tier(self, bench_index):
         los, his = np.asarray([10.0, 0.0]), np.asarray([30.0, 100.0])
@@ -333,7 +331,7 @@ class TestGroupRangeRestriction:
         self.assert_restricted(
             bench_index.range_group_stats("a", los, his, closed),
             bench_index.range_group_stats("a", los, his, closed,
-                                          group_range=self.RANGE))
+                                          active_groups=self.ACTIVE))
 
     def test_set_tier(self, bench_index):
         wanted = [np.asarray([1, 5], dtype=np.int64),
@@ -341,7 +339,7 @@ class TestGroupRangeRestriction:
         self.assert_restricted(
             bench_index.set_group_stats("d", wanted),
             bench_index.set_group_stats("d", wanted,
-                                        group_range=self.RANGE))
+                                        active_groups=self.ACTIVE))
 
     def test_conjunction_tier(self, bench_index):
         plans = [(RangeClause("a", 40.0, 44.0),
@@ -349,15 +347,14 @@ class TestGroupRangeRestriction:
         self.assert_restricted(
             bench_index.conjunction_group_stats(plans),
             bench_index.conjunction_group_stats(plans,
-                                                group_range=self.RANGE))
+                                                active_groups=self.ACTIVE))
 
-    def test_out_of_bounds_ranges_clip(self, bench_index):
+    def test_oversized_count_clips(self, bench_index):
         los, his = np.asarray([10.0]), np.asarray([30.0])
         closed = np.asarray([True])
         full = bench_index.range_group_stats("a", los, his, closed)
         clipped = bench_index.range_group_stats(
-            "a", los, his, closed,
-            group_range=(-3, bench_index.n_groups + 5))
+            "a", los, his, closed, active_groups=bench_index.n_groups + 5)
         for whole, part in zip(full, clipped):
             np.testing.assert_array_equal(part, whole)
 

@@ -20,6 +20,7 @@ from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import ParallelError
+from repro.index.cost import CostModel
 from repro.obs.metrics import REGISTRY
 from repro.parallel import (
     ParallelRecovery,
@@ -33,7 +34,11 @@ from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
 
-from tests.conftest import assert_scoring_paths_agree, planted_sum_table
+from tests.conftest import (
+    ROUTING_COUNTERS,
+    assert_scoring_paths_agree,
+    planted_sum_table,
+)
 
 #: Integer counters that must be identical between a serial and a
 #: parallel run of the same batches (timing counters and the
@@ -198,6 +203,36 @@ class TestParallelEquivalence:
             assert scorer.stats.cache_hits == before + 1
         finally:
             scorer.close()
+
+
+class TestAutomaticSplit:
+    def test_one_chunk_batch_is_split_onto_the_pool(self):
+        # Few predicates over enough rows that a quarter of the batch
+        # clears the default dispatch gate: the scorer must cut its one
+        # batch_chunk-sized chunk into shards for the two workers.
+        table, outliers, holdouts = planted_sum_table(n_per_group=1000)
+        problem = ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
+                                outliers=outliers, holdouts=holdouts,
+                                error_vectors=+1.0, c=0.5)
+        batch = mixed_batch()
+        # Default constants keep the decision machine-independent.
+        model = CostModel()
+        size = model.choose_shard_size(len(set(batch)), len(table), 2,
+                                       len(batch))
+        assert 1 <= size < len(batch)
+        serial = InfluenceScorer(problem, cache_scores=False, workers=1,
+                                 batch_chunk=len(batch), cost_model=model)
+        parallel = InfluenceScorer(problem, cache_scores=False, workers=2,
+                                   batch_chunk=len(batch), cost_model=model)
+        try:
+            np.testing.assert_array_equal(parallel.score_batch(batch),
+                                          serial.score_batch(batch))
+            assert parallel.stats.parallel_shards >= 2
+            for name in ROUTING_COUNTERS:
+                assert getattr(parallel.stats, name) == \
+                    getattr(serial.stats, name), name
+        finally:
+            parallel.close()
 
 
 class TestEndToEnd:

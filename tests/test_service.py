@@ -24,6 +24,7 @@ from repro.aggregates import Sum
 from repro.service import (
     CACHE_STAT_KEYS,
     ExplainService,
+    invalidate_fingerprint,
     problem_key,
     request_key,
     table_fingerprint,
@@ -462,3 +463,32 @@ class TestLifecycle:
         # Every run after the first hit the resident cache.
         assert [r.scorer_stats["service_cache_hit"] for r in resident] == \
             [False, True, True]
+
+
+class TestFingerprintInvalidation:
+    """The memoized table fingerprint must be explicitly invalidatable
+    (tables are immutable by convention, not by enforcement)."""
+
+    def test_fingerprint_is_memoized(self, sensors_table):
+        first = table_fingerprint(sensors_table)
+        assert table_fingerprint(sensors_table) == first
+
+    def test_invalidate_forces_recompute_after_mutation(self, sensors_table):
+        stale = table_fingerprint(sensors_table)
+        # In-place mutation behind the memo's back (the documented
+        # convention violation the hook exists for; columns are
+        # read-only, so the violator flips the write flag too).
+        values = sensors_table.column("temp").values
+        values.setflags(write=True)
+        try:
+            values[0] = 999.0
+        finally:
+            values.setflags(write=False)
+        assert table_fingerprint(sensors_table) == stale  # memo is stale
+        invalidate_fingerprint(sensors_table)
+        fresh = table_fingerprint(sensors_table)
+        assert fresh != stale
+
+    def test_invalidate_without_fingerprint_is_noop(self, sensors_table):
+        invalidate_fingerprint(sensors_table)  # nothing memoized yet
+        assert table_fingerprint(sensors_table)

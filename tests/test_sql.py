@@ -1,9 +1,11 @@
 """Unit tests for the mini SQL parser."""
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.query.sql import parse_query
+from repro.query.sql import Condition, parse_query
+from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 
 class TestParsing:
@@ -51,8 +53,8 @@ class TestParsing:
 
 
 class TestLiterals:
-    """Typed-literal contract: what the parser produces is what both
-    the numpy layer and a SQL pushdown backend compare against."""
+    """Typed-literal contract: what the parser produces is what the
+    condition masks compare against."""
 
     def test_integer_literal_stays_int(self):
         q = parse_query("SELECT avg(v) FROM t WHERE a = 5 GROUP BY g")
@@ -96,9 +98,26 @@ class TestLiterals:
         assert sum(r.group_size for r in results) == 3
 
 
+def _nullable_table() -> Table:
+    schema = Schema([
+        ColumnSpec("g", ColumnKind.DISCRETE),
+        ColumnSpec("state", ColumnKind.DISCRETE),
+        ColumnSpec("v", ColumnKind.CONTINUOUS),
+    ])
+    return Table.from_rows(schema, [
+        ("a", "TX", 1.0),
+        ("a", None, 2.0),
+        ("a", "CA", 3.0),
+        ("b", float("nan"), 4.0),
+        ("b", "TX", 5.0),
+    ])
+
+
 class TestNullSemantics:
+    """Discrete ``!=`` must not match missing values — SQL three-valued
+    logic."""
+
     def test_not_equal_excludes_missing_discrete_values(self):
-        from repro.table import ColumnKind, ColumnSpec, Schema, Table
         schema = Schema([
             ColumnSpec("g", ColumnKind.DISCRETE),
             ColumnSpec("state", ColumnKind.DISCRETE),
@@ -115,6 +134,31 @@ class TestNullSemantics:
         # != (SQL three-valued logic).
         assert results.by_key(("a",)).value == pytest.approx(3.0)
         assert results.by_key(("a",)).group_size == 1
+
+    def test_not_equal_excludes_nulls(self):
+        table = _nullable_table()
+        condition = Condition("state", "!=", "TX")
+        mask = condition.mask(table)
+        # Rows 1 (None) and 3 (NaN) must NOT match despite != 'TX'.
+        np.testing.assert_array_equal(
+            mask, [False, False, True, False, False])
+
+    def test_equality_never_matches_nulls(self):
+        table = _nullable_table()
+        condition = Condition("state", "=", "TX")
+        np.testing.assert_array_equal(
+            condition.mask(table), [True, False, False, False, True])
+
+    def test_notnull_mask(self):
+        table = _nullable_table()
+        np.testing.assert_array_equal(
+            table.column("state").notnull_mask(),
+            [True, False, True, False, True])
+        cont = Table.from_rows(
+            Schema([ColumnSpec("v", ColumnKind.CONTINUOUS)]),
+            [(1.0,), (float("nan"),), (3.0,)])
+        np.testing.assert_array_equal(
+            cont.column("v").notnull_mask(), [True, False, True])
 
 
 class TestRejections:

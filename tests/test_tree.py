@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionerError
 from repro.predicates.clause import RangeClause, SetClause
-from repro.table import ColumnKind, ColumnSpec, Schema, Table
 from repro.tree.node import TreeNode
-from repro.tree.regression_tree import RegressionTree
 from repro.tree.splits import (
     Split,
     best_split,
@@ -147,74 +145,3 @@ class TestTreeNode:
         assert len(list(node.leaves())) == 3
         assert node.count_nodes() == 5
         assert node.depth_below() == 2
-
-
-class TestRegressionTree:
-    def _table(self, n=400, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0, 100, n)
-        s = rng.choice(["a", "b"], n)
-        y = np.where((x > 50) & (s == "a"), 10.0, 0.0) + rng.normal(0, 0.1, n)
-        table = Table.from_columns(
-            Schema([ColumnSpec("x", ColumnKind.CONTINUOUS),
-                    ColumnSpec("s", ColumnKind.DISCRETE)]),
-            {"x": x, "s": s})
-        return table, y
-
-    def test_fit_reduces_error(self):
-        table, y = self._table()
-        tree = RegressionTree(["x", "s"], min_samples=20).fit(table, y)
-        predictions = tree.predict(table)
-        residual = float(np.mean((predictions - y) ** 2))
-        baseline = float(np.var(y))
-        assert residual < baseline / 10
-
-    def test_leaf_predicates_partition_table(self):
-        table, y = self._table(n=200)
-        tree = RegressionTree(["x", "s"], min_samples=20).fit(table, y)
-        coverage = np.zeros(len(table), dtype=int)
-        for predicate in tree.leaf_predicates():
-            coverage += predicate.mask(table).astype(int)
-        assert (coverage == 1).all()
-
-    def test_max_depth_respected(self):
-        table, y = self._table()
-        tree = RegressionTree(["x", "s"], min_samples=4, max_depth=3).fit(table, y)
-        assert tree.depth() <= 3
-
-    def test_min_samples_respected(self):
-        table, y = self._table(n=100)
-        tree = RegressionTree(["x"], min_samples=40).fit(table, y)
-        for leaf in tree.leaves():
-            # A split of an admissible node needs min_samples rows.
-            assert len(leaf.payload) >= 20
-
-    def test_error_threshold_stops_early(self):
-        table, y = self._table()
-        tree = RegressionTree(["x", "s"], error_threshold=1e9).fit(table, y)
-        assert len(tree.leaves()) == 1
-
-    def test_constant_target_single_leaf(self):
-        table, _ = self._table(n=50)
-        tree = RegressionTree(["x", "s"]).fit(table, np.ones(50))
-        assert len(tree.leaves()) == 1
-
-    def test_unfitted_rejected(self):
-        tree = RegressionTree(["x"])
-        with pytest.raises(PartitionerError):
-            tree.leaves()
-
-    def test_mismatched_target_rejected(self):
-        table, _ = self._table(n=10)
-        with pytest.raises(PartitionerError):
-            RegressionTree(["x"]).fit(table, np.ones(5))
-
-    def test_empty_table_rejected(self):
-        table, _ = self._table(n=10)
-        empty = table.filter(np.zeros(10, dtype=bool))
-        with pytest.raises(PartitionerError):
-            RegressionTree(["x"]).fit(empty, np.asarray([]))
-
-    def test_no_attributes_rejected(self):
-        with pytest.raises(PartitionerError):
-            RegressionTree([])
