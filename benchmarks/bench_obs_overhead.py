@@ -114,8 +114,8 @@ def test_tracing_overhead(benchmark):
     def experiment():
         explain = lambda traced: Scorpion(
             algorithm="mc", trace=traced).explain(problem)
-        # Warm process-wide state (cost calibration, numpy paths) off
-        # the clock so neither arm pays it.
+        # Warm process-wide state (imports, numpy paths) off the clock
+        # so neither arm pays it.
         baseline = explain(False)
         _assert_identical(explain(True), baseline)
 

@@ -157,7 +157,7 @@ def _run_config(problem, batch, workers: int, prepare: tuple[str, ...],
         started = time.perf_counter()
         scorer.score_batch(batch[:2 * BATCH_CHUNK])  # spins the pool
         spinup = time.perf_counter() - started
-        scorer.reset_stats()
+        scorer.stats.reset()
         started = time.perf_counter()
         values = scorer.score_batch(batch)
         elapsed = time.perf_counter() - started

@@ -21,9 +21,9 @@ index tier:
 
 All three result vectors must match exactly (the equivalence contract;
 always asserted), and the routed tier is checked through the
-``scorer_stats`` counters.  Routing is pinned to the shipped
-:data:`~repro.index.DEFAULT_CONSTANTS` (not the machine-calibrated
-singleton) so the counters below are reproducible anywhere; on the
+``scorer_stats`` counters.  Routing prices from the shipped
+:data:`~repro.index.DEFAULT_CONSTANTS`, so the counters below are
+reproducible anywhere; on the
 conjunction batch the cost model legitimately splits the batch —
 narrow probes take the conjunction tier, unselective ones the mask
 kernel — so that case asserts the split, not full-tier routing.
@@ -47,7 +47,6 @@ import numpy as np
 from repro.aggregates import Sum
 from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
-from repro.index import DEFAULT_CONSTANTS, CostModel
 from repro.eval import format_table
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
@@ -178,7 +177,7 @@ def _timed_batch(scorer, batch, reps: int = 2):
     reflect exactly one pass)."""
     best, values = float("inf"), None
     for _ in range(reps):
-        scorer.reset_stats()
+        scorer.stats.reset()
         started = time.perf_counter()
         values = scorer.score_batch(batch)
         best = min(best, time.perf_counter() - started)
@@ -205,8 +204,7 @@ def _time_paths(problem, batch, tier: str, prepare=("a1",),
                                   use_index=False)
     via_mask, mask_time = _timed_batch(mask_scorer, batch)
 
-    index_scorer = InfluenceScorer(problem, cache_scores=False,
-                                   cost_model=CostModel(DEFAULT_CONSTANTS))
+    index_scorer = InfluenceScorer(problem, cache_scores=False)
     index_scorer.prepare_index(prepare)
     build_time = index_scorer.stats.index_build_seconds
     via_index, index_time = _timed_batch(index_scorer, batch)

@@ -125,7 +125,7 @@ from repro.aggregates.base import AggregateFunction
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
 from repro.index import IndexPlanner, PrefixAggregateIndex
-from repro.index.cost import CostModel, calibration_count
+from repro.index.cost import CostModel
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer, span
 from repro.parallel import resolve_workers
@@ -251,12 +251,6 @@ class ScorerStats:
     cost_routed_bucket: int = 0
     cost_routed_gather: int = 0
     cost_routed_conj: int = 0
-    #: Microcalibration passes run by this process's shared
-    #: :class:`~repro.index.cost.CostModel` — a gauge snapshot (set,
-    #: not incremented, on every ``score_batch``): 0 with
-    #: ``SCORPION_COST_CALIBRATE=off``, 1 after the first calibrated
-    #: routing decision, never more within one process.
-    cost_calibrations: int = 0
 
     #: Counters incremented *inside* the batch kernels and therefore on
     #: worker processes when scoring runs parallel; :meth:`worker_counters`
@@ -299,7 +293,7 @@ class ScorerStats:
         — it must never cause already-counted work to be re-counted.
         The scorer's index-build sync honors this by accumulating
         *deltas* against baselines it keeps outside the stats object
-        (see :meth:`InfluenceScorer.reset_stats`).
+        (see :meth:`InfluenceScorer._sync_index_stats`).
         """
         for spec in dataclasses.fields(self):
             setattr(self, spec.name, spec.default)
@@ -342,9 +336,9 @@ class InfluenceScorer:
         setting.
     cost_model:
         The :class:`~repro.index.cost.CostModel` pricing the planner's
-        routing decisions.  ``None`` (default) resolves the
-        process-wide shared model lazily on first use — calibrated
-        once per process unless ``SCORPION_COST_CALIBRATE=off``.
+        routing decisions.  ``None`` (default) takes the process-wide
+        :meth:`~repro.index.cost.CostModel.shared` model, which prices
+        from the shipped :data:`~repro.index.cost.DEFAULT_CONSTANTS`.
         Tests inject :func:`~repro.index.cost.force_index_model` /
         :func:`~repro.index.cost.force_mask_model` constants to pin a
         tier regardless of problem shape.
@@ -633,12 +627,6 @@ class InfluenceScorer:
     BATCH_CHUNK = 1024
 
     @property
-    def caches_scores(self) -> bool:
-        """Whether predicate → influence results are memoized (callers
-        use this to decide if pre-warming the cache in bulk pays off)."""
-        return self._score_cache is not None
-
-    @property
     def uses_index(self) -> bool:
         """Whether the prefix-aggregate index fast path is available."""
         return self._index is not None
@@ -687,7 +675,7 @@ class InfluenceScorer:
 
         Accumulates only the delta since the last sync (baselines live
         on the scorer, not the stats object), so a mid-run
-        ``reset_stats`` / re-``prepare_index`` can neither resurrect
+        ``stats.reset()`` / re-``prepare_index`` can neither resurrect
         already-counted builds nor clobber counters merged back from
         worker shards.
         """
@@ -698,18 +686,6 @@ class InfluenceScorer:
         self.stats.index_build_seconds += seconds - self._index_seconds_seen
         self._index_builds_seen = builds
         self._index_seconds_seen = seconds
-
-    def reset_stats(self) -> None:
-        """Start a fresh :class:`ScorerStats` counting window.
-
-        The supported way to reset counters mid-run: clears every
-        counter while *keeping* the index-build sync baselines, so work
-        counted in a previous window is never counted again (plain
-        ``scorer.stats.reset()`` behaves identically now that
-        :meth:`_sync_index_stats` is delta-based; this method documents
-        and pins the contract).
-        """
-        self.stats.reset()
 
     def clear_memo(self) -> None:
         """Drop the predicate → influence memo caches (memoization stays
@@ -853,7 +829,6 @@ class InfluenceScorer:
         self.stats.cost_routed_bucket += route.cost_routed_bucket
         self.stats.cost_routed_gather += route.cost_routed_gather
         self.stats.cost_routed_conj += route.cost_routed_conj
-        self.stats.cost_calibrations = calibration_count()
         if self._index is not None:
             # Conjunction planning may have built probe-side views.
             self._sync_index_stats()
@@ -1270,24 +1245,27 @@ class InfluenceScorer:
         the scalar path, so each row matches the scalar result.
 
         The scatter-add kernel is O(set bits) rather than the dense
-        O(m·n) of a matrix product, and — because ``np.nonzero`` is
+        O(m·n) of a matrix product, and — because ``np.flatnonzero`` is
         row-major and ``bincount`` accumulates in input order — each
         predicate's states are summed in ascending row order,
         bit-identical to the scalar path's masked sum.  (BLAS ``matmul``
         is deliberately avoided: its blocked reductions are not
-        row-deterministic.)"""
+        row-deterministic.)  The per-set-bit arrays dominate an
+        explain's peak memory, so keys are built in place and states
+        are gathered one column at a time."""
         m = matrix.shape[0]
         n_ctx = len(self._labeled_slices)
-        pred_rows, labeled_cols = np.nonzero(matrix)
-        keys = pred_rows * n_ctx + self._context_ids[labeled_cols]
+        keys, labeled_cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
+        keys *= n_ctx
+        keys += self._context_ids[labeled_cols]
         counts = np.bincount(keys, minlength=m * n_ctx).reshape(m, n_ctx)
         removed = None
         if self._incremental and self._stacked_states is not None and len(keys):
-            gathered = self._stacked_states[labeled_cols]
-            removed = np.empty((m * n_ctx, gathered.shape[1]), dtype=np.float64)
-            for j in range(gathered.shape[1]):
+            states = self._stacked_states
+            removed = np.empty((m * n_ctx, states.shape[1]), dtype=np.float64)
+            for j in range(states.shape[1]):
                 removed[:, j] = np.bincount(
-                    keys, weights=gathered[:, j], minlength=m * n_ctx)
+                    keys, weights=states[labeled_cols, j], minlength=m * n_ctx)
             removed = removed.reshape(m, n_ctx, -1)
         return self._combine_group_influences(counts, removed, matrix,
                                               ignore_holdouts)

@@ -101,19 +101,6 @@ class RunRecord:
         return int(self.scorer_stats.get("parallel_shards", 0))
 
     @property
-    def cost_routed(self) -> dict:
-        """Cost-model routing decisions by winning route (``mask`` /
-        ``prefix`` / ``bucket`` / ``gather`` / ``conj``)."""
-        return {name: int(self.scorer_stats.get(f"cost_routed_{name}", 0))
-                for name in ("mask", "prefix", "bucket", "gather", "conj")}
-
-    @property
-    def cost_calibrations(self) -> int:
-        """Cost-model microcalibration passes the run's process had
-        performed (0 with ``SCORPION_COST_CALIBRATE=off``, else 1)."""
-        return int(self.scorer_stats.get("cost_calibrations", 0))
-
-    @property
     def precision(self) -> float:
         return self.stats.precision if self.stats else 0.0
 

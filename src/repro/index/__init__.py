@@ -9,8 +9,8 @@ clauses → O(|codes|) bucket lookups).  2-clause conjunctions probe the
 rarer clause's view and mask-test only its rows.
 :class:`IndexPlanner` routes each predicate of a batch to the
 argmin-estimated-cost tier — index or mask kernel — using the shared
-:class:`CostModel` (per-tier nanosecond constants, microcalibrated
-once per process; see :mod:`repro.index.cost`).  See the module
+:class:`CostModel` (the shipped per-tier nanosecond constants
+:data:`DEFAULT_CONSTANTS`; see :mod:`repro.index.cost`).  See the module
 docstrings of :mod:`repro.index.prefix`, :mod:`repro.index.discrete`,
 :mod:`repro.index.cost`, and :mod:`repro.index.planner` for the
 exact-equality arguments and the routing rules.
@@ -20,7 +20,6 @@ from repro.index.cost import (
     DEFAULT_CONSTANTS,
     CostConstants,
     CostModel,
-    calibration_count,
     force_index_model,
     force_mask_model,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "IndexPlanner",
     "IndexRoute",
     "PrefixAggregateIndex",
-    "calibration_count",
     "exactly_summable",
     "force_index_model",
     "force_mask_model",

@@ -11,7 +11,7 @@ kernel call):
 
 * **mask kernel** — build the boolean row (a bound comparison per
   range clause, a lookup-table gather per set clause), scan it
-  (``np.nonzero``), scatter-add the ``k`` set bits::
+  (``np.flatnonzero``), scatter-add the ``k`` set bits::
 
       mask(n, k, q_r, q_s) = (mask_row + mask_clause·q_r
                               + mask_set_clause·q_s)·n
@@ -46,55 +46,30 @@ largely cancel between the two sides), and picks the cheaper route —
 results are identical either way, so a wrong constant can only cost
 time, never correctness.
 
-Calibration
------------
+The constants
+-------------
 
-The unit constants are measured once per process by
-:func:`calibrate`: a microbenchmark on a small synthetic slice that
-times the real kernels — the full mask pipeline through the real
-:class:`~repro.predicates.evaluator.ArrayMaskEvaluator` (including its
-scan and scatter-add) and the prefix / gather / bucket / conjunction
-tiers of a throwaway :class:`~repro.index.PrefixAggregateIndex` — and
-solves for the constants by differencing.  Each tier is timed at two
-batch sizes so fixed per-group batch costs separate from per-predicate
-costs (conflating them overprices index tiers at real chunk sizes).
-The result is cached in a module-level singleton
-(:meth:`CostModel.shared`), so every planner in the process — and,
-with the default ``fork`` start method, every worker — routes from the
-same constants; routing decisions are therefore identical across the
-serial and parallel paths of one process by construction.  Calibrated
-constants are clamped to a window around the defaults so a noisy timer
-cannot produce pathological routing.
-
-``SCORPION_COST_CALIBRATE=off`` (or ``0`` / ``false`` / ``no``) skips
-the measurement and uses :data:`DEFAULT_CONSTANTS` — fully
-deterministic, for tests and CI.  ``cost_calibrations`` in
-``scorer_stats`` reports how many calibration passes the process ran
-(0 or 1).
+:data:`DEFAULT_CONSTANTS` were measured once against the real kernels
+and ship with the code; every planner prices from them (through
+:meth:`CostModel.shared`).  Routing — and with it the
+``cost_routed_*`` counters and the parallel shard size — is therefore
+a pure function of the problem's shape: identical in every process, on
+every machine, and on the serial and parallel paths.  Tests pin a tier
+per scorer with :func:`force_index_model` / :func:`force_mask_model`,
+or process-wide with :func:`set_shared`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.obs.metrics import REGISTRY
-from repro.obs.trace import span
 
 __all__ = [
     "CostConstants",
     "CostModel",
     "DEFAULT_CONSTANTS",
-    "calibrate",
-    "calibration_count",
-    "calibration_enabled",
     "force_index_model",
     "force_mask_model",
-    "reset_shared",
 ]
 
 
@@ -103,7 +78,8 @@ class CostConstants:
     """Per-tier unit costs in nanoseconds (see the module formulas)."""
 
     #: Per (predicate, labeled row): mask-pipeline overhead that scales
-    #: with rows regardless of clauses (allocation, ``np.nonzero`` scan).
+    #: with rows regardless of clauses (allocation, ``np.flatnonzero``
+    #: scan).
     mask_row: float
     #: Per (predicate, labeled row, range clause): one broadcast bound
     #: comparison.
@@ -143,8 +119,7 @@ class CostConstants:
     tier_pred: float
 
 
-#: Measured on the reference container (see :func:`calibrate`); used
-#: verbatim when ``SCORPION_COST_CALIBRATE=off``.
+#: Measured against the real kernels on a 2-CPU Linux container.
 DEFAULT_CONSTANTS = CostConstants(
     mask_row=2.8,
     mask_clause=0.5,
@@ -163,41 +138,14 @@ DEFAULT_CONSTANTS = CostConstants(
     tier_pred=500.0,
 )
 
-#: Calibrated constants are clamped to ``default / CLAMP .. default *
-#: CLAMP`` — wide enough for any real machine, tight enough that timer
-#: noise cannot invert every routing decision.
-CLAMP = 32.0
-
-
-def calibration_enabled() -> bool:
-    """Whether :meth:`CostModel.shared` runs the microcalibration pass
-    (``SCORPION_COST_CALIBRATE`` unset or truthy) instead of using
-    :data:`DEFAULT_CONSTANTS`."""
-    raw = os.environ.get("SCORPION_COST_CALIBRATE", "").strip().lower()
-    return raw not in ("off", "0", "false", "no")
-
 
 _SHARED: "CostModel | None" = None
-_CALIBRATIONS = 0
-
-
-def calibration_count() -> int:
-    """Calibration passes run by this process so far (0 or 1; surfaces
-    as the ``cost_calibrations`` scorer-stats counter)."""
-    return _CALIBRATIONS
-
-
-def reset_shared() -> None:
-    """Drop the shared model (tests only: forces the next
-    :meth:`CostModel.shared` to re-resolve the environment knob)."""
-    global _SHARED
-    _SHARED = None
 
 
 def set_shared(model: "CostModel | None") -> None:
-    """Replace the process-wide shared model (tests and benchmarks: pin
-    routing decisions regardless of machine speed for code paths that
-    build their own scorers).  ``None`` restores lazy resolution."""
+    """Replace the process-wide default model (tests: pin routing
+    decisions for code paths that build their own scorers).  ``None``
+    restores :data:`DEFAULT_CONSTANTS`."""
     global _SHARED
     _SHARED = model
 
@@ -226,20 +174,12 @@ class CostModel:
 
     @classmethod
     def shared(cls) -> "CostModel":
-        """The per-process model every planner routes from — calibrated
-        once on first use, or :data:`DEFAULT_CONSTANTS` when
-        ``SCORPION_COST_CALIBRATE=off``."""
-        global _SHARED, _CALIBRATIONS
+        """The process default every planner routes from —
+        :data:`DEFAULT_CONSTANTS` unless a test installed another model
+        with :func:`set_shared`."""
+        global _SHARED
         if _SHARED is None:
-            if calibration_enabled():
-                with span("cost_calibration"):
-                    _SHARED = cls(calibrate())
-                _CALIBRATIONS += 1
-                REGISTRY.counter(
-                    "scorpion_cost_calibrations_total",
-                    "Cost-model microcalibration passes run").inc()
-            else:
-                _SHARED = cls(DEFAULT_CONSTANTS)
+            _SHARED = cls()
         return _SHARED
 
     # ------------------------------------------------------------------
@@ -328,187 +268,3 @@ def force_mask_model() -> CostModel:
         DEFAULT_CONSTANTS, range_group=1e9, bucket_group=1e9,
         conj_group=1e9, tier_pred=1e12))
 
-
-# ----------------------------------------------------------------------
-# Microcalibration
-# ----------------------------------------------------------------------
-def _best_of(fn, reps: int = 3) -> float:
-    """Minimum wall-clock seconds of ``fn`` over ``reps`` runs (after
-    one unmeasured warm-up)."""
-    fn()
-    best = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _clamped(value: float, default: float) -> float:
-    """Clamp a fitted constant into the sanity window around its
-    default (and away from zero/negative timer-noise artifacts)."""
-    lo, hi = default / CLAMP, default * CLAMP
-    return float(min(max(value, lo), hi))
-
-
-def calibrate() -> CostConstants:
-    """Measure the per-tier unit constants on a synthetic slice.
-
-    Times the actual kernels — the mask pipeline through the real
-    :class:`~repro.predicates.evaluator.ArrayMaskEvaluator` (broadcast
-    range compares, lookup-table set gathers, ``np.nonzero``, count and
-    state scatter-adds) and the prefix / gather / bucket / conjunction
-    tiers of a small :class:`~repro.index.PrefixAggregateIndex`.  Each
-    index tier is timed at two batch sizes (m=8 and m=32) to separate
-    fixed per-group batch costs from per-predicate costs, and at two
-    selectivities to fit the per-matched-row slopes.  Runs in roughly
-    100 ms; called at most once per process (see
-    :meth:`CostModel.shared`).
-    """
-    from repro.index.prefix import PrefixAggregateIndex
-    from repro.predicates.clause import RangeClause, SetClause
-    from repro.predicates.evaluator import ArrayMaskEvaluator
-    from repro.predicates.predicate import Predicate
-
-    d = DEFAULT_CONSTANTS
-    rng = np.random.default_rng(12345)
-    n_groups, size, n_codes = 4, 1000, 16
-    m_small, m_big = 8, 64
-    n = n_groups * size
-    giga = 1e9
-    values = rng.uniform(0.0, 100.0, n)
-    values2 = rng.uniform(0.0, 100.0, n)
-    codes = rng.integers(0, n_codes, n).astype(np.int64)
-    int_states = np.stack([rng.integers(1, 50, n).astype(np.float64),
-                           np.ones(n)], axis=1)
-    float_states = np.stack([rng.uniform(0.5, 50.0, n), np.ones(n)], axis=1)
-    slices = [(g * size, (g + 1) * size) for g in range(n_groups)]
-    ctx_ids = np.repeat(np.arange(n_groups, dtype=np.int64), size)
-    code_table = {i: i for i in range(n_codes)}
-
-    exact_index = PrefixAggregateIndex(
-        {"a": values}, slices, [int_states[a:b] for a, b in slices],
-        codes_by_attr={"d": codes}, code_tables={"d": code_table})
-    float_index = PrefixAggregateIndex(
-        {"a": values}, slices, [float_states[a:b] for a, b in slices])
-    exact_index.ensure("a")
-    exact_index.ensure_discrete("d")
-    float_index.ensure("a")
-
-    # --- mask pipeline: the real evaluator + nonzero + scatter-adds ---
-    # Second clauses are a half-range / half-set mix, like the pair
-    # workloads the conjunction decision prices against.  Timed at a
-    # batch size whose matched-row working set leaves the cache, because
-    # that is where the scatter-add actually operates at real chunk
-    # sizes — an in-cache fit underprices the mask route 4-5×.
-    m_mask = 128
-    evaluator = ArrayMaskEvaluator.from_state(
-        {"a": values, "a2": values2}, {"d": codes}, {"d": code_table})
-    zero_clause = RangeClause("a", 200.0, 300.0)
-    half_clause = RangeClause("a", 25.0, 75.0, include_hi=False)
-    set_clause = SetClause("d", [0, 3, 5, 7, 9, 11])
-    preds_zero_1 = [Predicate([zero_clause]) for _ in range(m_mask)]
-    preds_zero_2r = [Predicate([zero_clause, RangeClause("a2", 25.0, 75.0)])
-                     for _ in range(m_mask)]
-    preds_zero_2s = [Predicate([zero_clause, set_clause])
-                     for _ in range(m_mask)]
-    preds_half_1 = [Predicate([half_clause]) for _ in range(m_mask)]
-
-    def mask_pipeline(predicates):
-        matrix = evaluator.evaluate_batch(predicates)
-        rows, cols = np.nonzero(matrix)
-        keys = rows * n_groups + ctx_ids[cols]
-        np.bincount(keys, minlength=m_mask * n_groups)
-        gathered = float_states[cols]
-        for j in range(gathered.shape[1]):
-            np.bincount(keys, weights=gathered[:, j],
-                        minlength=m_mask * n_groups)
-
-    t_zero_1 = _best_of(lambda: mask_pipeline(preds_zero_1))
-    t_zero_2r = _best_of(lambda: mask_pipeline(preds_zero_2r))
-    t_zero_2s = _best_of(lambda: mask_pipeline(preds_zero_2s))
-    t_half_1 = _best_of(lambda: mask_pipeline(preds_half_1))
-    k_half = float(((values >= 25.0) & (values < 75.0)).sum())
-    mask_clause = (t_zero_2r - t_zero_1) * giga / (m_mask * n)
-    mask_set_clause = (t_zero_2s - t_zero_1) * giga / (m_mask * n)
-    mask_row = t_zero_1 * giga / (m_mask * n) - mask_clause
-    scatter_row = (t_half_1 - t_zero_1) * giga / (m_mask * k_half)
-
-    def two_point_fit(t_small: float, t_big: float) -> tuple[float, float]:
-        """``(per_pred_group, per_batch_group)`` from one timing at
-        ``m_small`` and one at ``m_big`` predicates (k-free workloads:
-        both timings are ``fixed·G + per_pred·m·G``)."""
-        per_pred = (t_big - t_small) * giga / ((m_big - m_small) * n_groups)
-        fixed = t_small * giga / n_groups - m_small * per_pred
-        return per_pred, fixed
-
-    # --- range tier: prefix (per-group) and gather (per-row) ----------
-    def range_stats(index, m, lo, hi):
-        index.range_group_stats(
-            "a", np.full(m, lo), np.full(m, hi), np.zeros(m, dtype=bool))
-
-    t_range_small = _best_of(lambda: range_stats(exact_index, m_small,
-                                                 0.0, 100.0))
-    t_range_big = _best_of(lambda: range_stats(exact_index, m_big,
-                                               0.0, 100.0))
-    range_group, range_batch_group = two_point_fit(t_range_small, t_range_big)
-    t_gather = _best_of(lambda: range_stats(float_index, m_big, 25.0, 75.0))
-    t_gather_base = _best_of(lambda: range_stats(float_index, m_big,
-                                                 200.0, 300.0))
-    gather_row = (t_gather - t_gather_base) * giga / (m_big * k_half)
-
-    # --- discrete-bucket tier -----------------------------------------
-    def set_stats(wanted):
-        exact_index.set_group_stats("d", wanted)
-
-    def one_code_wanted(m):
-        return [np.asarray([i % n_codes], dtype=np.int64) for i in range(m)]
-
-    wanted_8 = [np.unique(np.arange(i % 8, i % 8 + 8) % n_codes)
-                for i in range(m_big)]
-    t_set_small = _best_of(lambda: set_stats(one_code_wanted(m_small)))
-    t_set_big = _best_of(lambda: set_stats(one_code_wanted(m_big)))
-    t_set_8 = _best_of(lambda: set_stats(wanted_8))
-    bucket_group, bucket_batch_group = two_point_fit(t_set_small, t_set_big)
-    bucket_code = (t_set_8 - t_set_big) * giga / (m_big * n_groups * 7)
-
-    # --- conjunction tier ---------------------------------------------
-    other = RangeClause("a", 0.0, 100.0)
-
-    def conj_stats(m, width):
-        plans = [(RangeClause("a", float(2 * i % 50),
-                              float(2 * i % 50) + width), other)
-                 for i in range(m)]
-        exact_index.conjunction_group_stats(plans)
-
-    t_conj_narrow = _best_of(lambda: conj_stats(m_big, 2.0))
-    t_conj_narrow_small = _best_of(lambda: conj_stats(m_small, 2.0))
-    t_conj_big = _best_of(lambda: conj_stats(m_big, 30.0))
-    k_narrow, k_wide = 0.02 * n, 0.30 * n
-    conj_row = (t_conj_big - t_conj_narrow) * giga / (m_big
-                                                      * (k_wide - k_narrow))
-    # Two-point fit of the per-group terms at the *narrow* width, where
-    # the per-candidate component is a small correction — differencing
-    # the wide timings would drown the group terms in row-cost noise.
-    row_small = conj_row * m_small * k_narrow / giga
-    row_big = conj_row * m_big * k_narrow / giga
-    conj_group, conj_batch_group = two_point_fit(
-        t_conj_narrow_small - row_small, t_conj_narrow - row_big)
-
-    return CostConstants(
-        mask_row=_clamped(mask_row, d.mask_row),
-        mask_clause=_clamped(mask_clause, d.mask_clause),
-        mask_set_clause=_clamped(mask_set_clause, d.mask_set_clause),
-        scatter_row=_clamped(scatter_row, d.scatter_row),
-        mask_pred=d.mask_pred,
-        range_group=_clamped(range_group, d.range_group),
-        range_batch_group=_clamped(range_batch_group, d.range_batch_group),
-        gather_row=_clamped(gather_row, d.gather_row),
-        bucket_group=_clamped(bucket_group, d.bucket_group),
-        bucket_code=_clamped(bucket_code, d.bucket_code),
-        bucket_batch_group=_clamped(bucket_batch_group, d.bucket_batch_group),
-        conj_row=_clamped(conj_row, d.conj_row),
-        conj_group=_clamped(conj_group, d.conj_group),
-        conj_batch_group=_clamped(conj_batch_group, d.conj_batch_group),
-        tier_pred=d.tier_pred,
-    )

@@ -99,17 +99,17 @@ class IndexPlanner:
     estimated cost (see the module docstring).
 
     ``cost_model`` defaults to the process-wide
-    :meth:`~repro.index.cost.CostModel.shared` singleton, resolved
-    lazily on the first priced decision — worker processes adopt plans
-    from the parent and never partition, so they never trigger a
-    calibration pass, and serial/parallel runs of one process price
-    from identical constants.
+    :meth:`~repro.index.cost.CostModel.shared` model, so every planner
+    — serial or parallel, in any process — prices from the same
+    constants.
     """
 
     def __init__(self, index: PrefixAggregateIndex | None,
                  cost_model: CostModel | None = None):
         self.index = index
-        self._cost_model = cost_model
+        #: The model pricing this planner's decisions.
+        self.cost_model = (cost_model if cost_model is not None
+                           else CostModel.shared())
         #: Memoized clause → matched-row totals (clauses are immutable
         #: and the labeled rows never change, so counts are stable; the
         #: search re-submits the same clauses constantly).
@@ -118,14 +118,6 @@ class IndexPlanner:
         #: index shape (and, for set clauses, the wanted-code count).
         self._range_choice: bool | None = None
         self._set_choices: dict[int, bool] = {}
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The model pricing this planner's decisions (shared singleton
-        unless one was injected)."""
-        if self._cost_model is None:
-            self._cost_model = CostModel.shared()
-        return self._cost_model
 
     def _clause_count(self, clause) -> int:
         count = self._count_cache.get(clause)

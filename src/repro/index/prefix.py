@@ -100,7 +100,7 @@ def accumulate_owner_rows(owners: np.ndarray, rows: np.ndarray, m: int,
     bit-for-bit equal to the scalar path's
     ``tuple_states[mask].sum(axis=0)`` per owner.
 
-    The shared reduction of every non-exact index tier.  ``np.nonzero``
+    The shared reduction of every non-exact index tier.  ``np.flatnonzero``
     hands the mask kernel its set bits in ascending row order;
     re-sorting each owner's rows by row position reproduces that exact
     accumulation order.  A single composite-key sort (owner-major,

@@ -61,10 +61,6 @@ class Predicate:
         """The always-true predicate (empty conjunction)."""
         return cls([])
 
-    @classmethod
-    def from_dict(cls, clauses: Mapping[str, Clause]) -> "Predicate":
-        return cls(clauses.values())
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

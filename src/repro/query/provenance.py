@@ -66,10 +66,6 @@ class Provenance:
                 resolved.append(self._results.by_key(item))
         return resolved
 
-    def input_group(self, result: AggregateResult) -> np.ndarray:
-        """Row indices of ``g_result`` in the input table."""
-        return result.indices
-
     def union_input_group(self, results: Sequence[AggregateResult]) -> np.ndarray:
         """``g_X = ∪_{x∈X} g_x`` as a sorted, de-duplicated index array."""
         if not results:

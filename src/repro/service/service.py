@@ -572,7 +572,7 @@ class ExplainService:
         contract); then rebind the knobs and run the execute half.
         """
         scorer = entry.scorer
-        scorer.reset_stats()
+        scorer.stats.reset()
         scorer.clear_memo()
         target = entry.problem.with_params(c=c, c_holdout=c_holdout, lam=lam)
         scorer.rebind(target)

@@ -95,10 +95,6 @@ class Table:
         return self._length
 
     @property
-    def num_rows(self) -> int:
-        return self._length
-
-    @property
     def num_columns(self) -> int:
         return len(self._schema)
 

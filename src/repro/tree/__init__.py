@@ -1,9 +1,10 @@
 """Regression-tree substrate (paper Section 6.1 builds on CART [2]).
 
-:mod:`~repro.tree.splits` provides the split primitives — candidate
-bisections of a node by (attribute, value) pairs and the
-variance-reduction metric; :mod:`~repro.tree.node` the tree nodes (each
-node *is* a predicate box).
+:mod:`~repro.tree.splits` provides the split primitives — the
+:class:`~repro.tree.splits.Split` bisection of a node by an
+(attribute, value) pair and the variance-reduction metric;
+:mod:`~repro.tree.node` the tree nodes (each node *is* a predicate
+box).
 
 The DT partitioner reuses the split primitives and node structure but
 runs its own synchronized multi-group recursion with the influence-aware
@@ -13,8 +14,6 @@ stopping threshold (Sections 6.1.1–6.1.3).
 from repro.tree.node import TreeNode
 from repro.tree.splits import (
     Split,
-    best_split,
-    candidate_splits,
     node_error,
     range_split_errors,
 )
@@ -22,8 +21,6 @@ from repro.tree.splits import (
 __all__ = [
     "Split",
     "TreeNode",
-    "best_split",
-    "candidate_splits",
     "node_error",
     "range_split_errors",
 ]

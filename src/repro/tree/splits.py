@@ -1,4 +1,4 @@
-"""Split primitives shared by the regression tree and the DT partitioner.
+"""Split primitives of the DT partitioner.
 
 A :class:`Split` bisects a node by an (attribute, value) pair — the
 paper's Section 6.1.1 "best (attribute, value) pair to bisect the node":
@@ -16,7 +16,6 @@ the child errors, to be minimized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,34 +72,6 @@ class Split:
     def __str__(self) -> str:
         symbol = "<" if self.kind == "range" else "="
         return f"{self.attribute} {symbol} {self.value}"
-
-
-def candidate_splits(attribute: str, kind: str, values: Iterable,
-                     max_candidates: int = 8) -> list[Split]:
-    """Candidate bisections of a node along ``attribute``.
-
-    Continuous: up to ``max_candidates`` interior quantile thresholds of
-    the node's values.  Discrete: one-vs-rest on the node's distinct
-    values, most frequent first, capped at ``max_candidates``.
-    """
-    if kind == "range":
-        array = np.asarray(list(values), dtype=np.float64)
-        if len(array) < 2:
-            return []
-        quantiles = np.linspace(0.0, 1.0, max_candidates + 2)[1:-1]
-        thresholds = np.unique(np.quantile(array, quantiles))
-        lo, hi = float(np.min(array)), float(np.max(array))
-        return [Split(attribute, "range", float(t))
-                for t in thresholds if lo < t < hi]
-    if kind == "set":
-        counts: dict = {}
-        for item in values:
-            counts[item] = counts.get(item, 0) + 1
-        if len(counts) < 2:
-            return []
-        ordered = sorted(counts, key=lambda v: (-counts[v], repr(v)))
-        return [Split(attribute, "set", v) for v in ordered[:max_candidates]]
-    raise PartitionerError(f"unknown split kind {kind!r}")
 
 
 def node_error(targets: np.ndarray) -> float:
@@ -166,24 +137,3 @@ def range_split_errors(values: np.ndarray, targets: np.ndarray,
         errors = (n_left * left_std + n_right * right_std) / n
     return errors, n_left, n_right
 
-
-def best_split(splits: Sequence[Split], values_by_split: Sequence[np.ndarray],
-               targets: np.ndarray,
-               min_child_size: int = 1) -> tuple[Split, float] | None:
-    """The candidate split minimizing :func:`split_error`.
-
-    ``values_by_split[i]`` holds the node's values of
-    ``splits[i].attribute``.  Splits leaving a child with fewer than
-    ``min_child_size`` rows are skipped.  Returns None when no split is
-    admissible.
-    """
-    best: tuple[Split, float] | None = None
-    for split, values in zip(splits, values_by_split):
-        left = split.left_mask(values)
-        n_left = int(np.count_nonzero(left))
-        if n_left < min_child_size or len(values) - n_left < min_child_size:
-            continue
-        error = split_error(targets, left)
-        if best is None or error < best[1]:
-            best = (split, error)
-    return best

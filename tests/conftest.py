@@ -23,7 +23,7 @@ ROUTING_COUNTERS = (
     "indexed_conjunctions", "conjunction_fallbacks", "masked_predicates",
     "incremental_deltas", "full_recomputes", "index_builds",
     "cost_routed_mask", "cost_routed_prefix", "cost_routed_bucket",
-    "cost_routed_gather", "cost_routed_conj", "cost_calibrations",
+    "cost_routed_gather", "cost_routed_conj",
 )
 
 
@@ -59,10 +59,9 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     chunk_kwargs = {} if batch_chunk is None else {"batch_chunk": batch_chunk}
     parallel = workers is not None and workers > 1
     if parallel:
-        # Resolve the routing model before any scorer runs, so every
-        # leg snapshots the same calibration count.  The one-chunk leg
-        # prices routes with the same constants but a zero dispatch
-        # cost, so routing is identical and the shard-size gate passes.
+        # The one-chunk leg prices routes with the same constants but a
+        # zero dispatch cost, so routing is identical and the
+        # shard-size gate passes.
         routing_model = (scorer_kwargs.get("cost_model")
                          or CostModel.shared())
         open_gate = CostModel(routing_model.constants)

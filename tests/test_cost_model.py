@@ -16,17 +16,21 @@ Three layers of lock-down:
   probes on the conjunction tier, full-domain probes on the mask
   kernel.
 
-Calibration itself is covered by a real measurement pass (constants
-land inside the clamp window, the pass runs at most once per process).
+The process default routes from exactly those constants: a fresh
+scorer prices with :data:`DEFAULT_CONSTANTS`, so routing never depends
+on machine speed.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.influence import InfluenceScorer
+from repro.core.scorpion import Scorpion
 from repro.index import (
     DEFAULT_CONSTANTS,
     CostModel,
@@ -73,8 +77,8 @@ def bench_index() -> PrefixAggregateIndex:
 
 
 def planner_for(index: PrefixAggregateIndex) -> IndexPlanner:
-    """A fresh planner pinned to the shipped constants (machine-speed
-    independent — never the possibly-calibrated shared singleton)."""
+    """A fresh planner pinned to the shipped constants (independent of
+    any model a test installs process-wide)."""
     return IndexPlanner(index, CostModel(DEFAULT_CONSTANTS))
 
 
@@ -360,57 +364,24 @@ class TestActiveGroupsRestriction:
 
 
 # ----------------------------------------------------------------------
-# Calibration and the shared singleton
+# The process default
 # ----------------------------------------------------------------------
-@pytest.fixture
-def restore_shared():
-    """Snapshot the process-wide shared model around a test that
-    re-resolves it, so the rest of the suite keeps its routing."""
-    previous = cost._SHARED
-    yield
-    cost.set_shared(previous)
+class TestSharedModel:
+    def test_scorers_route_from_the_shipped_constants(self, sum_problem,
+                                                      monkeypatch):
+        """With no ``SCORPION_*`` variable set, every scorer prices from
+        :data:`DEFAULT_CONSTANTS` and an explain spends no time in the
+        cost model: it records no span of its own."""
+        for name in [n for n in os.environ if n.startswith("SCORPION_")]:
+            monkeypatch.delenv(name)
+        cost.set_shared(None)  # drop any model an earlier test installed
+        result = Scorpion(algorithm="mc", trace=True).explain(sum_problem)
+        assert sum(value for key, value in result.scorer_stats.items()
+                   if key.startswith("cost_routed_")) > 0
+        names = {sp["name"] for sp in result.trace}
+        assert not [n for n in names if n.startswith("cost")], names
 
-
-class TestCalibration:
-    def test_off_uses_defaults_deterministically(self, restore_shared,
-                                                 monkeypatch):
-        monkeypatch.setenv("SCORPION_COST_CALIBRATE", "off")
-        before = cost.calibration_count()
-        cost.reset_shared()
-        model = CostModel.shared()
-        assert model.constants == DEFAULT_CONSTANTS
-        assert cost.calibration_count() == before
-        assert CostModel.shared() is model
-
-    def test_on_measures_once_within_clamp(self, restore_shared,
-                                           monkeypatch):
-        monkeypatch.delenv("SCORPION_COST_CALIBRATE", raising=False)
-        before = cost.calibration_count()
-        cost.reset_shared()
-        model = CostModel.shared()
-        assert cost.calibration_count() == before + 1
-        measured = model.constants
-        for name in ("mask_row", "mask_clause", "mask_set_clause",
-                     "scatter_row", "range_group", "range_batch_group",
-                     "gather_row", "bucket_group", "bucket_code",
-                     "bucket_batch_group", "conj_row", "conj_group",
-                     "conj_batch_group"):
-            value = getattr(measured, name)
-            default = getattr(DEFAULT_CONSTANTS, name)
-            assert default / cost.CLAMP <= value <= default * cost.CLAMP, name
-        # The per-predicate fixed overheads are not fitted.
-        assert measured.mask_pred == DEFAULT_CONSTANTS.mask_pred
-        assert measured.tier_pred == DEFAULT_CONSTANTS.tier_pred
-        # The singleton is cached: no second measurement pass.
-        assert CostModel.shared() is model
-        assert cost.calibration_count() == before + 1
-
-    def test_calibration_enabled_parses_the_knob(self, monkeypatch):
-        for raw in ("off", "0", "false", "no", "OFF", " False "):
-            monkeypatch.setenv("SCORPION_COST_CALIBRATE", raw)
-            assert not cost.calibration_enabled()
-        for raw in ("on", "1", "yes", ""):
-            monkeypatch.setenv("SCORPION_COST_CALIBRATE", raw)
-            assert cost.calibration_enabled()
-        monkeypatch.delenv("SCORPION_COST_CALIBRATE")
-        assert cost.calibration_enabled()
+        scorer = InfluenceScorer(sum_problem)
+        scorer.score_batch([Predicate([RangeClause("a1", 40.0, 60.0)])])
+        assert scorer.planner.cost_model.constants == DEFAULT_CONSTANTS
+        assert scorer.planner.cost_model is CostModel.shared()

@@ -283,10 +283,6 @@ class TestTracedExplain:
 
     def test_serial_and_parallel_trace_same_phases(self):
         problem = make_sum_problem()
-        # Pre-warm the process-wide cost model so neither run records a
-        # first-call ``cost_calibration`` span the other lacks.
-        from repro.index.cost import CostModel
-        CostModel.shared()
         serial = Scorpion(algorithm="mc", trace=True).explain(problem)
         # One-shot explain builds and closes its own scorer (and pool).
         parallel = Scorpion(algorithm="mc", trace=True,

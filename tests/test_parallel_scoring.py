@@ -454,7 +454,7 @@ class TestStatsConsistency:
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False)
         scorer.score_batch(routed_batch(4))
         assert scorer.stats.index_builds == 1
-        scorer.reset_stats()
+        scorer.stats.reset()
         # Same attribute again: already built, nothing new to count.
         scorer.score_batch(routed_batch(4))
         assert scorer.stats.index_builds == 0
@@ -467,7 +467,7 @@ class TestStatsConsistency:
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False)
         scorer.prepare_index(["a1"])
         assert scorer.stats.index_builds == 1
-        scorer.reset_stats()
+        scorer.stats.reset()
         scorer.prepare_index()  # builds the remaining attributes
         assert scorer.stats.index_builds == len(
             scorer._index.attributes_built) - 1
@@ -478,7 +478,7 @@ class TestStatsConsistency:
         try:
             scorer.score_batch(mixed_batch())
             assert scorer.stats.parallel_shards > 0
-            scorer.reset_stats()
+            scorer.stats.reset()
             assert scorer.stats.parallel_batches == 0
             assert scorer.stats.parallel_shards == 0
         finally:

@@ -10,8 +10,6 @@ from repro.predicates.clause import RangeClause, SetClause
 from repro.tree.node import TreeNode
 from repro.tree.splits import (
     Split,
-    best_split,
-    candidate_splits,
     node_error,
     range_split_errors,
     split_error,
@@ -49,25 +47,6 @@ class TestSplits:
         with pytest.raises(PartitionerError):
             Split("s", "set", "a").child_clauses(SetClause("s", ["a"]))
 
-    def test_candidate_splits_range_interior(self):
-        values = np.linspace(0, 10, 50)
-        splits = candidate_splits("x", "range", values, max_candidates=4)
-        assert 0 < len(splits) <= 4
-        for split in splits:
-            assert 0.0 < float(split.value) < 10.0
-
-    def test_candidate_splits_constant_column_empty(self):
-        assert candidate_splits("x", "range", np.ones(10)) == []
-
-    def test_candidate_splits_set_frequency_order(self):
-        values = ["a"] * 5 + ["b"] * 3 + ["c"]
-        splits = candidate_splits("s", "set", values, max_candidates=2)
-        assert [s.value for s in splits] == ["a", "b"]
-
-    def test_candidate_splits_unknown_kind(self):
-        with pytest.raises(PartitionerError):
-            candidate_splits("x", "weird", [1, 2])
-
     def test_node_error_is_std(self):
         assert node_error(np.asarray([1.0, 3.0])) == pytest.approx(1.0)
         assert node_error(np.asarray([5.0])) == 0.0
@@ -79,20 +58,6 @@ class TestSplits:
         assert perfect == 0.0
         bad = split_error(targets, np.asarray([True, False, True, False]))
         assert bad > 0.0
-
-    def test_best_split_picks_minimum(self):
-        values = np.asarray([1.0, 2.0, 9.0, 10.0])
-        targets = np.asarray([0.0, 0.0, 5.0, 5.0])
-        splits = [Split("x", "range", 5.0), Split("x", "range", 1.5)]
-        choice = best_split(splits, [values, values], targets)
-        assert choice[0].value == 5.0
-
-    def test_best_split_respects_min_child(self):
-        values = np.asarray([1.0, 9.0, 9.5, 10.0])
-        targets = np.asarray([0.0, 5.0, 5.0, 5.0])
-        choice = best_split([Split("x", "range", 5.0)], [values], targets,
-                            min_child_size=2)
-        assert choice is None
 
 
 class TestRangeSplitErrors:
