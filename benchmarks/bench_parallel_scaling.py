@@ -8,8 +8,8 @@ at increasing ``workers`` settings, on the three hot shard shapes:
   ``evaluate_batch`` + scatter-add pass in a worker;
 * *index routed* — single-clause ranges with the prefix-aggregate index
   prepared and the mask kernel priced out (``force_index_model``), so
-  shards are binary-search/prefix lookups against the shared index
-  views;
+  shards are binary-search/prefix lookups against the index views
+  the workers inherit;
 * *few predicates* — a batch far smaller than ``workers ×
   batch_chunk`` over a many-group problem, so ``batch_chunk``-sized
   shards alone cannot keep the pool busy and the cost model's
@@ -23,9 +23,8 @@ work a shard does — is identical on every machine; what varies with
 count (the parallel equivalence contract; always asserted, including in
 CI smoke runs), and the few-predicates shape must actually be split
 into at least two shards at ``workers >= 2``.  Predicates/second is
-measured after a warm-up batch so pool spin-up and shared-memory
-packing are reported separately (``spinup_ms``) rather than folded
-into throughput.
+measured after a warm-up batch so pool spin-up is reported separately
+(``spinup_ms``) rather than folded into throughput.
 
 The wall-clock expectation — the ISSUE 4 acceptance bar — is ≥ 2.5×
 predicates/sec at 4 workers over serial on the mask-kernel shape at

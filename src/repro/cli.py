@@ -274,7 +274,7 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
 
     **Shutdown.**  SIGINT/SIGTERM (and EOF) drain in-flight requests,
     write their responses, log one ``serve_shutdown`` event with the
-    reason, release the service (pools, shared memory), and exit 0 —
+    reason, release the service (its worker pools), and exit 0 —
     a deployed explainer is restartable without losing accepted work.
     """
     logger = JsonLogger(stream=log)

@@ -152,10 +152,6 @@ class DTPartitioner:
             )
         start = time.perf_counter()
         scorer = scorer or InfluenceScorer(query)
-        # Warm the worker pool before the per-partition scoring rounds
-        # (and the Merger's downstream batches — the pool lives on the
-        # scorer, so it survives across rounds; no-op when serial).
-        scorer.prepare_parallel()
         self._rng = np.random.default_rng(self.params.seed)
         self._query = query
         self._scorer = scorer

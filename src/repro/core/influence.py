@@ -92,13 +92,16 @@ pool instead of looping them in-process (see :mod:`repro.parallel`).
 Shards are ``batch_chunk``-sized, except that a batch too small to fill
 ``2 × workers`` of them is cut finer so every worker gets a share, when
 the per-shard work clears the pool's dispatch cost
-(:meth:`~repro.index.cost.CostModel.choose_shard_size`).  The problem's
-arrays go into shared memory once; each worker rebuilds this scorer's
-batch kernel around zero-copy views and runs *the same methods on
-byte-identical inputs*, and shards are reassembled in submission
-order — so influences are bit-for-bit identical to serial execution at
-any worker count.  Per-worker kernel counters are merged back into
-:class:`ScorerStats` (:meth:`ScorerStats.merge_worker_counters`),
+(:meth:`~repro.index.cost.CostModel.choose_shard_size`).  The pool is
+handed this scorer's :class:`~repro.core.kernel.BatchKernel` once:
+forked workers inherit it copy-on-write and run *the same kernel
+methods on byte-identical arrays* as the serial loop, and shards are
+reassembled in submission order — so influences are bit-for-bit
+identical to serial execution at any worker count.  The parent builds
+every index view it routes before scoring, so ``index_builds`` counts
+exactly as serially; a worker forked before a view existed builds its
+own byte-identical copy.  Per-worker kernel counters are merged back
+into :class:`ScorerStats` (:meth:`ScorerStats.merge_worker_counters`),
 keeping aggregate counters equal to a serial run's; the parallel-only
 ``parallel_batches`` / ``parallel_shards`` counters record how much work
 the pool took.  A failed parallel batch (worker crash, shard timeout) is
@@ -116,15 +119,16 @@ import os
 import time
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.aggregates.base import AggregateFunction
+from repro.core.kernel import INVALID_INFLUENCE, BatchKernel, GroupContext
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
-from repro.index import IndexPlanner, PrefixAggregateIndex
+from repro.index import IndexPlanner
 from repro.index.cost import CostModel
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer, span
@@ -133,67 +137,6 @@ from repro.parallel.recovery import ParallelRecovery
 from repro.predicates.clause import RangeClause
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
-
-INVALID_INFLUENCE = float("-inf")
-
-
-def _scalar_pow(bases: np.ndarray, exponent: float) -> np.ndarray:
-    """``bases ** exponent`` through *scalar* libm pow.
-
-    NumPy's vectorized ``**`` routes through a SIMD pow whose results can
-    differ from scalar ``pow`` in the last ulp, which would break the
-    bit-for-bit scalar/batch equivalence contract.  Matched-row counts
-    repeat heavily, so one scalar pow per unique count is also cheap."""
-    if exponent == 1.0:
-        return bases
-    if exponent == 0.0:
-        return np.ones_like(bases)
-    uniques, inverse = np.unique(bases, return_inverse=True)
-    table = np.asarray([value ** exponent for value in uniques.tolist()],
-                       dtype=np.float64)
-    return table[inverse]
-
-
-@dataclass
-class GroupContext:
-    """Cached evaluation state for one input group ``g_αi``.
-
-    Attributes
-    ----------
-    key:
-        The group's group-by key.
-    indices:
-        Row positions of the group inside the full input table ``D``.
-    agg_values:
-        The group's aggregate-attribute values (``π_Aagg g``).
-    total_value:
-        ``agg(g)`` — the group's original output.
-    error_vector:
-        ``v_o`` for outlier groups; 1.0 for hold-out groups.
-    is_outlier:
-        Whether the group belongs to ``O`` (else ``H``).
-    total_state / tuple_states:
-        Incremental-removal caches (None for black-box aggregates).
-    """
-
-    key: tuple
-    indices: np.ndarray
-    agg_values: np.ndarray
-    total_value: float
-    error_vector: float
-    is_outlier: bool
-    total_state: np.ndarray | None = None
-    tuple_states: np.ndarray | None = field(default=None, repr=False)
-    #: State of one mean-valued tuple (only for the "mean" perturbation).
-    mean_state: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def mean_value(self) -> float:
-        return float(np.mean(self.agg_values)) if self.size else float("nan")
 
 
 @dataclass
@@ -256,13 +199,10 @@ class ScorerStats:
     #: worker processes when scoring runs parallel; :meth:`worker_counters`
     #: exports them from a worker's stats window and
     #: :meth:`merge_worker_counters` folds them back into the parent's, so
-    #: aggregate totals equal a serial run's.  The index-build pair is
-    #: normally zero on workers (the parent pre-builds and ships every
-    #: routed attribute) but covers the safety-net case of a worker
-    #: building an un-shipped attribute locally.  Everything else is
-    #: counted in the parent regardless of execution mode.
-    WORKER_MERGED = ("incremental_deltas", "full_recomputes",
-                     "index_builds", "index_build_seconds")
+    #: aggregate totals equal a serial run's.  Everything else — index
+    #: builds included, since the parent builds every routed view before
+    #: dispatch — is counted in the parent regardless of execution mode.
+    WORKER_MERGED = ("incremental_deltas", "full_recomputes")
 
     @property
     def batch_throughput(self) -> float:
@@ -384,7 +324,6 @@ class InfluenceScorer:
         #: key on).
         self._pool_starts = 0
         self._finalizer: weakref.finalize | None = None
-        self._index_attr_specs: dict = {}
         #: Index build totals already folded into ``stats`` — the sync
         #: baselines that make :meth:`_sync_index_stats` monotonic.
         self._index_builds_seen = 0
@@ -406,48 +345,17 @@ class InfluenceScorer:
                 result, agg_values, 1.0, is_outlier=False))
         # Influence only depends on labeled rows, so predicates are
         # evaluated against this much smaller concatenated slice of D.
-        self._labeled_slices: list[tuple[GroupContext, int, int]] = []
-        offset = 0
-        for context in self.contexts:
-            self._labeled_slices.append((context, offset, offset + context.size))
-            offset += context.size
         labeled_rows = np.concatenate([ctx.indices for ctx in self.contexts])
-        self._labeled_evaluator = ArrayMaskEvaluator({
+        evaluator = ArrayMaskEvaluator({
             attr: self.table.values(attr)[labeled_rows]
             for attr in query.attributes
         })
-        self._n_labeled = offset
-        # Batch-kernel companions: which context each labeled row belongs
-        # to, and all per-tuple state rows stacked in labeled-row order.
-        self._context_ids = np.concatenate([
-            np.full(ctx.size, ci, dtype=np.int64)
-            for ci, ctx in enumerate(self.contexts)
-        ]) if offset else np.empty(0, dtype=np.int64)
-        #: Outlier contexts come first in the labeled concatenation, so
-        #: columns [0, _outlier_cols) are exactly the outlier rows.
-        self._outlier_cols = sum(ctx.size for ctx in self.outlier_contexts)
-        self._stacked_states = (
-            np.vstack([ctx.tuple_states for ctx in self.contexts])
-            if self._incremental and offset else None
-        )
-        # Prefix-aggregate index over the labeled rows (cheap shell; the
-        # per-attribute sorted views build lazily on first routed use or
-        # via prepare_index).  Requires the incremental path: black-box
-        # aggregates need mask rows to recompute from raw values.
-        self._index: PrefixAggregateIndex | None = None
-        if use_index and self._incremental and offset:
-            evaluator = self._labeled_evaluator
-            self._index = PrefixAggregateIndex(
-                {attr: evaluator.continuous_values(attr)
-                 for attr in evaluator.continuous_attributes},
-                [(start, stop) for _, start, stop in self._labeled_slices],
-                [ctx.tuple_states for ctx in self.contexts],
-                codes_by_attr={attr: evaluator.discrete_codes(attr)
-                               for attr in evaluator.discrete_attributes},
-                code_tables={attr: evaluator.code_table(attr)
-                             for attr in evaluator.discrete_attributes},
-            )
-        self._planner = IndexPlanner(self._index, cost_model)
+        #: The batch kernel: the routing-tier kernels plus every array
+        #: they read, shared by the serial loop and the worker pool.
+        self.kernel = BatchKernel(self.contexts, evaluator, self.aggregate,
+                                  self.perturbation, self._incremental,
+                                  use_index, self.stats)
+        self._planner = IndexPlanner(self.kernel.index, cost_model)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -481,75 +389,15 @@ class InfluenceScorer:
         return self._incremental
 
     # ------------------------------------------------------------------
-    # Δ computation
+    # The scalar path (the reference the batch kernels reproduce)
     # ------------------------------------------------------------------
-    def updated_from_removed(self, context: GroupContext,
-                             removed_state: np.ndarray,
-                             removed_count: float) -> float:
-        """The group's aggregate value after the predicate acts on rows
-        whose summed state is ``removed_state``.
-
-        The scalar path's perturbation rules (:meth:`delta`): ``delete``
-        removes the state outright; ``mean`` replaces it with
-        ``removed_count`` mean-valued tuples.  Returns NaN when the
-        result is undefined (delete mode emptying a group).  The batched
-        scoring kernels and the Merger's estimate apply the same rules
-        row-wise through :meth:`_updated_from_removed_batch`.
-        """
-        assert context.total_state is not None
-        if self.perturbation == "mean":
-            assert context.mean_state is not None
-            adjusted = (context.total_state - removed_state
-                        + removed_count * context.mean_state)
-            return float(self.aggregate.recover_batch(
-                adjusted[np.newaxis, :])[0])
-        remaining = context.total_state - removed_state
-        if remaining[-1] < 0.5:  # deleted the whole group
-            empty = self.aggregate.empty_value
-            return float("nan") if empty is None else float(empty)
-        return float(self.aggregate.recover_batch(remaining[np.newaxis, :])[0])
-
-    def delta(self, context: GroupContext, local_mask: np.ndarray) -> float:
-        """``Δ(o, p) = agg(g) − agg(g ⊖ p(g))`` for one group, where ``⊖``
-        deletes or mean-imputes the matched rows per the problem's
-        perturbation mode.
-
-        ``local_mask`` selects the matched rows within the group.
-        Returns NaN when the perturbation leaves the aggregate undefined
-        (delete mode emptying an AVG/STDDEV group); callers map that to
-        ``-inf`` influence.
-        """
-        removed = int(np.count_nonzero(local_mask))
-        if removed == 0:
-            return 0.0
-        if self._incremental:
-            self.stats.incremental_deltas += 1
-            assert context.tuple_states is not None
-            removed_state = context.tuple_states[local_mask].sum(axis=0)
-            updated = self.updated_from_removed(context, removed_state, removed)
-            if np.isnan(updated):
-                return float("nan")
-        else:
-            self.stats.full_recomputes += 1
-            try:
-                if self.perturbation == "mean":
-                    modified = context.agg_values.copy()
-                    modified[local_mask] = context.mean_value
-                    updated = self.aggregate.compute(modified)
-                else:
-                    updated = self.aggregate.compute(
-                        context.agg_values[~local_mask])
-            except AggregateError:
-                return float("nan")
-        return context.total_value - updated
-
     def group_influence(self, context: GroupContext, local_mask: np.ndarray) -> float:
         """``inf(o, p, v_o)`` (or the unsigned hold-out variant) for one
         group given the rows the predicate removes."""
         removed = int(np.count_nonzero(local_mask))
         if removed == 0:
             return 0.0
-        delta = self.delta(context, local_mask)
+        delta = self.kernel.delta(context, local_mask)
         if np.isnan(delta):
             return INVALID_INFLUENCE
         exponent = self.c if context.is_outlier else self.c_holdout
@@ -591,13 +439,13 @@ class InfluenceScorer:
     def _labeled_masks(self, predicate: Predicate) -> list[np.ndarray]:
         """Per-context removal masks, evaluating the predicate only over
         the labeled rows (O(|g_O| + |g_H|), not O(|D|))."""
-        if any(not self._labeled_evaluator.supports(c.attribute) for c in predicate):
+        if not self.kernel.evaluator.supports_predicate(predicate):
             # Predicate over non-A_rest attributes (user-supplied): fall
             # back to the full-table path.
             full_mask = predicate.mask(self.table)
             return [full_mask[context.indices] for context in self.contexts]
-        mask = self._labeled_evaluator.mask(predicate)
-        return [mask[start:stop] for _, start, stop in self._labeled_slices]
+        mask = self.kernel.evaluator.mask(predicate)
+        return [mask[start:stop] for _, start, stop in self.kernel.slices]
 
     def score(self, predicate: Predicate, ignore_holdouts: bool = False) -> float:
         """``inf(O, H, p, V)`` for a predicate (memoized)."""
@@ -629,7 +477,7 @@ class InfluenceScorer:
     @property
     def uses_index(self) -> bool:
         """Whether the prefix-aggregate index fast path is available."""
-        return self._index is not None
+        return self.kernel.index is not None
 
     @property
     def planner(self) -> IndexPlanner:
@@ -651,19 +499,21 @@ class InfluenceScorer:
         path is unavailable) — purely an optimization either way, since
         routed queries build lazily.
         """
-        if self._index is None:
+        index = self.kernel.index
+        if index is None:
             return ()
         if attributes is None:
-            attributes = (self._labeled_evaluator.continuous_attributes
-                          + self._labeled_evaluator.discrete_attributes)
+            evaluator = self.kernel.evaluator
+            attributes = (evaluator.continuous_attributes
+                          + evaluator.discrete_attributes)
         with span("prepare_index") as sp:
             built = []
             for attribute in attributes:
-                if self._index.supports(attribute):
-                    self._index.ensure(attribute)
+                if index.supports(attribute):
+                    index.ensure(attribute)
                     built.append(attribute)
-                elif self._index.supports_discrete(attribute):
-                    self._index.ensure_discrete(attribute)
+                elif index.supports_discrete(attribute):
+                    index.ensure_discrete(attribute)
                     built.append(attribute)
             self._sync_index_stats()
             if sp:
@@ -679,9 +529,10 @@ class InfluenceScorer:
         already-counted builds nor clobber counters merged back from
         worker shards.
         """
-        assert self._index is not None
-        builds = self._index.build_count
-        seconds = self._index.build_seconds
+        index = self.kernel.index
+        assert index is not None
+        builds = index.build_count
+        seconds = index.build_seconds
         self.stats.index_builds += builds - self._index_builds_seen
         self.stats.index_build_seconds += seconds - self._index_seconds_seen
         self._index_builds_seen = builds
@@ -709,13 +560,14 @@ class InfluenceScorer:
         (see :meth:`ScorpionQuery.with_params`).
 
         Only the search scalars ``c`` / ``c_holdout`` / ``λ`` may
-        differ: every cached artifact — contexts, tuple states, the
-        labeled evaluator, index views, the worker pool's shared-memory
-        image — is derived from the table, query, annotations, and
-        perturbation mode, which must be identical (the resident
-        service's content key guarantees this; the assertion is the
-        safety net).  Memoized influences are dropped because they bake
-        the old scalars in.
+        differ: every cached artifact — the batch kernel with its
+        contexts, tuple states, labeled evaluator and index views, and
+        the worker pool holding it — is derived from the table, query,
+        annotations, and perturbation mode, which must be identical (the
+        resident service's content key guarantees this; the assertion is
+        the safety net).  The kernel takes the scalars as call
+        arguments, so only the memoized influences, which bake the old
+        scalars in, are dropped.
         """
         if (query.raw_table is not self.query.raw_table
                 or query.perturbation != self.perturbation
@@ -735,27 +587,12 @@ class InfluenceScorer:
         """Bytes of numpy array data this scorer holds resident — the
         resident service's memory-accounting unit.
 
-        Counts each owned array once: per-context indices, aggregate
-        values and tuple states, the stacked state matrix, the labeled
-        evaluator's comparison arrays, and every built index view.
-        Small Python object overhead is excluded — the arrays counted
-        here are the artifacts whose size actually scales with the
-        problem.
+        Counts each owned array once (see
+        :meth:`~repro.core.kernel.BatchKernel.resident_bytes`).  Small
+        Python object overhead is excluded — the arrays counted here are
+        the artifacts whose size actually scales with the problem.
         """
-        total = 0
-        for context in self.contexts:
-            total += context.indices.nbytes + context.agg_values.nbytes
-            if context.tuple_states is not None:
-                total += context.tuple_states.nbytes
-            if context.total_state is not None:
-                total += context.total_state.nbytes
-        if self._stacked_states is not None:
-            total += self._stacked_states.nbytes
-        total += self._context_ids.nbytes
-        total += self._labeled_evaluator.resident_bytes()
-        if self._index is not None:
-            total += self._index.resident_bytes()
-        return int(total)
+        return self.kernel.resident_bytes()
 
     def score_batch(self, predicates: Sequence[Predicate] | Iterable[Predicate],
                     ignore_holdouts: bool = False) -> np.ndarray:
@@ -787,7 +624,7 @@ class InfluenceScorer:
             out = self._score_batch_impl(predicates, ignore_holdouts)
             sp.annotate(
                 predicates=len(predicates),
-                groups=self._count_active_contexts(ignore_holdouts),
+                groups=self.kernel.active_contexts(ignore_holdouts),
                 cache_hits=stats.cache_hits - base[0],
                 masked=stats.masked_predicates - base[1],
                 ranges=stats.indexed_ranges - base[2],
@@ -811,13 +648,14 @@ class InfluenceScorer:
         out = np.empty(len(predicates), dtype=np.float64)
         pending: dict[Predicate, list[int]] = {}
         fallback: list[int] = []
+        evaluator = self.kernel.evaluator
         for i, predicate in enumerate(predicates):
             if cache is not None and predicate in cache:
                 self.stats.cache_hits += 1
                 out[i] = cache[predicate]
             elif predicate in pending:
                 pending[predicate].append(i)
-            elif not self._labeled_evaluator.supports_predicate(predicate):
+            elif not evaluator.supports_predicate(predicate):
                 fallback.append(i)
             else:
                 pending[predicate] = [i]
@@ -829,8 +667,8 @@ class InfluenceScorer:
         self.stats.cost_routed_bucket += route.cost_routed_bucket
         self.stats.cost_routed_gather += route.cost_routed_gather
         self.stats.cost_routed_conj += route.cost_routed_conj
-        if self._index is not None:
-            # Conjunction planning may have built probe-side views.
+        if self.kernel.index is not None:
+            self._build_routed_views(route)
             self._sync_index_stats()
 
         size = self.batch_chunk
@@ -838,59 +676,44 @@ class InfluenceScorer:
             # Cut a batch too small to feed every worker into finer
             # shards (chunking never changes a result).
             size = self._planner.cost_model.choose_shard_size(
-                len(pending), self._n_labeled, self.workers, size)
+                len(pending), self.kernel.n_labeled, self.workers, size)
 
-        def shard(items: list) -> list[list]:
-            return [items[lo:lo + size] for lo in range(0, len(items), size)]
-
-        masked_shards = shard(route.masked)
-        range_shards = shard(route.ranges)
-        set_shards = shard(route.sets)
-        conj_shards = shard(route.conjunctions)
-        n_shards = (len(masked_shards) + len(range_shards)
-                    + len(set_shards) + len(conj_shards))
+        # Every tier's work as (kind, predicates, kernel items) shards,
+        # in tier order; the kernels read only the bare items.
+        tiers = [("masked", route.masked, route.masked)]
+        for kind, pairs in (("indexed", route.ranges),
+                            ("indexed_set", route.sets),
+                            ("indexed_conj", route.conjunctions)):
+            tiers.append((kind, [predicate for predicate, _ in pairs],
+                          [item for _, item in pairs]))
+        shards = [(kind, owners[lo:lo + size], items[lo:lo + size])
+                  for kind, owners, items in tiers
+                  for lo in range(0, len(items), size)]
 
         shard_values = None
-        if not self._parallel_disabled and n_shards >= 2:
-            shard_values = self._score_shards_parallel(
-                masked_shards, range_shards, set_shards, conj_shards,
-                ignore_holdouts)
+        if not self._parallel_disabled and len(shards) >= 2:
+            shard_values = self._score_shards_parallel(shards, ignore_holdouts)
         if shard_values is None:
-            shard_values = (
-                [self._score_masked_chunk(chunk, ignore_holdouts)
-                 for chunk in masked_shards],
-                [self._score_index_chunk(chunk, ignore_holdouts)
-                 for chunk in range_shards],
-                [self._score_set_chunk(chunk, ignore_holdouts)
-                 for chunk in set_shards],
-                [self._score_conj_chunk(chunk, ignore_holdouts)
-                 for chunk in conj_shards],
-            )
-        masked_values, range_values, set_values, conj_values = shard_values
+            shard_values = [
+                self.kernel.score_shard(kind, items, ignore_holdouts,
+                                        self.c, self.c_holdout, self.lam)
+                for kind, _, items in shards]
 
-        def assign(predicate: Predicate, value: float) -> None:
-            value = float(value)
-            if cache is not None:
-                cache[predicate] = value
-            for i in pending[predicate]:
-                out[i] = value
-
-        for chunk, values in zip(masked_shards, masked_values):
-            self.stats.mask_scores += len(chunk)
-            self.stats.masked_predicates += len(chunk)
-            for predicate, value in zip(chunk, values):
-                assign(predicate, value)
-
-        for tier_shards, tier_values, counter in (
-                (range_shards, range_values, "indexed_ranges"),
-                (set_shards, set_values, "indexed_sets"),
-                (conj_shards, conj_values, "indexed_conjunctions")):
-            for chunk, values in zip(tier_shards, tier_values):
+        for (kind, chunk, _), values in zip(shards, shard_values):
+            if kind == "masked":
+                self.stats.mask_scores += len(chunk)
+                self.stats.masked_predicates += len(chunk)
+            else:
                 self.stats.indexed_predicates += len(chunk)
+                counter = self._TIER_COUNTERS[kind]
                 setattr(self.stats, counter,
                         getattr(self.stats, counter) + len(chunk))
-                for (predicate, _), value in zip(chunk, values):
-                    assign(predicate, value)
+            for predicate, value in zip(chunk, values):
+                value = float(value)
+                if cache is not None:
+                    cache[predicate] = value
+                for i in pending[predicate]:
+                    out[i] = value
 
         for i in fallback:
             predicate = predicates[i]
@@ -907,6 +730,26 @@ class InfluenceScorer:
         self.stats.batch_seconds += time.perf_counter() - started
         return out
 
+    #: The :class:`ScorerStats` counter of each index tier's shards.
+    _TIER_COUNTERS = {"indexed": "indexed_ranges",
+                      "indexed_set": "indexed_sets",
+                      "indexed_conj": "indexed_conjunctions"}
+
+    def _build_routed_views(self, route) -> None:
+        """Build, here in the parent, every index view the routed tiers
+        read (a conjunction reads only its probe side's view), so
+        ``index_builds`` counts the same at any worker count."""
+        index = self.kernel.index
+        assert index is not None
+        clauses = ([clause for _, clause in route.ranges]
+                   + [clause for _, clause in route.sets]
+                   + [plan.probe for _, plan in route.conjunctions])
+        for clause in clauses:
+            if isinstance(clause, RangeClause):
+                index.ensure(clause.attribute)
+            else:
+                index.ensure_discrete(clause.attribute)
+
     # ------------------------------------------------------------------
     # Sharded parallel execution (see repro.parallel)
     # ------------------------------------------------------------------
@@ -920,38 +763,6 @@ class InfluenceScorer:
         if self._parallel_disabled:
             return False
         return self._recovery is None or self._recovery.allow_parallel()
-
-    def prepare_parallel(self) -> bool:
-        """Spin the worker pool (and the shared-memory problem image) up
-        front instead of inside the first parallel batch.
-
-        Round-based drivers (DT partitioning, NAIVE enumeration) call
-        this once before their scoring rounds so pool spin-up is paid a
-        single time per problem rather than showing up as latency on
-        the first round.  Returns True when a pool is live, False on a
-        serial scorer, an open recovery circuit, or a startup failure
-        (which warns and counts against the restart budget; later
-        batches retry through the normal self-healing path).
-        """
-        if self._parallel_disabled:
-            return False
-        if self._recovery is not None and not self._recovery.allow_parallel():
-            return False
-        try:
-            self._ensure_executor()
-        except Exception as exc:  # noqa: BLE001 - same policy as scoring
-            self.close()
-            REGISTRY.counter(
-                "scorpion_pool_failures_total",
-                "Worker-pool failures (start or batch)").inc()
-            if self._recovery is not None:
-                self._recovery.record_failure()
-            warnings.warn(
-                f"parallel pool unavailable ({exc}); batches will retry "
-                "and fall back to serial as needed",
-                RuntimeWarning, stacklevel=2)
-            return False
-        return True
 
     def parallel_health(self) -> dict:
         """Live pool/degradation state (surfaced by service ``health``).
@@ -973,16 +784,14 @@ class InfluenceScorer:
             "pool_starts": self._pool_starts,
         }
 
-    def _score_shards_parallel(self, masked_shards: list, range_shards: list,
-                               set_shards: list, conj_shards: list,
-                               ignore_holdouts: bool):
+    def _score_shards_parallel(self, shards: list[tuple],
+                               ignore_holdouts: bool) -> list | None:
         """Run routed shards on the worker pool.
 
-        Returns ``(masked_values, range_values, set_values,
-        conj_values)`` aligned with the shard lists — bit-for-bit what
-        the serial loops would compute — or None after disabling
-        parallelism (any failure: the caller then takes the serial path,
-        so scoring always completes).
+        Returns one influence array per shard, aligned with ``shards``
+        — bit-for-bit what the serial loop would compute — or None when
+        this batch must run serial (the caller then takes the serial
+        path, so scoring always completes).
 
         Failure policy (self-healing; see
         :class:`~repro.parallel.recovery.ParallelRecovery`): a pool
@@ -991,7 +800,7 @@ class InfluenceScorer:
         exhausted retries or an exhausted restart budget degrade *this
         batch only* to serial (the circuit breaker re-probes parallel
         after its cooldown).  ``KeyboardInterrupt``/``SystemExit``
-        propagate after the pool and segments are released.
+        propagate after the pool is released.
         """
         recovery = self._recovery
         assert recovery is not None
@@ -1002,22 +811,22 @@ class InfluenceScorer:
                 "was open or retries were exhausted").inc()
             return None
         tracer = current_tracer()
+        # Shards carry the live (c, c_holdout, λ): the kernel takes
+        # them as arguments, so a rebound scorer's warm pool scores at
+        # the current values.
+        scalars = (self.c, self.c_holdout, self.lam)
+        tasks = [(kind, items, ignore_holdouts, scalars)
+                 for kind, _, items in shards]
         attempts = recovery.retries + 1
         for attempt in range(attempts):
             try:
                 executor = self._ensure_executor()
-                # Tasks are rebuilt per attempt: a pool restart gets a
-                # fresh problem image, so index-view segment specs from
-                # the dead pool would dangle.
-                tasks, meta = self._build_shard_tasks(
-                    executor, masked_shards, range_shards, set_shards,
-                    conj_shards, ignore_holdouts)
                 submit_s = time.perf_counter()
                 results = executor.run(tasks)
             except BaseException as exc:  # noqa: BLE001 - availability
                 # over purity: a broken pool must never break scoring,
-                # only slow it down.  Release pool + segments first so
-                # no path (interrupt included) leaks shared memory.
+                # only slow it down.  Release the pool first so no path
+                # (interrupt included) leaves workers behind.
                 self.close()
                 REGISTRY.counter(
                     "scorpion_pool_failures_total",
@@ -1050,10 +859,10 @@ class InfluenceScorer:
                 return None
             recovery.record_success()
             break
-        per_task = []
+        values = []
         for task, (shard_values, worker_counters) in zip(tasks, results):
             self.stats.merge_worker_counters(worker_counters)
-            per_task.append(shard_values)
+            values.append(shard_values)
             if tracer is not None:
                 # Worker-side perf_counter() stamps ride back in the
                 # counters dict (ignored by merge_worker_counters);
@@ -1068,68 +877,11 @@ class InfluenceScorer:
                             max(0.0, t0 - submit_s) * 1e3, 3)})
         self.stats.parallel_batches += 1
         self.stats.parallel_shards += len(tasks)
-        values: tuple[list, list, list, list] = (
-            [None] * len(masked_shards), [None] * len(range_shards),
-            [None] * len(set_shards), [None] * len(conj_shards))
-        for (tier, position), result in zip(meta, per_task):
-            values[tier][position] = result
         return values
 
-    def _build_shard_tasks(self, executor, masked_shards: list,
-                           range_shards: list, set_shards: list,
-                           conj_shards: list, ignore_holdouts: bool,
-                           ) -> tuple[list[tuple], list[tuple]]:
-        """Build the executor task list for one batch attempt, exporting
-        any index attribute views the current pool has not seen.
-
-        Returns ``(tasks, meta)`` where ``meta`` aligns task provenance
-        with ``tasks``: (tier, chunk position).
-        """
-        tasks: list[tuple] = []
-        meta: list[tuple[int, int]] = []
-
-        # Shards carry the live (c, c_holdout, λ) — the pool baked
-        # the spec's values in at startup, but a resident scorer may
-        # have been rebound since (see InfluenceScorer.rebind).
-        scalars = (self.c, self.c_holdout, self.lam)
-
-        def add_task(tier: int, position: int, kind: str,
-                     payload: list, specs: tuple) -> None:
-            tasks.append((kind, payload, ignore_holdouts, specs, scalars))
-            meta.append((tier, position))
-
-        for ci, chunk in enumerate(masked_shards):
-            add_task(0, ci, "masked", list(chunk), ())
-        for ci, chunk in enumerate(range_shards):
-            attrs = sorted({clause.attribute for _, clause in chunk})
-            specs = tuple(self._index_attribute_spec(executor, attr,
-                                                     "range")
-                          for attr in attrs)
-            add_task(1, ci, "indexed",
-                     [clause for _, clause in chunk], specs)
-        for ci, chunk in enumerate(set_shards):
-            attrs = sorted({clause.attribute for _, clause in chunk})
-            specs = tuple(self._index_attribute_spec(executor, attr,
-                                                     "discrete")
-                          for attr in attrs)
-            add_task(2, ci, "indexed_set",
-                     [clause for _, clause in chunk], specs)
-        for ci, chunk in enumerate(conj_shards):
-            # Ship the probe side's view; the other side only reads
-            # raw arrays every worker already maps.
-            probe_attrs = sorted({
-                (("range" if isinstance(plan.probe, RangeClause)
-                  else "discrete"), plan.probe.attribute)
-                for _, plan in chunk})
-            specs = tuple(self._index_attribute_spec(executor, attr, kind)
-                          for kind, attr in probe_attrs)
-            add_task(3, ci, "indexed_conj",
-                     [plan for _, plan in chunk], specs)
-        return tasks, meta
-
     def _ensure_executor(self):
-        """Lazily build the kernel spec, place the problem's arrays in
-        shared memory, and start the persistent worker pool.
+        """Lazily start the persistent worker pool around this scorer's
+        batch kernel.
 
         Every start stamps ``SCORPION_POOL_GENERATION`` with this
         scorer's pool-start ordinal so fault schedules (``~gN``) can
@@ -1138,13 +890,12 @@ class InfluenceScorer:
         """
         if self._executor is None:
             from repro.faults.registry import GENERATION_ENV
-            from repro.parallel import ShardedScoringExecutor, build_kernel_spec
+            from repro.parallel import ShardedScoringExecutor
 
             os.environ[GENERATION_ENV] = str(self._pool_starts)
-            spec, segments = build_kernel_spec(self)
             executor = ShardedScoringExecutor(self.workers,
                                               task_timeout=self.task_timeout)
-            executor.start(spec, segments)  # closes segments on failure
+            executor.start(self.kernel)
             if self._pool_starts:
                 REGISTRY.counter(
                     "scorpion_pool_restarts_total",
@@ -1154,310 +905,19 @@ class InfluenceScorer:
             self._finalizer = weakref.finalize(self, executor.close)
         return self._executor
 
-    def _index_attribute_spec(self, executor, attribute: str, kind: str):
-        """The shared-memory spec of one built index attribute view
-        (``kind`` is ``"range"`` or ``"discrete"``), building (in the
-        parent, so ``index_builds`` counts exactly as serial routing
-        would) and exporting it on first use."""
-        spec = self._index_attr_specs.get((kind, attribute))
-        if spec is None:
-            from repro.parallel import (
-                export_discrete_index_attribute,
-                export_index_attribute,
-            )
-
-            assert self._index is not None
-            if kind == "range":
-                self._index.ensure(attribute)
-                self._sync_index_stats()
-                shm, spec = export_index_attribute(self._index, attribute)
-            else:
-                self._index.ensure_discrete(attribute)
-                self._sync_index_stats()
-                shm, spec = export_discrete_index_attribute(
-                    self._index, attribute)
-            executor.register_segment(shm)
-            self._index_attr_specs[(kind, attribute)] = spec
-        return spec
-
     def close(self) -> None:
-        """Release the worker pool and its shared-memory segments.
+        """Release the worker pool (terminating its workers).
 
         No-op for serial scorers; idempotent.  The scorer stays fully
         usable afterwards — a later parallel batch simply restarts the
         pool.
         """
         executor, self._executor = self._executor, None
-        self._index_attr_specs = {}
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
         if executor is not None:
             executor.close()
-
-    def _score_masked_chunk(self, chunk: Sequence[Predicate],
-                            ignore_holdouts: bool) -> np.ndarray:
-        """One mask-path shard, end to end: evaluate the chunk's mask
-        matrix and score it.  The single definition of the masked-shard
-        body — the serial loop and the worker processes both call this,
-        so the parallel path can never drift from the serial one."""
-        matrix = self._labeled_evaluator.evaluate_batch(chunk)
-        if ignore_holdouts and self.holdout_contexts:
-            # Hold-out contexts are skipped entirely downstream; dropping
-            # their columns up front keeps the scatter-add kernel from
-            # scanning and bucketing their set bits.
-            matrix = matrix[:, :self._outlier_cols]
-        return self._score_mask_matrix(matrix, ignore_holdouts)
-
-    def _score_clause_shard(self, clauses: Sequence[RangeClause],
-                            ignore_holdouts: bool) -> np.ndarray:
-        """One index-path shard shipped as bare range clauses — the
-        worker-side entry (predicates stay in the parent; the index
-        kernel only reads the clauses)."""
-        return self._score_index_chunk([(None, clause) for clause in clauses],
-                                       ignore_holdouts)
-
-    def _score_set_clause_shard(self, clauses: Sequence,
-                                ignore_holdouts: bool) -> np.ndarray:
-        """One discrete-bucket shard shipped as bare set clauses — the
-        worker-side entry for the set tier."""
-        return self._score_set_chunk([(None, clause) for clause in clauses],
-                                     ignore_holdouts)
-
-    def _score_conjunction_shard(self, plans: Sequence,
-                                 ignore_holdouts: bool) -> np.ndarray:
-        """One conjunction shard shipped as bare
-        :class:`~repro.index.ConjunctionPlan` objects — the worker-side
-        entry for the conjunction tier (the parent plans probe sides;
-        workers only execute)."""
-        return self._score_conj_chunk([(None, plan) for plan in plans],
-                                      ignore_holdouts)
-
-    def _score_mask_matrix(self, matrix: np.ndarray,
-                           ignore_holdouts: bool) -> np.ndarray:
-        """The metric for every row of an ``(m, n_labeled)`` mask matrix.
-
-        Vector counterpart of :meth:`_score_local`.  One row-major scan
-        of the matrix produces, via composite ``(predicate, context)``
-        bincount keys, every predicate's per-context matched count and
-        summed removed state; per-context influences are then accumulated
-        in the same context order with the same elementwise arithmetic as
-        the scalar path, so each row matches the scalar result.
-
-        The scatter-add kernel is O(set bits) rather than the dense
-        O(m·n) of a matrix product, and — because ``np.flatnonzero`` is
-        row-major and ``bincount`` accumulates in input order — each
-        predicate's states are summed in ascending row order,
-        bit-identical to the scalar path's masked sum.  (BLAS ``matmul``
-        is deliberately avoided: its blocked reductions are not
-        row-deterministic.)  The per-set-bit arrays dominate an
-        explain's peak memory, so keys are built in place and states
-        are gathered one column at a time."""
-        m = matrix.shape[0]
-        n_ctx = len(self._labeled_slices)
-        keys, labeled_cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
-        keys *= n_ctx
-        keys += self._context_ids[labeled_cols]
-        counts = np.bincount(keys, minlength=m * n_ctx).reshape(m, n_ctx)
-        removed = None
-        if self._incremental and self._stacked_states is not None and len(keys):
-            states = self._stacked_states
-            removed = np.empty((m * n_ctx, states.shape[1]), dtype=np.float64)
-            for j in range(states.shape[1]):
-                removed[:, j] = np.bincount(
-                    keys, weights=states[labeled_cols, j], minlength=m * n_ctx)
-            removed = removed.reshape(m, n_ctx, -1)
-        return self._combine_group_influences(counts, removed, matrix,
-                                              ignore_holdouts)
-
-    def _score_index_chunk(self, items: list[tuple[Predicate, RangeClause]],
-                           ignore_holdouts: bool) -> np.ndarray:
-        """The metric for a chunk of single-range predicates through the
-        prefix-aggregate index — no mask matrix is materialized.
-
-        Per constrained attribute, every predicate's per-group matched
-        count and summed removed state come from two binary searches
-        plus a prefix-sum difference (or an ascending-row gather of the
-        matched slice; see :mod:`repro.index.prefix`), feeding the same
-        influence arithmetic as the mask kernel.
-        """
-        assert self._index is not None and self._incremental
-        m = len(items)
-        n_ctx = len(self._labeled_slices)
-        active = self._count_active_contexts(ignore_holdouts)
-        counts = np.zeros((m, n_ctx), dtype=np.int64)
-        removed = np.zeros((m, n_ctx, self._index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, (_, clause) in enumerate(items):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            clauses = [items[j][1] for j in positions]
-            attr_counts, attr_removed = self._index.range_group_stats(
-                attribute,
-                np.asarray([clause.lo for clause in clauses], dtype=np.float64),
-                np.asarray([clause.hi for clause in clauses], dtype=np.float64),
-                np.asarray([clause.include_hi for clause in clauses], dtype=bool),
-                active_groups=active,
-            )
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        self._sync_index_stats()
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts)
-
-    def _score_set_chunk(self, items: list, ignore_holdouts: bool,
-                         ) -> np.ndarray:
-        """The metric for a chunk of single-set-clause predicates
-        through the discrete code-bucket tier — no mask matrix is
-        materialized.
-
-        Per constrained attribute, every predicate's per-group matched
-        count and summed removed state come from its wanted codes'
-        buckets — exact per-bucket sums, or an ascending-row gather of
-        just the bucketed rows (see :mod:`repro.index.discrete`) —
-        feeding the same influence arithmetic as the mask kernel.
-        """
-        assert self._index is not None and self._incremental
-        m = len(items)
-        n_ctx = len(self._labeled_slices)
-        active = self._count_active_contexts(ignore_holdouts)
-        counts = np.zeros((m, n_ctx), dtype=np.int64)
-        removed = np.zeros((m, n_ctx, self._index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, (_, clause) in enumerate(items):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            wanted_lists = [
-                self._index.translate(attribute, items[j][1].values)
-                for j in positions
-            ]
-            attr_counts, attr_removed = self._index.set_group_stats(
-                attribute, wanted_lists, active_groups=active)
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        self._sync_index_stats()
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts)
-
-    def _score_conj_chunk(self, items: list, ignore_holdouts: bool,
-                          ) -> np.ndarray:
-        """The metric for a chunk of planned 2-clause conjunctions: the
-        probe clause's index view supplies k candidate rows per group,
-        the other clause mask-tests only those rows (see
-        :meth:`~repro.index.PrefixAggregateIndex.conjunction_group_stats`).
-        """
-        assert self._index is not None and self._incremental
-        active = self._count_active_contexts(ignore_holdouts)
-        counts, removed = self._index.conjunction_group_stats(
-            [(plan.probe, plan.other) for _, plan in items],
-            active_groups=active)
-        self._sync_index_stats()
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts)
-
-    def _count_active_contexts(self, ignore_holdouts: bool) -> int:
-        """How many leading contexts scoring will actually read (outlier
-        contexts come first in the labeled concatenation)."""
-        if ignore_holdouts:
-            return len(self.outlier_contexts)
-        return len(self._labeled_slices)
-
-    def _combine_group_influences(self, counts: np.ndarray,
-                                  removed: np.ndarray | None,
-                                  matrix: np.ndarray | None,
-                                  ignore_holdouts: bool) -> np.ndarray:
-        """Fold per-(predicate, context) matched counts and removed
-        states into final metric values — the shared back half of the
-        mask-matrix and index kernels.  ``matrix`` supplies per-context
-        mask slices for black-box Δ recomputes (mask kernel only; the
-        index path is incremental by construction)."""
-        m = len(counts)
-        outlier_total = np.zeros(m, dtype=np.float64)
-        worst = np.zeros(m, dtype=np.float64)
-        invalid = np.zeros(m, dtype=bool)
-        for ci, (context, start, stop) in enumerate(self._labeled_slices):
-            if not context.is_outlier and ignore_holdouts:
-                continue
-            influences = self._group_influence_batch(
-                context, counts[:, ci],
-                removed[:, ci, :] if removed is not None else None,
-                matrix[:, start:stop] if matrix is not None else None)
-            invalid |= influences == INVALID_INFLUENCE
-            if context.is_outlier:
-                outlier_total = outlier_total + influences
-            else:
-                worst = np.maximum(worst, np.abs(influences))
-        scores = self.lam * outlier_total / max(len(self.outlier_contexts), 1)
-        if not ignore_holdouts and self.holdout_contexts:
-            scores = scores - (1.0 - self.lam) * worst
-        scores[invalid] = INVALID_INFLUENCE
-        return scores
-
-    def _group_influence_batch(self, context: GroupContext, counts: np.ndarray,
-                               removed_states: np.ndarray | None,
-                               local_matrix: np.ndarray | None) -> np.ndarray:
-        """Per-predicate influence on one group given the group's matched
-        counts and (on the incremental path) summed removed states.
-        Mirrors :meth:`group_influence` row-wise; black-box aggregates
-        recompute per predicate from the group's mask-matrix slice
-        (``local_matrix`` is None on the mask-free index path, which the
-        planner restricts to incremental aggregates)."""
-        influences = np.zeros(len(counts), dtype=np.float64)
-        matched = np.flatnonzero(counts)
-        if not len(matched):
-            return influences
-        counts_f = counts[matched].astype(np.float64)
-        if self._incremental:
-            assert removed_states is not None
-            self.stats.incremental_deltas += len(matched)
-            updated = self._updated_from_removed_batch(
-                context.total_state, removed_states[matched], counts_f,
-                context.mean_state)
-            deltas = context.total_value - updated
-        else:
-            assert local_matrix is not None
-            deltas = np.empty(len(matched), dtype=np.float64)
-            for j, i in enumerate(matched):
-                deltas[j] = self.delta(context, local_matrix[i])
-        exponent = self.c if context.is_outlier else self.c_holdout
-        with np.errstate(invalid="ignore"):
-            values = deltas / _scalar_pow(counts_f, exponent)
-        if context.is_outlier:
-            values = values * context.error_vector
-        influences[matched] = np.where(np.isnan(deltas), INVALID_INFLUENCE, values)
-        return influences
-
-    def _updated_from_removed_batch(self, total_states: np.ndarray,
-                                    removed_states: np.ndarray,
-                                    removed_counts: np.ndarray,
-                                    mean_states: np.ndarray | None,
-                                    ) -> np.ndarray:
-        """The delete/mean perturbation rules, row-wise: each row's
-        post-removal aggregate, NaN where the perturbation leaves it
-        undefined.
-
-        ``removed_states`` is ``(m, k)`` and ``removed_counts`` ``(m,)``.
-        ``total_states`` and ``mean_states`` (the state of one
-        mean-valued tuple, read by the ``mean`` perturbation only) are
-        either one group's ``(k,)`` state — the scoring kernel, one group
-        and many predicates — or ``(m, k)`` stacks of per-row group
-        states — the Merger's estimate, many (merge, group) pairs.  The
-        arithmetic is elementwise, so a row's value does not depend on
-        the other rows."""
-        if self.perturbation == "mean":
-            assert mean_states is not None
-            adjusted = (total_states - removed_states
-                        + removed_counts[:, np.newaxis] * mean_states)
-            return self.aggregate.recover_batch(adjusted)
-        remaining = total_states - removed_states
-        updated = self.aggregate.recover_batch(remaining)
-        emptied = remaining[:, -1] < 0.5  # deleted whole groups
-        if np.any(emptied):
-            empty = self.aggregate.empty_value
-            updated[emptied] = np.nan if empty is None else float(empty)
-        return updated
 
     # ------------------------------------------------------------------
     # Per-tuple influence (DT's split metric, MC's pruning bound)
@@ -1514,7 +974,7 @@ class InfluenceScorer:
         pruning bound (Section 6.2), exact for ``c = 1``."""
         masks = self._labeled_masks(predicate)
         best = INVALID_INFLUENCE
-        for (context, _, _), local in zip(self._labeled_slices, masks):
+        for (context, _, _), local in zip(self.kernel.slices, masks):
             if not context.is_outlier or not np.any(local):
                 continue
             influences = self.tuple_influences(context)[local]
@@ -1539,7 +999,7 @@ class InfluenceScorer:
         masks = self._labeled_masks(predicate)
         total = 0.0
         any_rows = False
-        for (context, _, _), local in zip(self._labeled_slices, masks):
+        for (context, _, _), local in zip(self.kernel.slices, masks):
             if not context.is_outlier or not np.any(local):
                 continue
             any_rows = True

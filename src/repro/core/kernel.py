@@ -1,0 +1,516 @@
+"""The batch-scoring kernel of the Scorer (Figure 2, Section 5.1).
+
+:class:`BatchKernel` owns the four routing-tier kernels behind
+:meth:`~repro.core.influence.InfluenceScorer.score_batch` — the
+mask-matrix scatter-add, the single-range and single-set index tiers,
+and the 2-clause conjunction tier — with their shared back half (the
+per-group influence arithmetic and the delete/mean perturbation rules)
+and every array they read: the group contexts in labeled order
+(outliers first) with their column spans, each labeled row's context
+id, the stacked per-tuple aggregate states, the labeled evaluator and
+the prefix-aggregate index.
+
+The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
+not kernel state, so a kernel depends only on the table, the query,
+the annotations and the perturbation mode.  That makes it the one
+object the worker pool needs: forked workers inherit the parent's
+kernel copy-on-write, spawn-only platforms unpickle it once per
+worker, and every worker runs the methods the serial loop runs on
+byte-identical arrays (see :mod:`repro.parallel`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
+
+from repro.aggregates.base import AggregateFunction
+from repro.errors import AggregateError
+from repro.index import PrefixAggregateIndex
+from repro.predicates.evaluator import ArrayMaskEvaluator
+from repro.predicates.predicate import Predicate
+
+if TYPE_CHECKING:
+    from repro.core.influence import ScorerStats
+
+INVALID_INFLUENCE = float("-inf")
+
+
+def _scalar_pow(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``bases ** exponent`` through *scalar* libm pow.
+
+    NumPy's vectorized ``**`` routes through a SIMD pow whose results can
+    differ from scalar ``pow`` in the last ulp, which would break the
+    bit-for-bit scalar/batch equivalence contract.  Matched-row counts
+    repeat heavily, so one scalar pow per unique count is also cheap."""
+    if exponent == 1.0:
+        return bases
+    if exponent == 0.0:
+        return np.ones_like(bases)
+    uniques, inverse = np.unique(bases, return_inverse=True)
+    table = np.asarray([value ** exponent for value in uniques.tolist()],
+                       dtype=np.float64)
+    return table[inverse]
+
+
+@dataclass
+class GroupContext:
+    """Cached evaluation state for one input group ``g_αi``.
+
+    Attributes
+    ----------
+    key:
+        The group's group-by key.
+    indices:
+        Row positions of the group inside the full input table ``D``.
+    agg_values:
+        The group's aggregate-attribute values (``π_Aagg g``).
+    total_value:
+        ``agg(g)`` — the group's original output.
+    error_vector:
+        ``v_o`` for outlier groups; 1.0 for hold-out groups.
+    is_outlier:
+        Whether the group belongs to ``O`` (else ``H``).
+    total_state / tuple_states:
+        Incremental-removal caches (None for black-box aggregates).
+    """
+
+    key: tuple
+    indices: np.ndarray
+    agg_values: np.ndarray
+    total_value: float
+    error_vector: float
+    is_outlier: bool
+    total_state: np.ndarray | None = None
+    tuple_states: np.ndarray | None = field(default=None, repr=False)
+    #: State of one mean-valued tuple (only for the "mean" perturbation).
+    mean_state: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+    @property
+    def mean_value(self) -> float:
+        return float(np.mean(self.agg_values)) if self.size else float("nan")
+
+
+class BatchKernel:
+    """The routing-tier kernels plus the arrays they read.
+
+    Parameters
+    ----------
+    contexts:
+        The labeled groups in labeled-row order, outlier groups first.
+    evaluator:
+        The :class:`~repro.predicates.evaluator.ArrayMaskEvaluator` over
+        the concatenated labeled rows.
+    aggregate / perturbation:
+        The problem's aggregate and perturbation mode.
+    incremental:
+        Whether Δ comes from cached states (the incrementally-removable
+        path) rather than black-box recomputes.
+    use_index:
+        Build the prefix-aggregate index shell (incremental path only;
+        its per-attribute views build lazily).
+    stats:
+        The owning scorer's :class:`~repro.core.influence.ScorerStats`;
+        the kernels count ``incremental_deltas`` / ``full_recomputes``
+        into it.
+    """
+
+    def __init__(self, contexts: Sequence[GroupContext],
+                 evaluator: ArrayMaskEvaluator,
+                 aggregate: AggregateFunction, perturbation: str,
+                 incremental: bool, use_index: bool, stats: "ScorerStats"):
+        self.contexts = list(contexts)
+        self.evaluator = evaluator
+        self.aggregate = aggregate
+        self.perturbation = perturbation
+        self.incremental = incremental
+        self.stats = stats
+        #: ``(context, start, stop)``: each group's column span in the
+        #: labeled concatenation.
+        self.slices: list[tuple[GroupContext, int, int]] = []
+        offset = 0
+        for context in self.contexts:
+            self.slices.append((context, offset, offset + context.size))
+            offset += context.size
+        self.n_labeled = offset
+        self.n_outliers = sum(ctx.is_outlier for ctx in self.contexts)
+        # Which context each labeled row belongs to, and all per-tuple
+        # state rows stacked in labeled-row order.
+        self._context_ids = np.concatenate([
+            np.full(ctx.size, ci, dtype=np.int64)
+            for ci, ctx in enumerate(self.contexts)
+        ]) if offset else np.empty(0, dtype=np.int64)
+        #: Columns [0, _outlier_cols) are exactly the outlier rows.
+        self._outlier_cols = sum(ctx.size for ctx in self.contexts
+                                 if ctx.is_outlier)
+        self._stacked_states = (
+            np.vstack([ctx.tuple_states for ctx in self.contexts])
+            if incremental and offset else None
+        )
+        # Black-box aggregates need mask rows to recompute from raw
+        # values, so the index exists on the incremental path only.
+        self.index: PrefixAggregateIndex | None = None
+        if use_index and incremental and offset:
+            self.index = PrefixAggregateIndex(
+                {attr: evaluator.continuous_values(attr)
+                 for attr in evaluator.continuous_attributes},
+                [(start, stop) for _, start, stop in self.slices],
+                [ctx.tuple_states for ctx in self.contexts],
+                codes_by_attr={attr: evaluator.discrete_codes(attr)
+                               for attr in evaluator.discrete_attributes},
+                code_tables={attr: evaluator.code_table(attr)
+                             for attr in evaluator.discrete_attributes},
+            )
+
+    @property
+    def has_holdouts(self) -> bool:
+        return len(self.contexts) > self.n_outliers
+
+    def active_contexts(self, ignore_holdouts: bool) -> int:
+        """How many leading contexts scoring reads (outlier contexts
+        come first in the labeled concatenation)."""
+        return self.n_outliers if ignore_holdouts else len(self.slices)
+
+    def resident_bytes(self) -> int:
+        """Bytes of numpy array data held: per-context indices,
+        aggregate values and states, the stacked state matrix, the
+        context ids, the evaluator's comparison arrays and every built
+        index view."""
+        total = 0
+        for context in self.contexts:
+            total += context.indices.nbytes + context.agg_values.nbytes
+            if context.tuple_states is not None:
+                total += context.tuple_states.nbytes
+            if context.total_state is not None:
+                total += context.total_state.nbytes
+        if self._stacked_states is not None:
+            total += self._stacked_states.nbytes
+        total += self._context_ids.nbytes
+        total += self.evaluator.resident_bytes()
+        if self.index is not None:
+            total += self.index.resident_bytes()
+        return int(total)
+
+    # ------------------------------------------------------------------
+    # Δ computation
+    # ------------------------------------------------------------------
+    def updated_from_removed(self, context: GroupContext,
+                             removed_state: np.ndarray,
+                             removed_count: float) -> float:
+        """The group's aggregate value after the predicate acts on rows
+        whose summed state is ``removed_state``.
+
+        The scalar path's perturbation rules (:meth:`delta`): ``delete``
+        removes the state outright; ``mean`` replaces it with
+        ``removed_count`` mean-valued tuples.  Returns NaN when the
+        result is undefined (delete mode emptying a group).  The batched
+        kernels and the Merger's estimate apply the same rules row-wise
+        through :meth:`updated_from_removed_batch`.
+        """
+        assert context.total_state is not None
+        if self.perturbation == "mean":
+            assert context.mean_state is not None
+            adjusted = (context.total_state - removed_state
+                        + removed_count * context.mean_state)
+            return float(self.aggregate.recover_batch(
+                adjusted[np.newaxis, :])[0])
+        remaining = context.total_state - removed_state
+        if remaining[-1] < 0.5:  # deleted the whole group
+            empty = self.aggregate.empty_value
+            return float("nan") if empty is None else float(empty)
+        return float(self.aggregate.recover_batch(remaining[np.newaxis, :])[0])
+
+    def delta(self, context: GroupContext, local_mask: np.ndarray) -> float:
+        """``Δ(o, p) = agg(g) − agg(g ⊖ p(g))`` for one group, where ``⊖``
+        deletes or mean-imputes the matched rows per the problem's
+        perturbation mode.
+
+        ``local_mask`` selects the matched rows within the group.
+        Returns NaN when the perturbation leaves the aggregate undefined
+        (delete mode emptying an AVG/STDDEV group); callers map that to
+        ``-inf`` influence.
+        """
+        removed = int(np.count_nonzero(local_mask))
+        if removed == 0:
+            return 0.0
+        if self.incremental:
+            self.stats.incremental_deltas += 1
+            assert context.tuple_states is not None
+            removed_state = context.tuple_states[local_mask].sum(axis=0)
+            updated = self.updated_from_removed(context, removed_state, removed)
+            if np.isnan(updated):
+                return float("nan")
+        else:
+            self.stats.full_recomputes += 1
+            try:
+                if self.perturbation == "mean":
+                    modified = context.agg_values.copy()
+                    modified[local_mask] = context.mean_value
+                    updated = self.aggregate.compute(modified)
+                else:
+                    updated = self.aggregate.compute(
+                        context.agg_values[~local_mask])
+            except AggregateError:
+                return float("nan")
+        return context.total_value - updated
+
+    # ------------------------------------------------------------------
+    # The four routing tiers
+    # ------------------------------------------------------------------
+    def score_shard(self, kind: str, items: Sequence, ignore_holdouts: bool,
+                    c: float, c_holdout: float, lam: float) -> np.ndarray:
+        """Score one routed shard — the single entry of the serial loop
+        and the worker pool.  ``kind`` names the tier: ``"masked"``
+        (predicates), ``"indexed"`` (range clauses), ``"indexed_set"``
+        (set clauses) or ``"indexed_conj"`` (conjunction plans)."""
+        tier = {"masked": self.score_masked_chunk,
+                "indexed": self.score_index_chunk,
+                "indexed_set": self.score_set_chunk,
+                "indexed_conj": self.score_conj_chunk}[kind]
+        return tier(items, ignore_holdouts, c, c_holdout, lam)
+
+    def score_masked_chunk(self, predicates: Sequence[Predicate],
+                           ignore_holdouts: bool, c: float,
+                           c_holdout: float, lam: float) -> np.ndarray:
+        """The mask tier: evaluate the chunk's mask matrix and score it."""
+        matrix = self.evaluator.evaluate_batch(predicates)
+        if ignore_holdouts and self.has_holdouts:
+            # Hold-out contexts are skipped entirely downstream; dropping
+            # their columns up front keeps the scatter-add kernel from
+            # scanning and bucketing their set bits.
+            matrix = matrix[:, :self._outlier_cols]
+        return self._score_mask_matrix(matrix, ignore_holdouts,
+                                       c, c_holdout, lam)
+
+    def _score_mask_matrix(self, matrix: np.ndarray, ignore_holdouts: bool,
+                           c: float, c_holdout: float,
+                           lam: float) -> np.ndarray:
+        """The metric for every row of an ``(m, n_labeled)`` mask matrix.
+
+        Vector counterpart of the scorer's scalar path.  One row-major
+        scan of the matrix produces, via composite ``(predicate,
+        context)`` bincount keys, every predicate's per-context matched
+        count and summed removed state; per-context influences are then
+        accumulated in the same context order with the same elementwise
+        arithmetic as the scalar path, so each row matches the scalar
+        result.
+
+        The scatter-add kernel is O(set bits) rather than the dense
+        O(m·n) of a matrix product, and — because ``np.flatnonzero`` is
+        row-major and ``bincount`` accumulates in input order — each
+        predicate's states are summed in ascending row order,
+        bit-identical to the scalar path's masked sum.  (BLAS ``matmul``
+        is deliberately avoided: its blocked reductions are not
+        row-deterministic.)  The per-set-bit arrays dominate an
+        explain's peak memory, so keys are built in place and states
+        are gathered one column at a time."""
+        m = matrix.shape[0]
+        n_ctx = len(self.slices)
+        keys, labeled_cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
+        keys *= n_ctx
+        keys += self._context_ids[labeled_cols]
+        counts = np.bincount(keys, minlength=m * n_ctx).reshape(m, n_ctx)
+        removed = None
+        if self.incremental and self._stacked_states is not None and len(keys):
+            states = self._stacked_states
+            removed = np.empty((m * n_ctx, states.shape[1]), dtype=np.float64)
+            for j in range(states.shape[1]):
+                removed[:, j] = np.bincount(
+                    keys, weights=states[labeled_cols, j], minlength=m * n_ctx)
+            removed = removed.reshape(m, n_ctx, -1)
+        return self._combine_group_influences(counts, removed, matrix,
+                                              ignore_holdouts,
+                                              c, c_holdout, lam)
+
+    def score_index_chunk(self, clauses: Sequence, ignore_holdouts: bool,
+                          c: float, c_holdout: float,
+                          lam: float) -> np.ndarray:
+        """The range tier: single range clauses through the
+        prefix-aggregate index — no mask matrix is materialized.
+
+        Per constrained attribute, every clause's per-group matched
+        count and summed removed state come from two binary searches
+        plus a prefix-sum difference (or an ascending-row gather of the
+        matched slice; see :mod:`repro.index.prefix`), feeding the same
+        influence arithmetic as the mask kernel.
+        """
+        assert self.index is not None and self.incremental
+        m = len(clauses)
+        n_ctx = len(self.slices)
+        active = self.active_contexts(ignore_holdouts)
+        counts = np.zeros((m, n_ctx), dtype=np.int64)
+        removed = np.zeros((m, n_ctx, self.index.state_size),
+                           dtype=np.float64)
+        by_attr: dict[str, list[int]] = {}
+        for j, clause in enumerate(clauses):
+            by_attr.setdefault(clause.attribute, []).append(j)
+        for attribute, positions in by_attr.items():
+            group = [clauses[j] for j in positions]
+            attr_counts, attr_removed = self.index.range_group_stats(
+                attribute,
+                np.asarray([clause.lo for clause in group], dtype=np.float64),
+                np.asarray([clause.hi for clause in group], dtype=np.float64),
+                np.asarray([clause.include_hi for clause in group], dtype=bool),
+                active_groups=active,
+            )
+            counts[positions] = attr_counts
+            removed[positions] = attr_removed
+        return self._combine_group_influences(counts, removed, None,
+                                              ignore_holdouts,
+                                              c, c_holdout, lam)
+
+    def score_set_chunk(self, clauses: Sequence, ignore_holdouts: bool,
+                        c: float, c_holdout: float, lam: float) -> np.ndarray:
+        """The set tier: single set clauses through the discrete
+        code-bucket index — no mask matrix is materialized.
+
+        Per constrained attribute, every clause's per-group matched
+        count and summed removed state come from its wanted codes'
+        buckets — exact per-bucket sums, or an ascending-row gather of
+        just the bucketed rows (see :mod:`repro.index.discrete`) —
+        feeding the same influence arithmetic as the mask kernel.
+        """
+        assert self.index is not None and self.incremental
+        m = len(clauses)
+        n_ctx = len(self.slices)
+        active = self.active_contexts(ignore_holdouts)
+        counts = np.zeros((m, n_ctx), dtype=np.int64)
+        removed = np.zeros((m, n_ctx, self.index.state_size),
+                           dtype=np.float64)
+        by_attr: dict[str, list[int]] = {}
+        for j, clause in enumerate(clauses):
+            by_attr.setdefault(clause.attribute, []).append(j)
+        for attribute, positions in by_attr.items():
+            wanted_lists = [self.index.translate(attribute, clauses[j].values)
+                            for j in positions]
+            attr_counts, attr_removed = self.index.set_group_stats(
+                attribute, wanted_lists, active_groups=active)
+            counts[positions] = attr_counts
+            removed[positions] = attr_removed
+        return self._combine_group_influences(counts, removed, None,
+                                              ignore_holdouts,
+                                              c, c_holdout, lam)
+
+    def score_conj_chunk(self, plans: Sequence, ignore_holdouts: bool,
+                         c: float, c_holdout: float, lam: float) -> np.ndarray:
+        """The conjunction tier: planned 2-clause conjunctions.  The
+        probe clause's index view supplies k candidate rows per group,
+        the other clause mask-tests only those rows (see
+        :meth:`~repro.index.PrefixAggregateIndex.conjunction_group_stats`).
+        """
+        assert self.index is not None and self.incremental
+        counts, removed = self.index.conjunction_group_stats(
+            [(plan.probe, plan.other) for plan in plans],
+            active_groups=self.active_contexts(ignore_holdouts))
+        return self._combine_group_influences(counts, removed, None,
+                                              ignore_holdouts,
+                                              c, c_holdout, lam)
+
+    # ------------------------------------------------------------------
+    # The shared back half
+    # ------------------------------------------------------------------
+    def _combine_group_influences(self, counts: np.ndarray,
+                                  removed: np.ndarray | None,
+                                  matrix: np.ndarray | None,
+                                  ignore_holdouts: bool, c: float,
+                                  c_holdout: float,
+                                  lam: float) -> np.ndarray:
+        """Fold per-(predicate, context) matched counts and removed
+        states into final metric values — the shared back half of the
+        mask-matrix and index kernels.  ``matrix`` supplies per-context
+        mask slices for black-box Δ recomputes (mask kernel only; the
+        index path is incremental by construction)."""
+        m = len(counts)
+        outlier_total = np.zeros(m, dtype=np.float64)
+        worst = np.zeros(m, dtype=np.float64)
+        invalid = np.zeros(m, dtype=bool)
+        for ci, (context, start, stop) in enumerate(self.slices):
+            if not context.is_outlier and ignore_holdouts:
+                continue
+            influences = self._group_influence_batch(
+                context, counts[:, ci],
+                removed[:, ci, :] if removed is not None else None,
+                matrix[:, start:stop] if matrix is not None else None,
+                c if context.is_outlier else c_holdout)
+            invalid |= influences == INVALID_INFLUENCE
+            if context.is_outlier:
+                outlier_total = outlier_total + influences
+            else:
+                worst = np.maximum(worst, np.abs(influences))
+        scores = lam * outlier_total / max(self.n_outliers, 1)
+        if not ignore_holdouts and self.has_holdouts:
+            scores = scores - (1.0 - lam) * worst
+        scores[invalid] = INVALID_INFLUENCE
+        return scores
+
+    def _group_influence_batch(self, context: GroupContext,
+                               counts: np.ndarray,
+                               removed_states: np.ndarray | None,
+                               local_matrix: np.ndarray | None,
+                               exponent: float) -> np.ndarray:
+        """Per-predicate influence on one group given the group's matched
+        counts and (on the incremental path) summed removed states.
+        Mirrors the scorer's scalar ``group_influence`` row-wise;
+        black-box aggregates recompute per predicate from the group's
+        mask-matrix slice (``local_matrix`` is None on the mask-free
+        index path, which the planner restricts to incremental
+        aggregates)."""
+        influences = np.zeros(len(counts), dtype=np.float64)
+        matched = np.flatnonzero(counts)
+        if not len(matched):
+            return influences
+        counts_f = counts[matched].astype(np.float64)
+        if self.incremental:
+            assert removed_states is not None
+            self.stats.incremental_deltas += len(matched)
+            updated = self.updated_from_removed_batch(
+                context.total_state, removed_states[matched], counts_f,
+                context.mean_state)
+            deltas = context.total_value - updated
+        else:
+            assert local_matrix is not None
+            deltas = np.empty(len(matched), dtype=np.float64)
+            for j, i in enumerate(matched):
+                deltas[j] = self.delta(context, local_matrix[i])
+        with np.errstate(invalid="ignore"):
+            values = deltas / _scalar_pow(counts_f, exponent)
+        if context.is_outlier:
+            values = values * context.error_vector
+        influences[matched] = np.where(np.isnan(deltas), INVALID_INFLUENCE, values)
+        return influences
+
+    def updated_from_removed_batch(self, total_states: np.ndarray,
+                                   removed_states: np.ndarray,
+                                   removed_counts: np.ndarray,
+                                   mean_states: np.ndarray | None,
+                                   ) -> np.ndarray:
+        """The delete/mean perturbation rules, row-wise: each row's
+        post-removal aggregate, NaN where the perturbation leaves it
+        undefined.
+
+        ``removed_states`` is ``(m, k)`` and ``removed_counts`` ``(m,)``.
+        ``total_states`` and ``mean_states`` (the state of one
+        mean-valued tuple, read by the ``mean`` perturbation only) are
+        either one group's ``(k,)`` state — the scoring kernel, one group
+        and many predicates — or ``(m, k)`` stacks of per-row group
+        states — the Merger's estimate, many (merge, group) pairs.  The
+        arithmetic is elementwise, so a row's value does not depend on
+        the other rows."""
+        if self.perturbation == "mean":
+            assert mean_states is not None
+            adjusted = (total_states - removed_states
+                        + removed_counts[:, np.newaxis] * mean_states)
+            return self.aggregate.recover_batch(adjusted)
+        remaining = total_states - removed_states
+        updated = self.aggregate.recover_batch(remaining)
+        emptied = remaining[:, -1] < 0.5  # deleted whole groups
+        if np.any(emptied):
+            empty = self.aggregate.empty_value
+            updated[emptied] = np.nan if empty is None else float(empty)
+        return updated

@@ -29,8 +29,8 @@ partitions and G outlier groups it builds a ``(P, n)`` share matrix
 from broadcast lo/hi bounds (discrete clauses through a
 code-membership matrix), derives the removed count and state of all
 P·G (merge, group) pairs, and recovers them through one
-:meth:`InfluenceScorer._updated_from_removed_batch` call — the same
-perturbation rules the scoring kernel applies.  Every estimate equals
+:meth:`~repro.core.kernel.BatchKernel.updated_from_removed_batch` call —
+the same perturbation rules the scoring kernel applies.  Every estimate equals
 the one-merge, one-group-at-a-time computation bit for bit, because
 each reduction keeps that computation's order: removed counts are one
 ``shares[p] @ counts`` vector product per merge, removed states an
@@ -67,11 +67,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.core.influence import (
-    INVALID_INFLUENCE,
-    InfluenceScorer,
-    _scalar_pow,
-)
+from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
+from repro.core.kernel import _scalar_pow
 from repro.core.partition import CandidatePredicate, ScoredPredicate
 from repro.errors import PartitionerError
 from repro.obs.metrics import REGISTRY
@@ -222,7 +219,7 @@ class _ApproxIndex:
         active = counts >= 0.5
         merge_of, group_of = np.nonzero(active)
         removed = counts[active]
-        updated = scorer._updated_from_removed_batch(
+        updated = scorer.kernel.updated_from_removed_batch(
             self.total_states[group_of], states[active], removed,
             None if self.mean_states is None else self.mean_states[group_of])
         terms = np.zeros_like(counts)

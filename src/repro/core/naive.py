@@ -98,10 +98,6 @@ class NaivePartitioner:
         # their pairings as 2-clause conjunctions — all index-tier
         # shapes.
         scorer.prepare_index(spec.name for spec in query.domain)
-        # Warm the worker pool before the first enumeration round so
-        # spin-up is paid once per problem, not inside round one (no-op
-        # for serial scorers).
-        scorer.prepare_parallel()
         enumerator = PredicateEnumerator(
             query.domain,
             n_bins=self.n_bins,

@@ -257,8 +257,8 @@ class Scorpion:
                         scorer_stats=scorer_stats,
                     )
                 finally:
-                    # Release the parallel executor's worker pool and
-                    # shared memory promptly (no-op for serial scorers).
+                    # Release the parallel executor's worker pool
+                    # promptly (no-op for serial scorers).
                     # Injected scorers outlive the call — their owner
                     # closes them.
                     if owned:
@@ -346,7 +346,7 @@ class Scorpion:
         updated_holdouts = {}
         for context in scorer.contexts:
             local = mask[context.indices]
-            delta = scorer.delta(context, local)
+            delta = scorer.kernel.delta(context, local)
             updated = (context.total_value - delta
                        if np.isfinite(delta) else float("nan"))
             if context.is_outlier:

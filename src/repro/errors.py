@@ -52,12 +52,11 @@ class DatasetError(ScorpionError):
 
 
 class ParallelError(ScorpionError):
-    """The shared-memory parallel scoring executor failed or was
-    misconfigured.
+    """The parallel scoring executor failed or was misconfigured.
 
-    Raised for invalid worker counts and wrapped around worker-pool
-    failures (a crashed worker process, a shard that exceeded its
-    timeout, or a shard that could not be submitted).  The scorer
+    Raised for invalid worker counts or recovery knobs, and wrapped
+    around worker-pool failures (a crashed worker process, a shard that
+    exceeded its timeout, or a shard that could not be submitted).  The scorer
     absorbs executor failures internally — retrying, restarting the
     pool, and degrading single batches to serial scoring — so callers
     of ``score_batch`` only see this exception for configuration

@@ -2,15 +2,15 @@
 
 Production code is sprinkled with *named injection points* — one
 :func:`fault_point` call at each place a real deployment can fail (a
-worker scoring a shard, a shared-memory attach, an index build, a
-service checkout, a serve-loop read).  When no schedule is armed the
+worker scoring a shard, a pool start, an index build, a service
+checkout, a serve-loop read).  When no schedule is armed the
 call is a single module-global load plus a ``None`` check: the
 disabled path allocates nothing and branches once, so the points can
 stay in the hot paths permanently.
 
 A *schedule* arms one or more points with an action and a hit pattern::
 
-    SCORPION_FAULTS="worker.shard:crash@2;shm.attach:oserror@1"
+    SCORPION_FAULTS="worker.shard:crash@2;pool.start:oserror@1"
 
 Grammar, per ``;``-separated spec (``point:action[=arg][@sched][~mods]``):
 

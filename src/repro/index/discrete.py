@@ -67,19 +67,6 @@ class GroupDiscreteIndex:
             np.cumsum(tuple_states[order], axis=0, out=prefix[1:])
             self.bucket_states = prefix[self.offsets[1:]] - prefix[self.offsets[:-1]]
 
-    @classmethod
-    def from_arrays(cls, order: np.ndarray, offsets: np.ndarray,
-                    bucket_states: np.ndarray | None) -> "GroupDiscreteIndex":
-        """Adopt already-built views (no sort, no bucket sums) — used by
-        the parallel executor to install shared-memory copies of a
-        parent process's build, which are byte-identical by
-        construction."""
-        self = cls.__new__(cls)
-        self.order = order
-        self.offsets = offsets
-        self.bucket_states = bucket_states
-        return self
-
     @property
     def n_codes(self) -> int:
         return len(self.offsets) - 1

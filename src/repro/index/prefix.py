@@ -168,18 +168,6 @@ class GroupAttributeIndex:
             np.cumsum(tuple_states[order], axis=0, out=prefix[1:])
             self.prefix = prefix
 
-    @classmethod
-    def from_arrays(cls, order: np.ndarray, sorted_values: np.ndarray,
-                    prefix: np.ndarray | None) -> "GroupAttributeIndex":
-        """Adopt already-built views (no sort, no cumsum) — used by the
-        parallel executor to install shared-memory copies of a parent
-        process's build, which are byte-identical by construction."""
-        self = cls.__new__(cls)
-        self.order = order
-        self.sorted_values = sorted_values
-        self.prefix = prefix
-        return self
-
     @property
     def uses_prefix(self) -> bool:
         return self.prefix is not None
@@ -338,41 +326,8 @@ class PrefixAggregateIndex:
     @property
     def group_slices(self) -> tuple[tuple[int, int], ...]:
         """Each group's ``(start, stop)`` span inside the labeled
-        concatenation — also each group's span inside any attribute's
-        concatenated ``order`` / ``sorted_values`` arrays, since a
-        group's sorted view has exactly the group's rows."""
+        concatenation."""
         return tuple(self._slices)
-
-    def install_attribute(self, attribute: str,
-                          per_group: Sequence[GroupAttributeIndex]) -> None:
-        """Adopt per-group indexes built elsewhere (a parent process's
-        export; see :meth:`GroupAttributeIndex.from_arrays`).
-
-        Does not touch ``build_count`` / ``build_seconds`` — installs
-        are zero-cost adoptions, and counting them would double-count
-        the one build the exporting process already recorded.
-        """
-        if not self.supports(attribute):
-            raise PredicateError(
-                f"no continuous attribute {attribute!r} in index")
-        if len(per_group) != self.n_groups:
-            raise PredicateError(
-                f"{len(per_group)} group indexes for {self.n_groups} groups")
-        self._by_attr[attribute] = list(per_group)
-
-    def install_discrete_attribute(self, attribute: str,
-                                   per_group: Sequence[GroupDiscreteIndex],
-                                   ) -> None:
-        """Adopt per-group discrete indexes built elsewhere (the
-        discrete counterpart of :meth:`install_attribute`; same zero-cost
-        adoption semantics, so build counters stay untouched)."""
-        if not self.supports_discrete(attribute):
-            raise PredicateError(
-                f"no discrete attribute {attribute!r} in index")
-        if len(per_group) != self.n_groups:
-            raise PredicateError(
-                f"{len(per_group)} group indexes for {self.n_groups} groups")
-        self._by_discrete[attribute] = list(per_group)
 
     def supports(self, attribute: str) -> bool:
         """Whether the attribute is continuous over the labeled rows."""

@@ -1,20 +1,20 @@
-"""Shared-memory parallel scoring (the ``workers`` knob).
+"""Parallel scoring over a process pool (the ``workers`` knob).
 
 :class:`~repro.core.influence.InfluenceScorer.score_batch` is
 embarrassingly parallel across its predicate shards: every shard's
-influences depend only on the problem's read-only arrays, and both
-batch kernels are row-deterministic, so sharding can never change a
+influences depend only on the problem's read-only arrays, and every
+tier kernel is row-deterministic, so sharding can never change a
 result.  This package exploits that:
 
-* :mod:`repro.parallel.shm` — packs the problem's big arrays into
-  :mod:`multiprocessing.shared_memory` segments once, so workers map
-  the same pages instead of pickling arrays per shard;
-* :mod:`repro.parallel.kernel` — serializes the scorer's batch kernel
-  (and pre-built prefix-aggregate index attributes) into a picklable
-  spec and rebuilds a kernel-only scorer inside each worker;
-* :mod:`repro.parallel.worker` — the per-shard entry point workers run;
-* :mod:`repro.parallel.executor` — the persistent pool tying it
-  together, with ordered reassembly and crash/timeout fallback.
+* :mod:`repro.parallel.executor` — the persistent pool, started with
+  the scorer's :class:`~repro.core.kernel.BatchKernel` as its
+  initializer argument (forked workers inherit it copy-on-write;
+  spawn-only platforms unpickle it once per worker), with ordered
+  reassembly and crash/timeout failure reporting;
+* :mod:`repro.parallel.worker` — the per-shard entry point workers run,
+  calling the same kernel methods as the serial loop;
+* :mod:`repro.parallel.recovery` — the retry / restart-budget /
+  circuit-breaker policy for a failing pool.
 
 The scorer's ``workers`` knob (constructor argument, the
 ``SCORPION_WORKERS`` environment variable, ``Scorpion(workers=...)``,
@@ -29,39 +29,11 @@ from repro.parallel.executor import (
     ShardedScoringExecutor,
     resolve_workers,
 )
-from repro.parallel.kernel import (
-    DiscreteIndexAttributeSpec,
-    IndexAttributeSpec,
-    KernelSpec,
-    build_kernel_spec,
-    build_worker_scorer,
-    export_discrete_index_attribute,
-    export_index_attribute,
-)
 from repro.parallel.recovery import ParallelRecovery
-from repro.parallel.shm import (
-    SegmentSpec,
-    assert_no_segment_leaks,
-    attach_segment,
-    create_segment,
-    live_segments,
-)
 
 __all__ = [
     "DEFAULT_TASK_TIMEOUT",
-    "DiscreteIndexAttributeSpec",
-    "IndexAttributeSpec",
-    "KernelSpec",
     "ParallelRecovery",
-    "SegmentSpec",
     "ShardedScoringExecutor",
-    "assert_no_segment_leaks",
-    "attach_segment",
-    "build_kernel_spec",
-    "build_worker_scorer",
-    "create_segment",
-    "export_discrete_index_attribute",
-    "export_index_attribute",
-    "live_segments",
     "resolve_workers",
 ]

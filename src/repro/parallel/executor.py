@@ -1,14 +1,13 @@
-"""The sharded scoring executor: a persistent worker pool plus the
-shared-memory segments its workers score against.
+"""The sharded scoring executor: a persistent worker pool holding one
+scorer's batch kernel.
 
-One :class:`ShardedScoringExecutor` serves one scorer/problem: the
-scorer builds its :class:`~repro.parallel.kernel.KernelSpec` once,
-:meth:`start` places the big arrays in shared memory and spins up the
-pool (each worker attaches and rebuilds the kernel in its initializer),
-and every parallel ``score_batch`` call turns into one :meth:`run` of
-routed shards.  Results come back in submission order, so reassembly in
-the scorer is a plain ``zip`` and the output is bit-for-bit identical
-to the serial chunk loop.
+One :class:`ShardedScoringExecutor` serves one scorer/problem:
+:meth:`start` spins up the pool with the scorer's
+:class:`~repro.core.kernel.BatchKernel` as the initializer argument, and
+every parallel ``score_batch`` call turns into one :meth:`run` of routed
+shards.  Results come back in submission order, so reassembly in the
+scorer is a plain ``zip`` and the output is bit-for-bit identical to the
+serial chunk loop.
 
 Failure policy: any pool-level failure — a worker crash
 (``BrokenProcessPool``), a shard exceeding ``task_timeout``, a
@@ -21,8 +20,7 @@ happens next: bounded retries with a fresh pool, then a degraded
 re-probes parallel — results are therefore always produced, and a
 healthy machine heals back to parallel.  ``KeyboardInterrupt`` /
 ``SystemExit`` are never converted to :class:`ParallelError`: the
-executor still aborts the pool (no hung workers, no leaked segments)
-and re-raises them.
+executor still aborts the pool (no hung workers) and re-raises them.
 """
 
 from __future__ import annotations
@@ -31,15 +29,12 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 from typing import Sequence
 
 from repro.errors import ParallelError
 from repro.faults import fault_point
 from repro.obs.metrics import REGISTRY
 from repro.parallel import worker as _worker
-from repro.parallel.kernel import KernelSpec
-from repro.parallel.shm import destroy_segment
 
 #: Per-shard wall-clock budget before the pool is declared hung
 #: (override via ``SCORPION_TASK_TIMEOUT``, or the legacy
@@ -53,7 +48,7 @@ def resolve_workers(workers: int | None) -> int:
     ``None`` reads ``SCORPION_WORKERS`` (absent → 1, today's serial
     path); ``0`` means one worker per CPU (``os.cpu_count()``);
     positive integers are taken as-is.  ``1`` means serial in-process
-    scoring — no pool, no shared memory.
+    scoring — no pool.
     """
     if workers is None:
         raw = os.environ.get("SCORPION_WORKERS", "").strip()
@@ -83,8 +78,8 @@ def _resolve_timeout(task_timeout: float | None) -> float | None:
 
 
 class ShardedScoringExecutor:
-    """Persistent process pool scoring predicate shards against a
-    shared-memory problem image.
+    """Persistent process pool scoring predicate shards against one
+    scorer's batch kernel.
 
     Parameters
     ----------
@@ -102,24 +97,20 @@ class ShardedScoringExecutor:
         self.workers = int(workers)
         self.task_timeout = _resolve_timeout(task_timeout)
         self._pool: ProcessPoolExecutor | None = None
-        self._segments: list[shared_memory.SharedMemory] = []
 
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
         return self._pool is not None
 
-    def start(self, spec: KernelSpec,
-              segments: Sequence[shared_memory.SharedMemory]) -> None:
-        """Take ownership of ``segments`` and spin up the worker pool.
+    def start(self, kernel) -> None:
+        """Spin up the worker pool around ``kernel``.
 
-        Workers rebuild the kernel in their initializer, so the first
-        shard a worker receives pays no per-shard setup.  ``fork`` is
-        preferred when available (no module re-import, instant
-        inheritance of the spec); the spec is fully picklable either
-        way, so ``spawn``-only platforms work identically.
+        ``fork`` is preferred when available: workers then inherit the
+        kernel copy-on-write, with no pickling and no module re-import.
+        The kernel is fully picklable, so ``spawn``-only platforms work
+        identically, unpickling it once per worker.
         """
-        self._segments.extend(segments)
         if self._pool is not None:
             raise ParallelError("executor already started")
         try:
@@ -131,23 +122,13 @@ class ShardedScoringExecutor:
                 max_workers=self.workers,
                 mp_context=context,
                 initializer=_worker.initialize,
-                initargs=(spec,),
+                initargs=(kernel,),
             )
-        except BaseException as exc:
-            # Unlink the just-adopted segments even on interrupt — a
-            # failed start must never leak shared memory.
-            self.close()
-            if not isinstance(exc, Exception):
-                raise
+        except Exception as exc:
             raise ParallelError(f"could not start worker pool: {exc}") from exc
         REGISTRY.counter(
             "scorpion_pool_starts_total",
             "Worker pools started (first start and every restart)").inc()
-
-    def register_segment(self, shm: shared_memory.SharedMemory) -> None:
-        """Adopt a later-created segment (e.g. an index attribute pack)
-        so it is unlinked with the rest on :meth:`close`."""
-        self._segments.append(shm)
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[tuple]) -> list[tuple]:
@@ -161,7 +142,7 @@ class ShardedScoringExecutor:
             futures = [self._pool.submit(_worker.run_shard, *task)
                        for task in tasks]
         except BaseException as exc:
-            self._abort()
+            self.close()
             if not isinstance(exc, Exception):
                 raise  # KeyboardInterrupt/SystemExit: abort, then propagate
             raise ParallelError(f"could not submit shards: {exc}") from exc
@@ -172,40 +153,29 @@ class ShardedScoringExecutor:
         except BaseException as exc:
             for future in futures:
                 future.cancel()
-            self._abort()
+            self.close()
             if not isinstance(exc, Exception):
                 raise  # KeyboardInterrupt/SystemExit: abort, then propagate
             raise ParallelError(f"worker shard failed: {exc!r}") from exc
         return results
 
     # ------------------------------------------------------------------
-    def _abort(self) -> None:
-        """Tear the pool down without waiting on (possibly hung) workers."""
+    def close(self) -> None:
+        """Tear the pool down without waiting on (possibly hung) workers
+        (idempotent; safe on a broken executor)."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
+        # ProcessPoolExecutor has no kill switch, and shutdown() drops
+        # its process table, so take the workers first and terminate
+        # them afterwards: a hung shard cannot outlive the pool.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive teardown
             pass
-        # ProcessPoolExecutor has no kill switch; terminate stragglers so
-        # a hung shard cannot outlive the fallback decision.
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
+        for process in processes:
             try:
                 process.terminate()
             except Exception:  # pragma: no cover - already-dead workers
                 pass
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every owned segment (idempotent).
-        Safe to call on a broken executor; live workers are terminated
-        first so shared memory is never unlinked out from under a
-        running shard on platforms where that matters.  Segments are
-        unlinked in a ``finally``: even if pool shutdown itself raises
-        (or is interrupted), no shared memory is leaked."""
-        try:
-            self._abort()
-        finally:
-            segments, self._segments = self._segments, []
-            for shm in segments:
-                destroy_segment(shm)

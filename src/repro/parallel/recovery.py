@@ -28,6 +28,8 @@ import os
 import time
 from typing import Callable
 
+from repro.errors import ParallelError
+
 __all__ = [
     "ParallelRecovery",
     "DEFAULT_SHARD_RETRIES",
@@ -67,7 +69,12 @@ def _env_float(name: str, default: float) -> float:
 
 class ParallelRecovery:
     """Retry / restart-budget / circuit-breaker bookkeeping for one
-    scorer's pool (see module docstring for the knobs)."""
+    scorer's pool (see module docstring for the knobs).
+
+    Every knob must be ``>= 0``, whether it comes from the constructor
+    or the environment; a negative value raises
+    :class:`~repro.errors.ParallelError` here rather than breaking the
+    first parallel batch."""
 
     def __init__(self,
                  retries: int | None = None,
@@ -92,6 +99,12 @@ class ParallelRecovery:
         self.backoff_base = (backoff_base if backoff_base is not None
                              else _env_float("SCORPION_POOL_BACKOFF",
                                              DEFAULT_BACKOFF_BASE))
+        for name in ("retries", "restarts", "window", "cooldown",
+                     "backoff_base"):
+            if getattr(self, name) < 0:
+                raise ParallelError(
+                    f"ParallelRecovery {name} must be >= 0, "
+                    f"got {getattr(self, name)}")
         self._clock = clock
         self._sleep = sleep
         #: monotonic stamps of recent pool failures (restart budget).

@@ -151,40 +151,6 @@ class ArrayMaskEvaluator:
         return int(sum(values.nbytes for values in self._continuous.values())
                    + sum(codes.nbytes for codes in self._codes.values()))
 
-    # ------------------------------------------------------------------
-    # Cross-process reconstruction (the parallel scoring executor)
-    # ------------------------------------------------------------------
-    def export_state(self) -> tuple[dict[str, np.ndarray],
-                                    dict[str, np.ndarray],
-                                    dict[str, dict]]:
-        """The evaluator's complete comparison state: ``(continuous
-        value arrays, factorized discrete code arrays, value → code
-        tables)``.  Shallow copies — the arrays are shared, which is the
-        point: an executor packs them into shared memory and rebuilds an
-        equivalent evaluator in each worker via :meth:`from_state`."""
-        return dict(self._continuous), dict(self._codes), dict(self._code_of)
-
-    @classmethod
-    def from_state(cls, continuous: Mapping[str, np.ndarray],
-                   codes: Mapping[str, np.ndarray],
-                   code_of: Mapping[str, dict]) -> "ArrayMaskEvaluator":
-        """Rebuild an evaluator around already-factorized arrays.
-
-        Skips re-factorization entirely; because every clause comparison
-        runs against byte-identical arrays through the same code, masks
-        from the rebuilt evaluator equal the original's bit for bit."""
-        self = cls.__new__(cls)
-        self._continuous = dict(continuous)
-        self._codes = dict(codes)
-        self._code_of = dict(code_of)
-        self._n_rows = None
-        for values in (*self._continuous.values(), *self._codes.values()):
-            self._n_rows = len(values)
-            break
-        if self._n_rows is None:
-            raise PredicateError("evaluator needs at least one attribute")
-        return self
-
     def clause_mask(self, clause) -> np.ndarray:
         """Boolean mask of rows satisfying one clause."""
         if isinstance(clause, RangeClause):

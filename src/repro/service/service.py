@@ -6,7 +6,7 @@ pure function of the *problem* rather than of the Section 7 knobs: the
 group-by execution and provenance (the problem image), the labeled
 evaluator's factorized comparison arrays, the prefix-aggregate index
 views, the DT partitions, and — with ``workers > 1`` — forking a worker
-pool and publishing shared-memory segments.  An interactive session
+pool.  An interactive session
 (the paper's ``c``-slider UI, Section 8.3.3) or an eval sweep repeats
 the same problem dozens of times with only scalar-knob changes, so a
 resident process should pay once.
@@ -36,8 +36,7 @@ comparison arrays, and built index views (the index's shared value
 arrays are aliases of evaluator arrays and excluded, so nothing is
 billed twice).  Eviction walks LRU order while over ``cache_bytes``
 (constructor > ``SCORPION_CACHE_BYTES`` > 512 MiB), skipping pinned
-(in-flight) entries; a closed entry releases its worker pool and shared
-memory.
+(in-flight) entries; a closed entry releases its worker pool.
 
 Thread-safe: a service-level lock guards the LRU and counters, a
 per-entry lock serializes requests that share an entry (scorers are
@@ -153,8 +152,8 @@ class _CacheEntry:
         self.lock = threading.Lock()
 
     def release(self) -> None:
-        """Free the scorer's resources (worker pool, shared memory) and
-        the entry's DT cache.  Idempotent."""
+        """Free the scorer's worker pool and the entry's DT cache.
+        Idempotent."""
         if self.scorer is not None:
             self.scorer.close()
         if self.scorpion is not None:

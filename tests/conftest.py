@@ -3,6 +3,9 @@ cross-path differential scoring oracle."""
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -120,7 +123,7 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     # (Replaces the old unconditional-engagement guard: with cost-based
     # routing, which tier answers a shape depends on the problem size.)
     scorable = [p for p in dict.fromkeys(predicates)
-                if indexed._labeled_evaluator.supports_predicate(p)]
+                if indexed.kernel.evaluator.supports_predicate(p)]
     replay = indexed.planner.partition(scorable)
     assert stats.indexed_ranges == len(replay.ranges)
     assert stats.indexed_sets == len(replay.sets)
@@ -158,6 +161,23 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
             finally:
                 parallel_scorer.close()
     return via_index
+
+
+def assert_no_live_workers(baseline=frozenset(),
+                           timeout: float = 5.0) -> None:
+    """No worker process outlives its pool: polls
+    ``multiprocessing.active_children()`` (which also reaps exited
+    children) until it holds nothing beyond ``baseline`` — the children
+    alive before the test started — failing after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = set(multiprocessing.active_children()) - set(baseline)
+        if not alive:
+            return
+        if time.monotonic() > deadline:
+            raise AssertionError(
+                f"worker processes outlived close(): {sorted(map(str, alive))}")
+        time.sleep(0.02)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ class TestMeanPerturbationSemantics:
         problem = sensor_problem("mean")
         scorer = InfluenceScorer(problem)
         ctx = next(c for c in scorer.outlier_contexts if c.key == ("12PM",))
-        delta = scorer.delta(ctx, np.asarray([False, False, True]))
+        delta = scorer.kernel.delta(ctx, np.asarray([False, False, True]))
         assert delta == pytest.approx(56.667 - 42.222, abs=1e-3)
 
     def test_mean_mode_full_coverage_is_valid(self):
@@ -47,7 +47,7 @@ class TestMeanPerturbationSemantics:
         problem = sensor_problem("mean")
         scorer = InfluenceScorer(problem)
         ctx = scorer.outlier_contexts[0]
-        delta = scorer.delta(ctx, np.ones(3, dtype=bool))
+        delta = scorer.kernel.delta(ctx, np.ones(3, dtype=bool))
         assert delta == pytest.approx(0.0, abs=1e-9)
 
     def test_delete_mode_full_coverage_still_invalid(self):
@@ -62,7 +62,7 @@ class TestMeanPerturbationSemantics:
             outliers=["12PM"], error_vectors=+1.0, perturbation="mean")
         scorer = InfluenceScorer(problem)
         ctx = scorer.outlier_contexts[0]
-        delta = scorer.delta(ctx, np.ones(3, dtype=bool))
+        delta = scorer.kernel.delta(ctx, np.ones(3, dtype=bool))
         # All values imputed to the mean → stddev 0 → Δ = original stddev.
         assert delta == pytest.approx(ctx.total_value)
 

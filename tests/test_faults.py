@@ -53,8 +53,8 @@ class TestGrammar:
                                  hits=frozenset({2}))
 
     def test_multi_spec_with_blanks(self):
-        specs = parse_faults("worker.shard:crash@2; ;shm.attach:oserror@1;")
-        assert [s.point for s in specs] == ["worker.shard", "shm.attach"]
+        specs = parse_faults("worker.shard:crash@2; ;pool.start:oserror@1;")
+        assert [s.point for s in specs] == ["worker.shard", "pool.start"]
         assert [s.action for s in specs] == ["crash", "oserror"]
 
     def test_arg_and_defaults(self):

@@ -356,10 +356,6 @@ class TestPlannerFallback:
             index.n_codes("nope")
         with pytest.raises(PredicateError):
             index.estimate_clause_count(object())
-        with pytest.raises(PredicateError):
-            index.install_discrete_attribute("nope", [])
-        with pytest.raises(PredicateError):
-            index.install_discrete_attribute("ac", [])  # wrong group count
         assert not index.supports_clause(object())
 
     def test_codes_require_code_tables(self):
@@ -405,16 +401,6 @@ class TestGroupDiscreteIndex:
         for c in range(5):
             np.testing.assert_array_equal(
                 index.bucket_states[c], states[codes == c].sum(axis=0))
-
-    def test_from_arrays_round_trip(self):
-        codes = np.asarray([2, 0, 1, 0, 2], dtype=np.int64)
-        states = np.ones((5, 2))
-        built = GroupDiscreteIndex(codes, 3, states, exact=True)
-        adopted = GroupDiscreteIndex.from_arrays(
-            built.order, built.offsets, built.bucket_states)
-        np.testing.assert_array_equal(adopted.order, built.order)
-        assert adopted.n_codes == 3
-        assert adopted.uses_buckets
 
 
 class TestConjunctionPlanShape:

@@ -49,30 +49,31 @@ class TestDelta:
     def test_delta_empty_mask_is_zero(self, paper_problem):
         scorer = scorer_for(paper_problem)
         ctx = scorer.outlier_contexts[0]
-        assert scorer.delta(ctx, np.zeros(3, dtype=bool)) == 0.0
+        assert scorer.kernel.delta(ctx, np.zeros(3, dtype=bool)) == 0.0
 
     def test_delta_incremental_matches_recompute(self, paper_problem):
         fast = InfluenceScorer(paper_problem, use_incremental=True)
         slow = InfluenceScorer(paper_problem, use_incremental=False)
         mask = np.asarray([False, True, True])
         for f_ctx, s_ctx in zip(fast.contexts, slow.contexts):
-            assert fast.delta(f_ctx, mask) == pytest.approx(slow.delta(s_ctx, mask))
+            assert fast.kernel.delta(f_ctx, mask) == pytest.approx(
+                slow.kernel.delta(s_ctx, mask))
 
     def test_delta_full_removal_avg_is_nan(self, paper_problem):
         scorer = scorer_for(paper_problem)
         ctx = scorer.outlier_contexts[0]
-        assert np.isnan(scorer.delta(ctx, np.ones(3, dtype=bool)))
+        assert np.isnan(scorer.kernel.delta(ctx, np.ones(3, dtype=bool)))
 
     def test_delta_full_removal_sum_uses_empty_value(self, sum_problem):
         scorer = InfluenceScorer(sum_problem)
         ctx = scorer.outlier_contexts[0]
-        delta = scorer.delta(ctx, np.ones(ctx.size, dtype=bool))
+        delta = scorer.kernel.delta(ctx, np.ones(ctx.size, dtype=bool))
         assert delta == pytest.approx(ctx.total_value)
 
     def test_stats_count_incremental_deltas(self, paper_problem):
         scorer = scorer_for(paper_problem)
         ctx = scorer.outlier_contexts[0]
-        scorer.delta(ctx, np.asarray([True, False, False]))
+        scorer.kernel.delta(ctx, np.asarray([True, False, False]))
         assert scorer.stats.incremental_deltas == 1
         assert scorer.stats.full_recomputes == 0
 

@@ -129,7 +129,7 @@ def reference_approximate(scorer, index, predicate) -> float:
         count = removed_counts[g]
         if count < 0.5:
             continue
-        updated = scorer.updated_from_removed(
+        updated = scorer.kernel.updated_from_removed(
             context, removed_states[g], count)
         if np.isnan(updated):
             return INVALID_INFLUENCE

@@ -4,11 +4,13 @@ The contract (see :mod:`repro.parallel`): ``score_batch`` with
 ``workers=N`` returns bit-for-bit the influences of ``workers=1`` on
 every aggregate/predicate shape, merged stats counters match a serial
 run's, pool failures (crash or timeout) fall back to serial scoring
-with a warning instead of hanging, and the pool's shared-memory
-segments are unlinked on close.
+with a warning instead of hanging, and close() terminates the pool's
+workers.
 """
 
+import multiprocessing
 import os
+import pickle
 import signal
 import warnings
 
@@ -20,13 +22,11 @@ from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import ParallelError
-from repro.index.cost import CostModel
+from repro.index.cost import CostModel, force_index_model
 from repro.obs.metrics import REGISTRY
 from repro.parallel import (
     ParallelRecovery,
     ShardedScoringExecutor,
-    assert_no_segment_leaks,
-    live_segments,
     resolve_workers,
 )
 from repro.parallel.executor import _resolve_timeout
@@ -36,9 +36,11 @@ from repro.query.groupby import GroupByQuery
 
 from tests.conftest import (
     ROUTING_COUNTERS,
+    assert_no_live_workers,
     assert_scoring_paths_agree,
     planted_sum_table,
 )
+from tests.test_chaos_oracle import chaos_batch
 
 #: Integer counters that must be identical between a serial and a
 #: parallel run of the same batches (timing counters and the
@@ -169,8 +171,8 @@ class TestParallelEquivalence:
             parallel.close()
 
     def test_rebind_reaches_warm_pool_workers(self):
-        # The pool initializer bakes (c, c_holdout, lam) into worker
-        # scorers; a resident scorer rebound between batches must ship
+        # Warm workers hold the kernel, which takes (c, c_holdout, lam)
+        # per call; a resident scorer rebound between batches must ship
         # the live scalars with each shard or warm workers keep scoring
         # at the stale values.
         problem = make_problem(Sum(), c=0.5)
@@ -343,7 +345,7 @@ class TestSelfHealing:
             self, monkeypatch):
         problem = make_problem(Sum())
         batch = mixed_batch()
-        baseline = live_segments()
+        baseline = multiprocessing.active_children()
         scorer = InfluenceScorer(problem, cache_scores=False, workers=2,
                                  batch_chunk=8)
         monkeypatch.setattr(
@@ -352,10 +354,9 @@ class TestSelfHealing:
         with pytest.raises(KeyboardInterrupt):
             scorer.score_batch(batch)
         # The interrupt was not swallowed into a serial fallback, and
-        # the pool + segments were torn down on the way out.
+        # the pool was torn down on the way out.
         assert scorer._executor is None
-        assert_no_segment_leaks("KeyboardInterrupt during score_batch",
-                                baseline=baseline)
+        assert_no_live_workers(baseline)
         scorer.close()
 
 
@@ -378,21 +379,143 @@ class TestLifecycle:
         finally:
             scorer.close()
 
-    def test_close_unlinks_shared_memory(self):
-        from multiprocessing import shared_memory
-
+    def test_close_terminates_workers(self):
+        baseline = multiprocessing.active_children()
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False,
                                  workers=2, batch_chunk=8)
         scorer.score_batch(mixed_batch())
-        name = scorer._executor._segments[0].name
+        workers = list(scorer._executor._pool._processes.values())
+        assert workers and all(process.is_alive() for process in workers)
         scorer.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert_no_live_workers(baseline)
+        assert not any(process.is_alive() for process in workers)
         # close() is idempotent and the scorer still scores (serially or
         # by restarting the pool).
         scorer.close()
-        assert len(scorer.score_batch(routed_batch(4))) == 4
+        assert len(scorer.score_batch(mixed_batch())) == len(mixed_batch())
         scorer.close()
+        assert_no_live_workers(baseline)
+
+    def test_views_built_after_fork_match_serial(self):
+        # The pool forks on the first parallel batch, which routes only
+        # a1 ranges; the state views the second batch reads are built
+        # in the parent after that, so every worker builds its own copy.
+        problem = make_problem(Sum())
+        first = routed_batch()
+        second = set_batch() + conj_batch()
+        serial = InfluenceScorer(problem, cache_scores=False, workers=1,
+                                 batch_chunk=8, cost_model=force_index_model())
+        parallel = InfluenceScorer(problem, cache_scores=False, workers=2,
+                                   batch_chunk=8,
+                                   cost_model=force_index_model())
+        try:
+            np.testing.assert_array_equal(parallel.score_batch(first),
+                                          serial.score_batch(first))
+            assert parallel._executor is not None
+            assert parallel.stats.parallel_shards > 0
+            assert parallel.kernel.index.attributes_built == ("a1",)
+            shards = parallel.stats.parallel_shards
+            np.testing.assert_array_equal(parallel.score_batch(second),
+                                          serial.score_batch(second))
+            assert parallel.stats.parallel_shards > shards
+            assert "state" in parallel.kernel.index.attributes_built
+            assert parallel.stats.indexed_sets > 0
+            assert parallel.stats.indexed_conjunctions > 0
+            for name in ROUTING_COUNTERS:
+                assert getattr(parallel.stats, name) == \
+                    getattr(serial.stats, name), name
+        finally:
+            parallel.close()
+
+
+class TestKernelPickles:
+    """Spawn-only platforms unpickle the kernel once per worker: a
+    round-tripped kernel must score every routed tier exactly like the
+    original."""
+
+    @pytest.mark.parametrize("aggregate,perturbation,cost_model,tiers", [
+        (Sum, "delete", force_index_model,
+         {"masked", "indexed", "indexed_set", "indexed_conj"}),
+        (Median, "delete", None, {"masked"}),
+        (Avg, "mean", None, None),
+    ], ids=["sum-all-tiers", "median-black-box", "avg-mean"])
+    def test_round_trip_scores_identically(self, aggregate, perturbation,
+                                           cost_model, tiers):
+        problem = make_problem(aggregate(), perturbation=perturbation)
+        batch = chaos_batch()
+        scorer = InfluenceScorer(
+            problem, cache_scores=False, workers=1,
+            cost_model=cost_model() if cost_model else None)
+        expected = scorer.score_batch(batch)
+        clone = pickle.loads(pickle.dumps(scorer.kernel))
+        route = scorer.planner.partition(list(dict.fromkeys(batch)))
+        routed = {
+            "masked": route.masked,
+            "indexed": [clause for _, clause in route.ranges],
+            "indexed_set": [clause for _, clause in route.sets],
+            "indexed_conj": [plan for _, plan in route.conjunctions],
+        }
+        if tiers is not None:
+            assert {kind for kind, items in routed.items() if items} == tiers
+        scalars = (problem.c, problem.c_holdout, problem.lam)
+        for kind, items in routed.items():
+            if not items:
+                continue
+            for ignore_holdouts in (False, True):
+                np.testing.assert_array_equal(
+                    clone.score_shard(kind, items, ignore_holdouts,
+                                      *scalars),
+                    scorer.kernel.score_shard(kind, items, ignore_holdouts,
+                                              *scalars))
+        # And the clone agrees with the scorer's own batch answer.
+        position = {predicate: i for i, predicate in enumerate(batch)}
+        for kind, pairs in (("masked", [(p, p) for p in route.masked]),
+                            ("indexed", route.ranges),
+                            ("indexed_set", route.sets),
+                            ("indexed_conj", route.conjunctions)):
+            if not pairs:
+                continue
+            values = clone.score_shard(kind, [item for _, item in pairs],
+                                       False, *scalars)
+            np.testing.assert_array_equal(
+                values, expected[[position[p] for p, _ in pairs]])
+
+
+class TestRecoveryKnobs:
+    """A negative recovery knob is a configuration error caught at
+    construction; it used to leave the retry loop empty, so every
+    parallel batch crashed with an UnboundLocalError."""
+
+    @pytest.mark.parametrize("knob", ["retries", "restarts", "window",
+                                      "cooldown", "backoff_base"])
+    def test_negative_argument_rejected(self, knob):
+        with pytest.raises(ParallelError, match=knob):
+            ParallelRecovery(**{knob: -1})
+
+    @pytest.mark.parametrize("env", [
+        "SCORPION_SHARD_RETRIES", "SCORPION_POOL_RESTARTS",
+        "SCORPION_POOL_WINDOW", "SCORPION_POOL_COOLDOWN",
+        "SCORPION_POOL_BACKOFF"])
+    def test_negative_environment_rejected(self, monkeypatch, env):
+        monkeypatch.setenv(env, "-1")
+        with pytest.raises(ParallelError):
+            ParallelRecovery()
+
+    def test_zero_knobs_accepted(self):
+        recovery = ParallelRecovery(retries=0, restarts=0, window=0.0,
+                                    cooldown=0.0, backoff_base=0.0)
+        assert recovery.retries == 0
+
+    def test_negative_retries_fail_at_scorer_construction(
+            self, monkeypatch):
+        monkeypatch.setenv("SCORPION_SHARD_RETRIES", "-1")
+        with pytest.raises(ParallelError, match="retries"):
+            scorer = InfluenceScorer(make_problem(Sum()), workers=2,
+                                     batch_chunk=8)
+            try:
+                scorer.score_batch(chaos_batch())
+            finally:
+                scorer.close()
 
 
 class TestResolveWorkers:
@@ -470,7 +593,7 @@ class TestStatsConsistency:
         scorer.stats.reset()
         scorer.prepare_index()  # builds the remaining attributes
         assert scorer.stats.index_builds == len(
-            scorer._index.attributes_built) - 1
+            scorer.kernel.index.attributes_built) - 1
 
     def test_reset_clears_parallel_counters(self):
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False,
