@@ -19,8 +19,10 @@ Two evaluation paths:
 
 Both paths share the same edge-case policy: a predicate matching no rows
 of a group has zero influence there, and a predicate deleting an *entire*
-group whose aggregate has no empty value yields ``-inf`` (the output row
-would vanish rather than look normal; see DESIGN.md §4 item 3).
+group whose aggregate has no empty value yields ``-inf``.  The paper
+leaves that case undefined; ``-inf`` keeps such predicates out of every
+ranking, because deleting the group makes its output row vanish rather
+than look normal.
 
 Batched scoring
 ---------------
@@ -993,8 +995,9 @@ class InfluenceScorer:
         outlier group, the ``k`` matched tuples with the largest positive
         influence: ``max_k (Σ top-k δ) / k^c``.  At ``c = 1`` the maximum
         sits at ``k = 1`` and this reduces to the paper's single-tuple
-        bound; at ``c < 1`` the paper's bound is not sound and would
-        over-prune (DESIGN.md §4 item 6).
+        bound.  At ``c < 1`` the paper's bound is not sound: k tuples
+        can together score ``Σδ / k^c`` above the best single tuple, so
+        it would over-prune.
         """
         masks = self._labeled_masks(predicate)
         total = 0.0

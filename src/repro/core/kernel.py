@@ -10,6 +10,14 @@ and every array they read: the group contexts in labeled order
 id, the stacked per-tuple aggregate states, the labeled evaluator and
 the prefix-aggregate index.
 
+On the incremental path the back half is one fold,
+:meth:`BatchKernel.fold`: every tier hands it per-(predicate, group)
+matched counts and removed states, and it turns all matched pairs into
+metric values in one elementwise pass, with no loop over groups.  The
+Merger's cached-state estimate (:mod:`repro.core.merger`) calls the same
+fold on its volume-weighted counts and states.  Black-box aggregates
+recompute Δ per matched predicate from the raw values, group by group.
+
 The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
 not kernel state, so a kernel depends only on the table, the query,
 the annotations and the perturbation mode.  That makes it the one
@@ -153,6 +161,18 @@ class BatchKernel:
             np.vstack([ctx.tuple_states for ctx in self.contexts])
             if incremental and offset else None
         )
+        # What the fold reads per context, stacked in context order.
+        self._total_values = np.asarray(
+            [ctx.total_value for ctx in self.contexts], dtype=np.float64)
+        self._error_vectors = np.asarray(
+            [ctx.error_vector for ctx in self.contexts], dtype=np.float64)
+        self._total_states = (
+            np.stack([ctx.total_state for ctx in self.contexts])
+            if incremental and self.contexts else None)
+        self._mean_states = (
+            np.stack([ctx.mean_state for ctx in self.contexts])
+            if self._total_states is not None and perturbation == "mean"
+            else None)
         # Black-box aggregates need mask rows to recompute from raw
         # values, so the index exists on the incremental path only.
         self.index: PrefixAggregateIndex | None = None
@@ -296,10 +316,10 @@ class BatchKernel:
         Vector counterpart of the scorer's scalar path.  One row-major
         scan of the matrix produces, via composite ``(predicate,
         context)`` bincount keys, every predicate's per-context matched
-        count and summed removed state; per-context influences are then
-        accumulated in the same context order with the same elementwise
-        arithmetic as the scalar path, so each row matches the scalar
-        result.
+        count and summed removed state; :meth:`fold` (or, for black-box
+        aggregates, :meth:`_recompute_influences`) then applies the
+        scalar path's elementwise arithmetic in its group order, so each
+        row matches the scalar result.
 
         The scatter-add kernel is O(set bits) rather than the dense
         O(m·n) of a matrix product, and — because ``np.flatnonzero`` is
@@ -316,17 +336,20 @@ class BatchKernel:
         keys *= n_ctx
         keys += self._context_ids[labeled_cols]
         counts = np.bincount(keys, minlength=m * n_ctx).reshape(m, n_ctx)
+        if not self.incremental:
+            return self._recompute_influences(counts, matrix, ignore_holdouts,
+                                              c, c_holdout, lam)
+        # A chunk matching no rows has no removed states (and the fold
+        # reads none: no pair is matched).
         removed = None
-        if self.incremental and self._stacked_states is not None and len(keys):
+        if self._stacked_states is not None and len(keys):
             states = self._stacked_states
             removed = np.empty((m * n_ctx, states.shape[1]), dtype=np.float64)
             for j in range(states.shape[1]):
                 removed[:, j] = np.bincount(
                     keys, weights=states[labeled_cols, j], minlength=m * n_ctx)
             removed = removed.reshape(m, n_ctx, -1)
-        return self._combine_group_influences(counts, removed, matrix,
-                                              ignore_holdouts,
-                                              c, c_holdout, lam)
+        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
     def score_index_chunk(self, clauses: Sequence, ignore_holdouts: bool,
                           c: float, c_holdout: float,
@@ -361,9 +384,7 @@ class BatchKernel:
             )
             counts[positions] = attr_counts
             removed[positions] = attr_removed
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts,
-                                              c, c_holdout, lam)
+        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
     def score_set_chunk(self, clauses: Sequence, ignore_holdouts: bool,
                         c: float, c_holdout: float, lam: float) -> np.ndarray:
@@ -393,9 +414,7 @@ class BatchKernel:
                 attribute, wanted_lists, active_groups=active)
             counts[positions] = attr_counts
             removed[positions] = attr_removed
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts,
-                                              c, c_holdout, lam)
+        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
     def score_conj_chunk(self, plans: Sequence, ignore_holdouts: bool,
                          c: float, c_holdout: float, lam: float) -> np.ndarray:
@@ -408,24 +427,84 @@ class BatchKernel:
         counts, removed = self.index.conjunction_group_stats(
             [(plan.probe, plan.other) for plan in plans],
             active_groups=self.active_contexts(ignore_holdouts))
-        return self._combine_group_influences(counts, removed, None,
-                                              ignore_holdouts,
-                                              c, c_holdout, lam)
+        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
     # ------------------------------------------------------------------
     # The shared back half
     # ------------------------------------------------------------------
-    def _combine_group_influences(self, counts: np.ndarray,
-                                  removed: np.ndarray | None,
-                                  matrix: np.ndarray | None,
-                                  ignore_holdouts: bool, c: float,
-                                  c_holdout: float,
-                                  lam: float) -> np.ndarray:
-        """Fold per-(predicate, context) matched counts and removed
-        states into final metric values — the shared back half of the
-        mask-matrix and index kernels.  ``matrix`` supplies per-context
-        mask slices for black-box Δ recomputes (mask kernel only; the
-        index path is incremental by construction)."""
+    def fold(self, counts: np.ndarray, removed: np.ndarray | None,
+             ignore_holdouts: bool, c: float, c_holdout: float, lam: float,
+             count_deltas: bool = True) -> np.ndarray:
+        """Fold per-(predicate, group) matched counts and removed states
+        into final metric values: the incremental back half of every
+        routing tier and of the Merger's cached-state estimate.
+
+        ``counts`` is ``(m, n)`` and ``removed`` ``(m, n, k)`` over the
+        first n contexts, at least those read (the outlier contexts
+        when ``ignore_holdouts``, else all).  A (predicate, group) pair
+        is matched when its count is at least 0.5: any matched row for
+        the kernels' whole-row counts, half a row for the estimate's
+        volume-weighted ones.  All matched pairs go through one
+        elementwise pass — Δ from :meth:`updated_from_removed_batch`,
+        divided by ``count ** c`` (``c_holdout`` for hold-outs) through
+        scalar pow, times the group's error vector — so a pair's value
+        does not depend on which other pairs share the pass.  Outlier
+        groups are summed left to right by a ``cumsum``, the order of a
+        running total started at 0.0; ``+ 0.0`` turns an all-(-0.0) row
+        into +0.0, as that running total would.  Hold-outs contribute
+        the max of |influence|.  A row is :data:`INVALID_INFLUENCE` when
+        any matched pair's Δ is NaN or its influence is -inf, the scalar
+        path's rule.
+
+        Each matched pair counts as one of ``incremental_deltas`` unless
+        ``count_deltas`` is off: the Merger's cached-state estimate
+        (Section 6.3) folds through here too, but is not a score.
+        """
+        m = len(counts)
+        n_read = self.active_contexts(ignore_holdouts)
+        rows, groups = np.nonzero(counts[:, :n_read] >= 0.5)
+        removed_counts = counts[rows, groups].astype(np.float64)
+        if count_deltas:
+            self.stats.incremental_deltas += len(rows)
+        if len(rows):
+            assert removed is not None and self._total_states is not None
+            updated = self.updated_from_removed_batch(
+                self._total_states[groups], removed[rows, groups],
+                removed_counts,
+                None if self._mean_states is None
+                else self._mean_states[groups])
+        else:
+            updated = np.empty(0, dtype=np.float64)
+        deltas = self._total_values[groups] - updated
+        outlier = groups < self.n_outliers
+        hold = ~outlier
+        denominators = np.empty(len(rows), dtype=np.float64)
+        denominators[outlier] = _scalar_pow(removed_counts[outlier], c)
+        denominators[hold] = _scalar_pow(removed_counts[hold], c_holdout)
+        with np.errstate(invalid="ignore"):
+            values = deltas / denominators * self._error_vectors[groups]
+        bad = np.isnan(deltas) | (values == INVALID_INFLUENCE)
+
+        terms = np.zeros((m, self.n_outliers), dtype=np.float64)
+        terms[rows[outlier], groups[outlier]] = values[outlier]
+        totals = (np.cumsum(terms, axis=1)[:, -1] + 0.0 if self.n_outliers
+                  else np.zeros(m, dtype=np.float64))
+        scores = lam * totals / max(self.n_outliers, 1)
+        if n_read > self.n_outliers:
+            spread = np.zeros((m, n_read - self.n_outliers), dtype=np.float64)
+            spread[rows[hold], groups[hold] - self.n_outliers] = np.abs(
+                values[hold])
+            scores = scores - (1.0 - lam) * spread.max(axis=1)
+        scores[rows[bad]] = INVALID_INFLUENCE
+        return scores
+
+    def _recompute_influences(self, counts: np.ndarray, matrix: np.ndarray,
+                              ignore_holdouts: bool, c: float,
+                              c_holdout: float, lam: float) -> np.ndarray:
+        """The black-box back half of the mask tier: per context, Δ is
+        recomputed from the raw values for every matched predicate
+        (:meth:`delta`, reading the context's mask-matrix slice), then
+        folded with the same arithmetic as :meth:`fold`."""
         m = len(counts)
         outlier_total = np.zeros(m, dtype=np.float64)
         worst = np.zeros(m, dtype=np.float64)
@@ -433,11 +512,20 @@ class BatchKernel:
         for ci, (context, start, stop) in enumerate(self.slices):
             if not context.is_outlier and ignore_holdouts:
                 continue
-            influences = self._group_influence_batch(
-                context, counts[:, ci],
-                removed[:, ci, :] if removed is not None else None,
-                matrix[:, start:stop] if matrix is not None else None,
-                c if context.is_outlier else c_holdout)
+            influences = np.zeros(m, dtype=np.float64)
+            matched = np.flatnonzero(counts[:, ci])
+            if len(matched):
+                local = matrix[:, start:stop]
+                deltas = np.asarray([self.delta(context, local[i])
+                                     for i in matched], dtype=np.float64)
+                exponent = c if context.is_outlier else c_holdout
+                with np.errstate(invalid="ignore"):
+                    values = deltas / _scalar_pow(
+                        counts[matched, ci].astype(np.float64), exponent)
+                if context.is_outlier:
+                    values = values * context.error_vector
+                influences[matched] = np.where(np.isnan(deltas),
+                                               INVALID_INFLUENCE, values)
             invalid |= influences == INVALID_INFLUENCE
             if context.is_outlier:
                 outlier_total = outlier_total + influences
@@ -449,42 +537,6 @@ class BatchKernel:
         scores[invalid] = INVALID_INFLUENCE
         return scores
 
-    def _group_influence_batch(self, context: GroupContext,
-                               counts: np.ndarray,
-                               removed_states: np.ndarray | None,
-                               local_matrix: np.ndarray | None,
-                               exponent: float) -> np.ndarray:
-        """Per-predicate influence on one group given the group's matched
-        counts and (on the incremental path) summed removed states.
-        Mirrors the scorer's scalar ``group_influence`` row-wise;
-        black-box aggregates recompute per predicate from the group's
-        mask-matrix slice (``local_matrix`` is None on the mask-free
-        index path, which the planner restricts to incremental
-        aggregates)."""
-        influences = np.zeros(len(counts), dtype=np.float64)
-        matched = np.flatnonzero(counts)
-        if not len(matched):
-            return influences
-        counts_f = counts[matched].astype(np.float64)
-        if self.incremental:
-            assert removed_states is not None
-            self.stats.incremental_deltas += len(matched)
-            updated = self.updated_from_removed_batch(
-                context.total_state, removed_states[matched], counts_f,
-                context.mean_state)
-            deltas = context.total_value - updated
-        else:
-            assert local_matrix is not None
-            deltas = np.empty(len(matched), dtype=np.float64)
-            for j, i in enumerate(matched):
-                deltas[j] = self.delta(context, local_matrix[i])
-        with np.errstate(invalid="ignore"):
-            values = deltas / _scalar_pow(counts_f, exponent)
-        if context.is_outlier:
-            values = values * context.error_vector
-        influences[matched] = np.where(np.isnan(deltas), INVALID_INFLUENCE, values)
-        return influences
-
     def updated_from_removed_batch(self, total_states: np.ndarray,
                                    removed_states: np.ndarray,
                                    removed_counts: np.ndarray,
@@ -494,14 +546,13 @@ class BatchKernel:
         post-removal aggregate, NaN where the perturbation leaves it
         undefined.
 
-        ``removed_states`` is ``(m, k)`` and ``removed_counts`` ``(m,)``.
+        ``removed_states`` is ``(m, k)`` and ``removed_counts`` ``(m,)``;
         ``total_states`` and ``mean_states`` (the state of one
         mean-valued tuple, read by the ``mean`` perturbation only) are
-        either one group's ``(k,)`` state — the scoring kernel, one group
-        and many predicates — or ``(m, k)`` stacks of per-row group
-        states — the Merger's estimate, many (merge, group) pairs.  The
-        arithmetic is elementwise, so a row's value does not depend on
-        the other rows."""
+        ``(m, k)`` stacks of each row's group states, one row per
+        (predicate, group) pair of :meth:`fold`.  The arithmetic is
+        elementwise, so a row's value does not depend on the other
+        rows."""
         if self.perturbation == "mean":
             assert mean_states is not None
             adjusted = (total_states - removed_states

@@ -9,9 +9,14 @@ stops as soon as a round of merging fails to beat the incumbent best.
 
 Pruning keeps a predicate when its *refinement bound* — the best
 influence any contained predicate could still achieve, given additive
-Δ — reaches the incumbent.  The bound dominates both of the paper's
-retention conditions and reduces to its single-tuple rule at ``c = 1``
-(see DESIGN.md §4 items 2 and 6).
+Δ — reaches the incumbent.  This deviates from the paper on purpose:
+Section 6.2 keeps a predicate when its own influence, or the influence
+of its best single tuple, reaches the incumbent.  The bound dominates
+both of those conditions and reduces to the single-tuple rule at
+``c = 1``.  At ``c < 1`` the single-tuple rule is not sound — k matched
+tuples can together score ``Σδ / k^c`` above any one of them — and it
+would prune regions that hold the answer
+(:meth:`InfluenceScorer.refinement_bound`).
 
 Implementation note: every level-``k`` predicate is a cell of the
 ``k``-dimensional grid, so its matched outlier rows (*support*) flow

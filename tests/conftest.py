@@ -30,13 +30,26 @@ ROUTING_COUNTERS = (
 )
 
 
+def assert_same_floats(actual, expected) -> None:
+    """Agreement down to the sign bit: equal values, and equal signs on
+    every non-NaN entry, so a -0.0 influence never passes for 0.0."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    np.testing.assert_array_equal(actual, expected)
+    defined = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(actual[defined]),
+                                  np.signbit(expected[defined]))
+
+
 def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
                                workers=None, batch_chunk=None,
                                expect_pool=False, **scorer_kwargs):
     """The differential scoring oracle: every execution path of the
     influence metric must produce bit-for-bit identical influences.
 
-    Paths driven, given one problem and one predicate list:
+    Influences are compared down to the sign bit
+    (:func:`assert_same_floats`).  Paths driven, given one problem and
+    one predicate list:
 
     1. scalar ``score()`` per predicate (the reference semantics);
     2. ``score_batch`` with the index disabled (mask-matrix kernel);
@@ -88,8 +101,8 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     via_index = indexed.score_batch(predicates,
                                     ignore_holdouts=ignore_holdouts)
 
-    np.testing.assert_array_equal(via_mask, scalar)
-    np.testing.assert_array_equal(via_index, scalar)
+    assert_same_floats(via_mask, scalar)
+    assert_same_floats(via_index, scalar)
 
     # Tracing leg: an active span tracer must be bit-for-bit invisible
     # to the influences (annotations read counters, never touch the
@@ -102,7 +115,7 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
             predicates, ignore_holdouts=ignore_holdouts)
     finally:
         tracer.deactivate()
-    np.testing.assert_array_equal(via_traced, scalar)
+    assert_same_floats(via_traced, scalar)
     if predicates:
         assert any(s["name"] == "score_batch" for s in tracer.export()), \
             "traced batch recorded no score_batch span"
@@ -150,7 +163,7 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
             try:
                 via_parallel = parallel_scorer.score_batch(
                     predicates, ignore_holdouts=ignore_holdouts)
-                np.testing.assert_array_equal(via_parallel, scalar)
+                assert_same_floats(via_parallel, scalar)
                 for name in ROUTING_COUNTERS:
                     assert getattr(parallel_scorer.stats, name) == \
                         getattr(stats, name), (name, leg)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ import repro.core.merger as merger_module
 from repro.aggregates import Avg, Count, StdDev, Sum
 from repro.core.dt import DTPartitioner
 from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
-from repro.core.merger import Merger, MergerParams, _ApproxIndex
+from repro.core.merger import Merger, MergerParams, _ApproxIndex, _Boxes
 from repro.core.partition import CandidatePredicate, GroupRemovalStats
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import PartitionerError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, span
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
+from repro.predicates.space import AttributeDomain, Domain
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
@@ -30,6 +32,10 @@ from tests.test_dt import avg_problem
 
 def dt_candidates(problem, scorer):
     return DTPartitioner(seed=1).run(problem, scorer).candidates
+
+
+def approx_index(candidates, domain, scorer):
+    return _ApproxIndex(_Boxes(candidates, domain), scorer)
 
 
 # ----------------------------------------------------------------------
@@ -139,15 +145,110 @@ def reference_approximate(scorer, index, predicate) -> float:
 
 
 class ReferenceEstimator:
-    """Drop-in for _ApproxIndex whose estimate is the reference loop."""
+    """Drop-in for _ApproxIndex whose estimates are the reference loop."""
 
-    def __init__(self, candidates, domain, scorer):
+    def __init__(self, boxes, scorer):
         self.scorer = scorer
-        self.index = ReferenceApproxIndex(candidates, domain, scorer)
+        self.candidates = boxes.candidates
+        self.index = ReferenceApproxIndex(
+            boxes.candidates, boxes.continuous + boxes.discrete, scorer)
 
     def estimate(self, predicates):
         return np.asarray([reference_approximate(self.scorer, self.index, p)
                            for p in predicates], dtype=np.float64)
+
+    def estimate_merges(self, current, hits):
+        """The box-array entry, answered by rebuilding every merged
+        Predicate and estimating it with the reference loop."""
+        return self.estimate([current.merge(self.candidates[i].predicate)
+                              for i in hits])
+
+
+@dataclass
+class _ScalarExpansion:
+    current: Predicate
+    exact: float
+    estimate: float
+    members: set
+    scans: int = 0
+    active: bool = True
+
+
+class PerStartMerger(Merger):
+    """The Merger with the per-start expansion loop that the box-space
+    loop reproduces: a Python scan calling ``Predicate.is_adjacent_to``
+    and ``Predicate.merge`` per candidate, then one estimate call
+    (``score_batch`` or ``_ApproxIndex.estimate``) per start and round."""
+
+    def _estimate_batch(self, predicates):
+        if self._index is None:
+            return self.scorer.score_batch(predicates)
+        self.report.n_scorer_calls_saved += len(predicates)
+        return self._index.estimate(predicates)
+
+    def _expand_lockstep(self, starts, boxes):
+        if not starts:
+            return []
+        start_exacts = self.scorer.score_batch(starts)
+        if self._index is None:
+            start_estimates = [self.scorer.score(p) for p in starts]
+        else:
+            start_estimates = self._estimate_batch(starts)
+        states = [_ScalarExpansion(current=predicate, exact=float(exact),
+                                   estimate=estimate, members={predicate})
+                  for predicate, exact, estimate
+                  in zip(starts, start_exacts, start_estimates)]
+        while True:
+            with span("merge_round") as rsp:
+                proposals = []
+                for state in states:
+                    if not state.active:
+                        continue
+                    if state.scans >= self.params.max_rounds:
+                        state.active = False
+                        continue
+                    state.scans += 1
+                    merges = []
+                    neighbors = 0
+                    for other in boxes.candidates:
+                        if other.predicate in state.members:
+                            continue
+                        if not state.current.is_adjacent_to(other.predicate):
+                            continue
+                        neighbors += 1
+                        if neighbors > self.params.max_neighbors:
+                            break
+                        merges.append((state.current.merge(other.predicate),
+                                       other.predicate))
+                    if not merges:
+                        state.active = False
+                        continue
+                    estimates = self._estimate_batch([m for m, _ in merges])
+                    self.report.n_merge_evaluations += len(merges)
+                    best_index = int(np.argmax(estimates))
+                    estimate = float(estimates[best_index])
+                    if not estimate > state.estimate:
+                        state.active = False
+                        continue
+                    merged, member = merges[best_index]
+                    proposals.append((state, merged, member, estimate))
+                if not proposals:
+                    break
+                exacts = self.scorer.score_batch(
+                    [merged for _, merged, _, _ in proposals])
+                if self._index is not None:
+                    self._record_approx_error(
+                        [estimate for *_, estimate in proposals], exacts, rsp)
+                for (state, merged, member, estimate), exact in zip(proposals,
+                                                                    exacts):
+                    if float(exact) <= state.exact:
+                        state.active = False
+                        continue
+                    state.current = merged
+                    state.estimate = estimate
+                    state.exact = float(exact)
+                    state.members.add(member)
+        return [state.current for state in states]
 
 
 def bits(values) -> bytes:
@@ -199,6 +300,19 @@ class TestBasicMerging:
         scorer = InfluenceScorer(problem)
         with pytest.raises(PartitionerError):
             Merger(scorer, problem.domain, nope=3)
+
+    def test_negative_caps_rejected(self):
+        # A negative cap used to switch merging off without a word.
+        problem = avg_problem(n_per_group=100)
+        scorer = InfluenceScorer(problem)
+        for name in ("max_rounds", "max_neighbors"):
+            with pytest.raises(PartitionerError, match=name):
+                Merger(scorer, problem.domain, **{name: -1})
+        candidates = dt_candidates(problem, scorer)
+        for name in ("max_rounds", "max_neighbors"):
+            merger = Merger(scorer, problem.domain, **{name: 0})
+            assert merger.run(candidates)
+            assert merger.report.n_merge_evaluations == 0
 
     def test_bad_expand_fraction_rejected(self):
         problem = avg_problem(n_per_group=100)
@@ -252,7 +366,7 @@ class TestApproximation:
         problem = avg_problem(n_per_group=400, with_holdouts=False)
         scorer = InfluenceScorer(problem)
         candidates = dt_candidates(problem, scorer)
-        index = _ApproxIndex(candidates, problem.domain, scorer)
+        index = approx_index(candidates, problem.domain, scorer)
         predicates = [candidate.predicate for candidate in candidates[:10]]
         estimates = index.estimate(predicates)
         for predicate, estimate in zip(predicates, estimates):
@@ -269,7 +383,7 @@ class TestApproximation:
                 Predicate([RangeClause("x", 0, 10), RangeClause("y", 0, 10)]),
                 score=1.0, group_stats=stats, volume=0.01),
         ]
-        index = _ApproxIndex(candidates, problem.domain, scorer)
+        index = approx_index(candidates, problem.domain, scorer)
         contained = Predicate([RangeClause("x", 0, 20), RangeClause("y", 0, 20)])
         half = Predicate([RangeClause("x", 0, 5), RangeClause("y", 0, 10)])
         disjoint = Predicate([RangeClause("x", 50, 60), RangeClause("y", 0, 10)])
@@ -287,7 +401,7 @@ class TestApproximation:
                 Predicate([SetClause("state", ["TX", "CA"])]),
                 score=1.0, group_stats=stats, volume=0.5),
         ]
-        index = _ApproxIndex(candidates, sum_problem.domain, scorer)
+        index = approx_index(candidates, sum_problem.domain, scorer)
         one = Predicate([SetClause("state", ["TX"])])
         both = Predicate([SetClause("state", ["TX", "CA", "NY"])])
         none = Predicate([SetClause("state", ["WA"])])
@@ -307,9 +421,9 @@ AGGREGATES = {"sum": Sum, "count": Count, "avg": Avg, "stddev": StdDev}
 STATES = ("CA", "NY", "TX", "WA")
 KINDS = ("a", "b", "c")
 #: Grid points (and beyond-domain points) so boxes share edges, touch,
-#: contain each other and collapse to zero width.
-BOUNDS = st.sampled_from([-5.0, 0.0, 12.5, 25.0, 40.0, 50.0, 60.0, 75.0,
-                          100.0, 105.0]) | st.floats(-5.0, 105.0)
+#: contain each other and collapse to zero width; -0.0 ties 0.0.
+BOUNDS = st.sampled_from([-5.0, -0.0, 0.0, 12.5, 25.0, 40.0, 50.0, 60.0,
+                          75.0, 100.0, 105.0]) | st.floats(-5.0, 105.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,18 +497,45 @@ def kernel_cases(draw):
                   group_stats=group_stats),
         min_size=1, max_size=10))
     merges = draw(st.lists(boxes(), min_size=1, max_size=8))
-    return scorer, candidates, merges
+    return scorer, candidates, merges + draw(siblings(candidates))
+
+
+@st.composite
+def siblings(draw, candidates):
+    """Per candidate, the candidate with one clause redrawn: a likely
+    neighbour that differs from it in exactly one range or value set."""
+    out = []
+    for candidate in candidates:
+        clauses = list(candidate.predicate.clauses)
+        if not clauses:
+            continue
+        i = draw(st.integers(0, len(clauses) - 1))
+        clause = clauses[i]
+        if isinstance(clause, SetClause):
+            values = STATES if clause.attribute == "state" else KINDS
+            clauses[i] = SetClause(clause.attribute, draw(st.sets(
+                st.sampled_from(values + ("ZZ",)), min_size=1)))
+        else:
+            lo, hi = sorted((draw(BOUNDS), draw(BOUNDS)))
+            clauses[i] = RangeClause(clause.attribute, lo, hi,
+                                     lo == hi or draw(st.booleans()))
+        out.append(Predicate(clauses))
+    return out
 
 
 class TestBatchedEstimator:
-    """``_ApproxIndex.estimate`` against the per-merge reference."""
+    """``_ApproxIndex`` estimates against the per-merge reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases())
     def test_kernel_matches_reference_bit_for_bit(self, case):
+        # estimate() over the drawn boxes, and estimate_merges() — merged
+        # boxes as arrays — for each drawn box and candidate grown with
+        # its neighbours: the same bits as merging Predicates one by one.
         scorer, candidates, merges = case
         domain = scorer.query.domain
-        index = _ApproxIndex(candidates, domain, scorer)
+        boxes = _Boxes(candidates, domain)
+        index = _ApproxIndex(boxes, scorer)
         reference = ReferenceApproxIndex(candidates, domain, scorer)
         with np.errstate(all="ignore"):
             shares = index.shares(merges)
@@ -403,12 +544,23 @@ class TestBatchedEstimator:
             expected = [reference_approximate(scorer, reference, merge)
                         for merge in merges]
             assert bits(index.estimate(merges)) == bits(expected)
+            for current in merges + [c.predicate for c in candidates]:
+                hits = boxes.neighbours(boxes.pack([current]),
+                                        boxes.members_of(current), 64)
+                if not len(hits):
+                    continue
+                merged = [current.merge(candidates[i].predicate)
+                          for i in hits]
+                expected = [reference_approximate(scorer, reference, merge)
+                            for merge in merged]
+                assert bits(index.estimate_merges(current, hits)) == \
+                    bits(index.estimate(merged)) == bits(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(case=kernel_cases(), seed=st.integers(0, 2**16))
     def test_estimate_independent_of_batch(self, case, seed):
         scorer, candidates, merges = case
-        index = _ApproxIndex(candidates, scorer.query.domain, scorer)
+        index = approx_index(candidates, scorer.query.domain, scorer)
         order = list(range(len(merges)))
         random.Random(seed).shuffle(order)
         with np.errstate(all="ignore"):
@@ -418,30 +570,185 @@ class TestBatchedEstimator:
                 assert bits(shuffled[position]) == bits(batch[i])
                 assert bits(index.estimate([merges[i]])) == bits(batch[i])
 
-    @pytest.mark.parametrize("problem_name", ["avg", "sum_discrete"])
-    def test_run_matches_reference_estimator(self, problem_name,
-                                             sum_problem, monkeypatch):
-        problem = (avg_problem(n_per_group=300) if problem_name == "avg"
-                   else sum_problem)
-        params = MergerParams(expand_fraction=1.0)
+    @pytest.mark.parametrize("case", ["avg", "sum_discrete", "exact", "seeds"])
+    def test_run_matches_reference_estimator(self, case, sum_problem,
+                                             monkeypatch):
+        # The box-space loop against the per-start reference loop, and
+        # (with the approximation on) its array estimates against the
+        # reference estimator rebuilding every merged Predicate.
+        problem = avg_problem(n_per_group=300) if case == "avg" else sum_problem
+        params = MergerParams(expand_fraction=1.0,
+                              use_approximation=case != "exact")
 
-        def run():
+        def run(merger_class=Merger):
             scorer = InfluenceScorer(problem)
-            merger = Merger(scorer, problem.domain, params=params)
-            merged = merger.run(dt_candidates(problem, scorer))
-            assert merger._index is not None
-            return merged, merger.report
+            candidates = dt_candidates(problem, scorer)
+            seeds = (warm_start_seeds(scorer, problem, candidates)
+                     if case == "seeds" else None)
+            merger = merger_class(scorer, problem.domain, params=params)
+            merged = merger.run(candidates, seeds=seeds)
+            assert (merger._index is None) == (case == "exact")
+            counters = {name: getattr(scorer.stats, name)
+                        for name in CONTRACT_COUNTERS}
+            return (merged, dataclasses.replace(merger.report, elapsed=0.0),
+                    counters)
 
-        batched, batched_report = run()
-        monkeypatch.setattr(merger_module, "_ApproxIndex", ReferenceEstimator)
-        reference, reference_report = run()
-        assert batched
-        assert [sp.predicate for sp in batched] == \
-            [sp.predicate for sp in reference]
-        assert bits([sp.influence for sp in batched]) == \
-            bits([sp.influence for sp in reference])
-        assert dataclasses.replace(batched_report, elapsed=0.0) == \
-            dataclasses.replace(reference_report, elapsed=0.0)
+        def assert_same(run_a, run_b):
+            (merged_a, report_a, counters_a) = run_a
+            (merged_b, report_b, counters_b) = run_b
+            assert [sp.predicate for sp in merged_a] == \
+                [sp.predicate for sp in merged_b]
+            assert bits([sp.influence for sp in merged_a]) == \
+                bits([sp.influence for sp in merged_b])
+            assert report_a == report_b
+            assert counters_a == counters_b
+
+        batched = run()
+        assert batched[0]
+        assert batched[1].n_merge_evaluations > 0
+        assert_same(batched, run(PerStartMerger))
+        if case != "exact":
+            monkeypatch.setattr(merger_module, "_ApproxIndex",
+                                ReferenceEstimator)
+            assert_same(batched, run())
+
+
+#: Scorer counters a Merger run must reproduce exactly whatever the
+#: batching of its score_batch calls.
+CONTRACT_COUNTERS = (
+    "incremental_deltas", "indexed_predicates", "indexed_ranges",
+    "indexed_sets", "indexed_conjunctions", "masked_predicates",
+    "cost_routed_mask", "cost_routed_prefix", "cost_routed_bucket",
+    "cost_routed_gather", "cost_routed_conj")
+
+
+def warm_start_seeds(scorer, problem, candidates):
+    """Expansion starts as a warm start hands them over: the best
+    results of an earlier merge pass (mostly not candidates), plus one
+    holding a set value that no candidate has."""
+    earlier = Merger(scorer, problem.domain).run(candidates)
+    seeds = [sp.predicate for sp in earlier[:3]]
+    with_set = next(c.predicate for c in candidates
+                    if any(isinstance(clause, SetClause)
+                           for clause in c.predicate.clauses))
+    seeds.append(Predicate([
+        SetClause(clause.attribute, clause.values | {"ZZ"})
+        if isinstance(clause, SetClause) else clause
+        for clause in with_set.clauses]))
+    return seeds
+
+
+#: Bounds on a coarse grid, so ranges share faces, coincide and collapse
+#: to zero width.
+GRID = (0.0, 1.0, 2.0, 3.0)
+#: Ranges on x, y and k, value sets on s and t.
+ADJACENCY_DOMAIN = Domain(
+    [AttributeDomain(name, ColumnKind.CONTINUOUS, lo=GRID[0], hi=GRID[-1])
+     for name in ("x", "y", "k")]
+    + [AttributeDomain(name, ColumnKind.DISCRETE, values=("a", "b", "c"))
+       for name in ("s", "t")])
+
+
+@st.composite
+def grid_ranges(draw, attribute):
+    lo = draw(st.sampled_from(GRID))
+    hi = draw(st.sampled_from([bound for bound in GRID if bound >= lo]))
+    include_hi = lo == hi or draw(st.booleans())
+    return RangeClause(attribute, lo, hi, include_hi)
+
+
+@st.composite
+def adjacency_boxes(draw, foreign=False):
+    """A predicate over a random subset of :data:`ADJACENCY_DOMAIN`.
+    ``foreign`` lets sets hold a value ("Z") that no candidate holds."""
+    pool = "abcZ" if foreign else "abc"
+    clauses = [draw(grid_ranges(attribute)) for attribute in ("x", "y", "k")
+               if draw(st.booleans())]
+    clauses += [SetClause(attribute, draw(st.sets(st.sampled_from(pool),
+                                                  min_size=1)))
+                for attribute in ("s", "t") if draw(st.booleans())]
+    return Predicate(clauses)
+
+
+def reference_neighbours(current, members, candidates, limit):
+    """The scalar scan: is_adjacent_to per candidate, members skipped,
+    stopping after the first ``limit`` hits."""
+    hits = []
+    for i, other in enumerate(candidates):
+        if other in members or not current.is_adjacent_to(other):
+            continue
+        if len(hits) == limit:
+            break
+        hits.append(i)
+    return hits
+
+
+def adjacency_boxes_of(predicates):
+    return _Boxes([CandidatePredicate(p, score=1.0) for p in predicates],
+                  ADJACENCY_DOMAIN)
+
+
+class TestBoxSpaceNeighbours:
+    """``_Boxes.neighbours`` against the scalar scan it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidates=st.lists(adjacency_boxes(), max_size=14),
+           data=st.data(), limit=st.integers(0, 6) | st.just(64))
+    def test_matches_reference_scan(self, candidates, data, limit):
+        # Starts are candidates, merges of two candidates (ranges and
+        # sets no candidate has) or foreign seeds; the member set holds
+        # the start and some candidates.
+        choice = data.draw(st.sampled_from(["candidate", "merge", "seed"])
+                           if candidates else st.just("seed"))
+        if choice == "candidate":
+            current = data.draw(st.sampled_from(candidates))
+        elif choice == "merge":
+            current = data.draw(st.sampled_from(candidates))
+            other = data.draw(st.sampled_from(candidates))
+            if current.is_adjacent_to(other):
+                current = current.merge(other)
+        else:
+            current = data.draw(adjacency_boxes(foreign=True))
+        members = {current}
+        if candidates:
+            members |= set(data.draw(st.lists(st.sampled_from(candidates),
+                                              max_size=4)))
+        boxes = adjacency_boxes_of(candidates)
+        mask = np.zeros(len(candidates), dtype=bool)
+        for member in members:
+            mask |= boxes.members_of(member)
+        hits = boxes.neighbours(boxes.pack([current]), mask, limit)
+        assert hits.tolist() == reference_neighbours(current, members,
+                                                     candidates, limit)
+
+    def test_empty_candidate_list(self):
+        boxes = adjacency_boxes_of([])
+        seed = Predicate([RangeClause("x", 0.0, 1.0),
+                          SetClause("s", ["Z"])])
+        hits = boxes.neighbours(boxes.pack([seed]), np.zeros(0, dtype=bool),
+                                64)
+        assert hits.tolist() == []
+
+    def test_duplicate_candidates_excluded_together(self):
+        # Member exclusion matches by equality, as the scalar scan's
+        # ``other in members`` does: equal candidates leave together.
+        a = Predicate([RangeClause("x", 0.0, 1.0, include_hi=False)])
+        b = Predicate([RangeClause("x", 1.0, 2.0)])
+        boxes = adjacency_boxes_of([a, b, a])
+        members = boxes.members_of(b)
+        assert boxes.neighbours(boxes.pack([b]), members, 64).tolist() == \
+            [0, 2]
+        members |= boxes.members_of(a)
+        assert boxes.neighbours(boxes.pack([b]), members, 64).tolist() == []
+
+    @pytest.mark.parametrize("clause", [SetClause("x", ["a"]),
+                                        RangeClause("s", 0.0, 1.0),
+                                        RangeClause("w", 0.0, 1.0)])
+    def test_clause_outside_domain_rejected(self, clause):
+        with pytest.raises(PartitionerError, match="domain"):
+            adjacency_boxes_of([Predicate([clause])])
+        with pytest.raises(PartitionerError, match="domain"):
+            adjacency_boxes_of([]).pack([Predicate([clause])])
 
 
 def _approx_error_count() -> int:

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import Avg, Median
+from repro.aggregates import Avg, Median, Sum
 from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
+from repro.table import ColumnKind, ColumnSpec, Schema
 from repro.table.table import Table
 
 from tests.conftest import (
@@ -29,12 +30,13 @@ from tests.conftest import (
 
 
 def sensors_problem(aggregate=None, perturbation="delete",
-                    c: float = 1.0) -> ScorpionQuery:
+                    c: float = 1.0, c_holdout: float | None = None,
+                    ) -> ScorpionQuery:
     table = Table.from_rows(SENSOR_SCHEMA, SENSOR_ROWS)
     query = GroupByQuery("time", aggregate or Avg(), "temp")
     return ScorpionQuery(table, query, outliers=["12PM", "1PM"],
                          holdouts=["11AM"], error_vectors=+1.0, c=c,
-                         perturbation=perturbation)
+                         c_holdout=c_holdout, perturbation=perturbation)
 
 
 @st.composite
@@ -98,10 +100,14 @@ class TestEquivalenceProperty:
                                    ignore_holdouts=True)
 
     @settings(max_examples=20, deadline=None)
-    @given(predicates=st.lists(sensor_predicates(), max_size=8))
-    def test_mean_perturbation(self, predicates):
-        assert_scoring_paths_agree(sensors_problem(perturbation="mean"),
-                                   predicates)
+    @given(predicates=st.lists(sensor_predicates(), max_size=8),
+           c_holdout=st.sampled_from([None, 0.0, 0.2]))
+    def test_mean_perturbation(self, predicates, c_holdout):
+        # c_holdout differs from c when drawn: hold-out terms take their
+        # own exponent.
+        assert_scoring_paths_agree(
+            sensors_problem(perturbation="mean", c_holdout=c_holdout),
+            predicates)
 
 
 class TestEdgeCases:
@@ -161,6 +167,85 @@ class TestEdgeCases:
         assert small.batch_chunk == 8
         np.testing.assert_array_equal(small.score_batch(predicates),
                                       scorer.score_batch(predicates))
+
+
+def fold_edge_problem(aggregate, perturbation="delete", error_vectors=-1.0,
+                      c: float = 0.5, c_holdout: float | None = None,
+                      ) -> ScorpionQuery:
+    """Two outlier groups and one hold-out over integer values, so a
+    removed state that sums to zero leaves the group's aggregate exactly
+    unchanged.  Rows with ``a = "zero"`` carry value 0 in every group;
+    ``x`` lies in [0, 1] on g0's rows only, and ``b = "only0"`` marks
+    exactly g0's rows."""
+    schema = Schema([ColumnSpec("g", ColumnKind.DISCRETE),
+                     ColumnSpec("a", ColumnKind.DISCRETE),
+                     ColumnSpec("b", ColumnKind.DISCRETE),
+                     ColumnSpec("x", ColumnKind.CONTINUOUS),
+                     ColumnSpec("v", ColumnKind.CONTINUOUS)])
+    a = ["zero", "zero", "p", "p", "q", "q"]
+    table = Table.from_columns(schema, {
+        "g": np.repeat(["g0", "g1", "g2"], 6),
+        "a": np.tile(a, 3),
+        "b": np.repeat(["only0", "rest", "rest"], 6),
+        "x": np.concatenate([np.linspace(0.0, 1.0, 6),
+                             np.linspace(2.0, 3.0, 12)]),
+        "v": np.asarray([0, 0, 5, 7, 9, 11, 0, 0, 6, 8, 10, 12,
+                         0, 0, 1, 2, 3, 4], dtype=np.float64),
+    })
+    return ScorpionQuery(table, GroupByQuery("g", aggregate, "v"),
+                         outliers=["g0", "g1"], holdouts=["g2"],
+                         error_vectors=error_vectors, c=c,
+                         c_holdout=c_holdout, perturbation=perturbation)
+
+
+ZERO_ROWS = Predicate([SetClause("a", ["zero"])])
+WHOLE_G0_RANGE = Predicate([RangeClause("x", 0.0, 1.0)])
+WHOLE_G0_SET = Predicate([SetClause("b", ["only0"])])
+FOLD_EDGE_PREDICATES = [
+    ZERO_ROWS, WHOLE_G0_RANGE, WHOLE_G0_SET,
+    Predicate([SetClause("a", ["zero", "p"])]),
+    Predicate([RangeClause("x", 0.5, 2.5)]),
+    Predicate([RangeClause("x", 0.0, 2.2), SetClause("a", ["zero", "q"])]),
+    Predicate([SetClause("a", ["q"]), SetClause("b", ["rest"])]),
+    Predicate.true(),
+]
+
+
+class TestFoldEdgeCases:
+    """Inputs to the differential oracle that pin the one-pass group
+    fold's edge cases against the scalar path."""
+
+    @pytest.mark.parametrize("ignore_holdouts", [False, True])
+    def test_zero_delta_negative_error_vector_folds_to_plus_zero(
+            self, ignore_holdouts):
+        # Removing value-0 rows leaves every SUM unchanged: each outlier
+        # term is 0.0 / n^c * -1 = -0.0, and the scalar running total
+        # from 0.0 makes the sum +0.0.
+        values = assert_scoring_paths_agree(
+            fold_edge_problem(Sum()), FOLD_EDGE_PREDICATES,
+            ignore_holdouts=ignore_holdouts)
+        assert values[0] == 0.0 and not np.signbit(values[0])
+
+    @pytest.mark.parametrize("ignore_holdouts", [False, True])
+    def test_deleting_a_whole_avg_group_is_invalid(self, ignore_holdouts):
+        values = assert_scoring_paths_agree(
+            fold_edge_problem(Avg(), error_vectors=1.0),
+            FOLD_EDGE_PREDICATES, ignore_holdouts=ignore_holdouts)
+        assert values[1] == values[2] == INVALID_INFLUENCE
+        assert values[-1] == INVALID_INFLUENCE
+
+    @pytest.mark.parametrize("aggregate", [Sum(), Avg()])
+    def test_distinct_holdout_exponent_under_mean_perturbation(self,
+                                                               aggregate):
+        problem = fold_edge_problem(aggregate, perturbation="mean",
+                                    error_vectors=1.0, c=0.5, c_holdout=0.2)
+        assert problem.c != problem.c_holdout
+        with_holdouts = assert_scoring_paths_agree(problem,
+                                                   FOLD_EDGE_PREDICATES)
+        outliers_only = assert_scoring_paths_agree(
+            problem, FOLD_EDGE_PREDICATES, ignore_holdouts=True)
+        # The hold-out term, priced at c_holdout, moves some scores.
+        assert np.any(with_holdouts != outliers_only)
 
 
 class TestCacheCoherence:
