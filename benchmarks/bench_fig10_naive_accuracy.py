@@ -15,7 +15,7 @@ import numpy as np
 from repro.eval import format_series, score_predicate
 from repro.eval.runner import run_algorithm
 
-from benchmarks.conftest import C_SWEEP, NAIVE_BUDGET, emit_report, run_once
+from benchmarks.conftest import C_SWEEP, NAIVE_KWARGS, emit_report, run_once
 
 
 def _experiment(dataset):
@@ -23,8 +23,7 @@ def _experiment(dataset):
               "inner P": {}, "inner R": {}, "inner F": {}}
     for c in C_SWEEP:
         problem = dataset.scorpion_query(c=c)
-        record = run_algorithm("naive", problem, time_budget=NAIVE_BUDGET,
-                               n_bins=15)
+        record = run_algorithm("naive", problem, n_bins=15, **NAIVE_KWARGS)
         for truth_name, truth in (("outer", dataset.truth_outer()),
                                   ("inner", dataset.truth_inner())):
             stats = score_predicate(record.predicate, dataset.table, truth,

@@ -11,7 +11,7 @@ F-scores at fractions of the budget.
 from repro.core.naive import NaivePartitioner
 from repro.eval import format_series, score_predicate
 
-from benchmarks.conftest import NAIVE_BUDGET, emit_report, run_once
+from benchmarks.conftest import NAIVE_BUDGET, NAIVE_KWARGS, emit_report, run_once
 
 C_VALUES = (0.0, 0.1, 0.5)
 # Early checkpoints are dense: at laptop scale NAIVE's big improvements
@@ -38,7 +38,7 @@ def _experiment(dataset):
     traces = {}
     for c in C_VALUES:
         problem = dataset.scorpion_query(c=c)
-        result = NaivePartitioner(time_budget=NAIVE_BUDGET, n_bins=15).run(problem)
+        result = NaivePartitioner(n_bins=15, **NAIVE_KWARGS).run(problem)
         label = f"c={c}"
         traces[label] = result.convergence
         inner_series[label] = {}

@@ -10,7 +10,7 @@ within 0.15 of NAIVE's.
 from repro.eval import format_series
 from repro.eval.runner import run_algorithm
 
-from benchmarks.conftest import C_SWEEP, NAIVE_BUDGET, emit_report, run_once
+from benchmarks.conftest import C_SWEEP, NAIVE_KWARGS, emit_report, run_once
 
 ALGORITHMS = ("naive", "dt", "mc")
 
@@ -20,7 +20,7 @@ def _experiment(dataset):
     for c in C_SWEEP:
         problem = dataset.scorpion_query(c=c)
         for name in ALGORITHMS:
-            kwargs = {"time_budget": NAIVE_BUDGET} if name == "naive" else {}
+            kwargs = NAIVE_KWARGS if name == "naive" else {}
             record = run_algorithm(
                 name, problem,
                 table=dataset.table,

@@ -12,7 +12,7 @@ from repro.eval.runner import run_algorithm
 
 from benchmarks.conftest import (
     C_SWEEP_SHORT,
-    NAIVE_BUDGET,
+    NAIVE_KWARGS,
     emit_report,
     run_once,
     synth_dataset,
@@ -33,7 +33,7 @@ def _experiment(difficulty: str):
             best_c = None
             for c in C_SWEEP_SHORT:
                 problem = dataset.scorpion_query(c=c)
-                kwargs = {"time_budget": NAIVE_BUDGET} if name == "naive" else {}
+                kwargs = NAIVE_KWARGS if name == "naive" else {}
                 record = run_algorithm(
                     name, problem,
                     table=dataset.table,

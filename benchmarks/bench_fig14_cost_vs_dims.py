@@ -12,7 +12,7 @@ from repro.core.naive import NaivePartitioner
 from repro.eval import format_table
 from repro.eval.runner import run_algorithm
 
-from benchmarks.conftest import NAIVE_BUDGET, emit_report, run_once, synth_dataset
+from benchmarks.conftest import NAIVE_KWARGS, emit_report, run_once, synth_dataset
 
 DIMS = (2, 3, 4)
 C = 0.1
@@ -21,7 +21,7 @@ C = 0.1
 def _naive_convergence_time(problem) -> tuple[float, float]:
     """Earliest time NAIVE reached the influence it ends the budget with
     (the paper's 'earliest time that NAIVE converges')."""
-    result = NaivePartitioner(time_budget=NAIVE_BUDGET, n_bins=15).run(problem)
+    result = NaivePartitioner(n_bins=15, **NAIVE_KWARGS).run(problem)
     if not result.convergence:
         return result.elapsed, float("nan")
     final = result.convergence[-1]

@@ -1,27 +1,20 @@
 """Sharded parallel scoring vs worker count (the parallel tentpole).
 
 Scores one large predicate batch through ``InfluenceScorer.score_batch``
-at increasing ``workers`` settings, on the three hot shard shapes:
+at increasing ``workers`` settings, on two shard shapes:
 
-* *mask kernel* — 2-clause range conjunctions with the index tiers
-  priced out (``force_mask_model``), so every shard is an
+* *mask kernel* — 2-clause range conjunctions, so every shard is an
   ``evaluate_batch`` + scatter-add pass in a worker;
-* *index routed* — single-clause ranges with the prefix-aggregate index
-  prepared and the mask kernel priced out (``force_index_model``), so
-  shards are binary-search/prefix lookups against the index views
-  the workers inherit;
 * *few predicates* — a batch far smaller than ``workers ×
   batch_chunk`` over a many-group problem, so ``batch_chunk``-sized
-  shards alone cannot keep the pool busy and the cost model's
-  automatic split cuts the batch into ``2 × workers`` smaller
-  predicate shards instead.
+  shards alone cannot keep the pool busy and the automatic split
+  (:func:`~repro.parallel.executor.choose_shard_size`) cuts the batch
+  into ``2 × workers`` smaller predicate shards instead.
 
-Per shape the cost model is pinned, so the routing — and therefore the
-work a shard does — is identical on every machine; what varies with
-``workers`` is only the sharding.  Influences and stats counters
-(routing and cost decisions included) must be identical at every worker
-count (the parallel equivalence contract; always asserted, including in
-CI smoke runs), and the few-predicates shape must actually be split
+What varies with ``workers`` is only the sharding.  Influences and
+stats counters must be identical at every worker count (the parallel
+equivalence contract; always asserted, including in CI smoke runs),
+and the few-predicates shape must actually be split
 into at least two shards at ``workers >= 2``.  Predicates/second is
 measured after a warm-up batch so pool spin-up is reported separately
 (``spinup_ms``) rather than folded into throughput.
@@ -44,7 +37,6 @@ from repro.aggregates import Sum
 from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.eval import format_table
-from repro.index import force_index_model, force_mask_model
 from repro.predicates.clause import RangeClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
@@ -71,16 +63,12 @@ WORKER_SWEEP = (1, 2, 4, 8) if SCALE == "paper" else (1, 2, 4)
 FEW_PREDS_BATCH = 48
 FEW_PREDS_GROUPS = 64
 FEW_PREDS_GROUP_SIZE = 300
-#: Counters that must match across worker counts — kernel totals,
-#: routing tallies, and the cost model's decisions (timing and the
+#: Counters that must match across worker counts (timing and the
 #: parallel-only shard counters excluded by design).
 COMPARED_COUNTERS = (
     "predicate_scores", "mask_scores", "incremental_deltas",
     "full_recomputes", "batch_calls", "batch_predicates",
-    "indexed_predicates", "indexed_ranges", "indexed_sets",
-    "indexed_conjunctions", "conjunction_fallbacks", "masked_predicates",
-    "index_builds", "cost_routed_mask", "cost_routed_prefix",
-    "cost_routed_bucket", "cost_routed_gather", "cost_routed_conj",
+    "masked_predicates",
 )
 
 
@@ -92,7 +80,7 @@ def _worker_sweep() -> tuple[int, ...]:
 
 
 def _masked_batch(n: int) -> list[Predicate]:
-    """2-clause conjunctions over a1/a2 — mask-kernel territory."""
+    """2-clause conjunctions over a1/a2."""
     rng = np.random.default_rng(23)
     batch = []
     for i in range(n):
@@ -103,18 +91,6 @@ def _masked_batch(n: int) -> list[Predicate]:
             RangeClause("a2", lo2, lo2 + rng.uniform(5.0, 40.0),
                         include_hi=bool(i % 2)),
         ]))
-    return batch
-
-
-def _routed_batch(n: int) -> list[Predicate]:
-    """Single-clause ranges over a1 — the index fast path's shape."""
-    rng = np.random.default_rng(29)
-    batch = []
-    for i in range(n):
-        lo = rng.uniform(0.0, 95.0)
-        width = rng.uniform(2.0, 40.0) if i % 4 else rng.uniform(40.0, 100.0)
-        batch.append(Predicate([
-            RangeClause("a1", lo, lo + width, include_hi=bool(i % 2))]))
     return batch
 
 
@@ -145,14 +121,11 @@ def _many_group_problem() -> ScorpionQuery:
                          error_vectors=+1.0, c=0.5)
 
 
-def _run_config(problem, batch, workers: int, prepare: tuple[str, ...],
-                cost_model, expect_split: bool):
+def _run_config(problem, batch, workers: int, expect_split: bool):
     """One (shape, workers) measurement: spin-up, timed batch, counters."""
     scorer = InfluenceScorer(problem, cache_scores=False, workers=workers,
-                             batch_chunk=BATCH_CHUNK, cost_model=cost_model)
+                             batch_chunk=BATCH_CHUNK)
     try:
-        if prepare:
-            scorer.prepare_index(prepare)
         started = time.perf_counter()
         scorer.score_batch(batch[:2 * BATCH_CHUNK])  # spins the pool
         spinup = time.perf_counter() - started
@@ -180,23 +153,18 @@ def _experiment():
     rows, json_rows = [], []
     speedups: dict[tuple[str, int], float] = {}
     shapes = (
-        ("mask-kernel", problem, _masked_batch(BATCH_SIZE), (),
-         force_mask_model(), TUPLES_PER_GROUP, False),
-        ("index-routed", problem, _routed_batch(BATCH_SIZE), ("a1",),
-         force_index_model(), TUPLES_PER_GROUP, False),
+        ("mask-kernel", problem, _masked_batch(BATCH_SIZE),
+         TUPLES_PER_GROUP, False),
         ("few-predicates", _many_group_problem(),
-         _masked_batch(FEW_PREDS_BATCH), (), force_mask_model(),
-         FEW_PREDS_GROUP_SIZE, True),
+         _masked_batch(FEW_PREDS_BATCH), FEW_PREDS_GROUP_SIZE, True),
     )
-    for (shape, shape_problem, batch, prepare, cost_model, group_size,
-         expect_split) in shapes:
+    for shape, shape_problem, batch, group_size, expect_split in shapes:
         baseline_values = None
         baseline_counters = None
         baseline_time = None
         for workers in sweep:
             values, elapsed, spinup, counters = _run_config(
-                shape_problem, batch, workers, prepare, cost_model,
-                expect_split and workers > 1)
+                shape_problem, batch, workers, expect_split and workers > 1)
             if baseline_values is None:
                 baseline_values = values
                 baseline_counters = counters
@@ -243,10 +211,10 @@ def test_parallel_scaling(benchmark):
          "speedup", "spinup ms"], rows))
     emit_bench_json("parallel_scaling", {
         "description": "score_batch sharded over worker processes: "
-                       "predicates/second vs workers on mask-kernel, "
-                       "index-routed, and few-predicates (automatic "
-                       "predicate split over many groups) shapes (serial "
-                       "equality and counter parity asserted)",
+                       "predicates/second vs workers on mask-kernel and "
+                       "few-predicates (automatic predicate split over "
+                       "many groups) shapes (serial equality and counter "
+                       "parity asserted)",
         "rows": json_rows,
     })
     if os.environ.get("SCORPION_BENCH_PERF_ASSERT", "1") == "0":

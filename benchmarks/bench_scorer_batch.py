@@ -10,9 +10,6 @@ Expected shape: batching pays off most where per-predicate Python
 overhead dominates — small-to-medium groups (the quick-scale regime all
 other benches run in) show 2–4×, while very large groups are bound by
 the same numpy data movement on both paths and converge to parity.
-Index routing is disabled here so the mask-matrix kernel is measured in
-isolation; ``bench_prefix_index.py`` covers the index fast path and the
-combined BENCH_scorer.json ledger holds all three rates.
 """
 
 import os
@@ -69,11 +66,7 @@ def _experiment():
             scalar = np.asarray([scalar_scorer.score(p) for p in batch])
             scalar_time = time.perf_counter() - started
 
-            # Index routing off: this bench isolates the mask-matrix
-            # kernel against the scalar loop; bench_prefix_index.py
-            # measures the index fast path against both.
-            batch_scorer = InfluenceScorer(problem, cache_scores=False,
-                                           use_index=False)
+            batch_scorer = InfluenceScorer(problem, cache_scores=False)
             started = time.perf_counter()
             batched = batch_scorer.score_batch(batch)
             batch_time = time.perf_counter() - started

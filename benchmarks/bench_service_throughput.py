@@ -3,7 +3,7 @@ rebuild-per-call (the PR 7 acceptance experiment).
 
 A rebuild-per-call client pays the full problem build on every request:
 group-by execution and provenance over the whole table, context and
-evaluator construction, index views, and (with workers) pool startup —
+evaluator construction, and (with workers) pool startup —
 all pure function of the problem, not of the ``c`` knob the requests
 vary.  A resident :class:`~repro.service.ExplainService` pays them once.
 

@@ -2,9 +2,8 @@
 
 Every benchmark regenerates one of the paper's tables or figures.  The
 series/rows it would plot are written to ``benchmarks/reports/<id>.txt``
-(and echoed to stdout) so the shapes are inspectable after a
-``pytest benchmarks/ --benchmark-only`` run; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+(and echoed to stdout) so the shapes are inspectable, next to the
+paper's, after a ``pytest benchmarks/ --benchmark-only`` run.
 
 Dataset sizes are scaled down from the paper's (laptop-scale budgets);
 set ``SCORPION_BENCH_SCALE=paper`` for full-size datasets and NAIVE
@@ -24,8 +23,8 @@ from repro.datasets import make_synth
 REPORTS_DIR = Path(__file__).parent / "reports"
 
 #: Machine-readable scoring-performance ledger at the repo root; each
-#: scoring bench merges its section so the scalar/batch/indexed rows-per
-#: -second trajectory is tracked across PRs.
+#: scoring bench merges its section so the scalar/batch rows-per-second
+#: trajectory is tracked across PRs.
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_scorer.json"
 
 #: "quick" (default) or "paper".
@@ -35,6 +34,9 @@ SCALE = os.environ.get("SCORPION_BENCH_SCALE", "quick")
 SYNTH_GROUP_SIZE = 2000 if SCALE == "paper" else 500
 #: NAIVE wall-clock budget in seconds (paper: 40 minutes).
 NAIVE_BUDGET = 240.0 if SCALE == "paper" else 5.0
+#: NAIVE's budget in the figure benches: the paper's wall clock alone,
+#: without the library's default evaluation cap.
+NAIVE_KWARGS = {"time_budget": NAIVE_BUDGET, "max_evaluations": None}
 #: The c sweep most figures share (paper sweeps [0, 0.5]).
 C_SWEEP = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
 C_SWEEP_SHORT = (0.05, 0.1, 0.3)

@@ -12,8 +12,7 @@ A from-scratch reproduction of Wu & Madden (VLDB 2013).  Typical use::
     result = Scorpion().explain(problem)
     print(result.best.predicate)
 
-See DESIGN.md for the paper ↔ module map and EXPERIMENTS.md for the
-reproduced tables and figures.
+The README's Architecture and Layout sections map the pipeline to modules.
 """
 
 from repro.aggregates import (

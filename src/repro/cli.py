@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explore-c", action="store_true",
                         help="sweep c and print the predicate ladder "
                              "instead of solving one instance")
-    parser.add_argument("--no-index", action="store_true",
-                        help="disable the prefix-aggregate index fast "
-                             "path (mask-matrix scoring only)")
     parser.add_argument("--batch-chunk", type=int, default=None,
                         help="most predicates per vectorized scoring pass "
                              "(default: SCORPION_BATCH_CHUNK env var or "
@@ -107,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serve", action="store_true",
                         help="resident service mode: read one JSON request "
                              "per stdin line, write one JSON response per "
-                             "line, caching problem images / index views / "
-                             "worker pools across requests")
+                             "line, caching problem images and worker "
+                             "pools across requests")
     parser.add_argument("--cache-bytes", type=int, default=None,
                         help="resident cache capacity in bytes for --serve "
                              "(default: SCORPION_CACHE_BYTES env var or "
@@ -281,7 +278,7 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     inflight_limit = _resolve_inflight(args.inflight_limit)
     service = ExplainService(
         cache_bytes=args.cache_bytes, algorithm=args.algorithm,
-        top_k=args.top_k, use_index=not args.no_index,
+        top_k=args.top_k,
         batch_chunk=args.batch_chunk, workers=args.workers,
         task_timeout=args.task_timeout, logger=logger,
         trace=True if args.trace else None)
@@ -453,7 +450,6 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout,
             ignore=_split_keys(args.ignore),
         )
         scorpion = Scorpion(algorithm=args.algorithm, top_k=args.top_k,
-                            use_index=not args.no_index,
                             batch_chunk=args.batch_chunk,
                             workers=args.workers,
                             task_timeout=args.task_timeout,

@@ -38,7 +38,7 @@ here (see :mod:`repro.parallel`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -95,8 +95,9 @@ class _Partition:
 
 @dataclass
 class DTParams:
-    """Tuning knobs of the DT partitioner (defaults discussed in
-    DESIGN.md §4.5)."""
+    """Tuning knobs of the DT partitioner: the Section 6.1.1 error
+    threshold's shape (``tau_min``, ``tau_max``, ``p_inflection``), the
+    tree's size caps and the Section 6.1.2 sampling rate."""
 
     tau_min: float = 0.02
     tau_max: float = 0.3
@@ -129,11 +130,16 @@ class DTPartitioner:
     name = "dt"
 
     def __init__(self, params: DTParams | None = None, **overrides):
-        params = params or DTParams()
-        for key, value in overrides.items():
-            if not hasattr(params, key):
+        known = {field.name for field in fields(DTParams)}
+        for key in overrides:
+            if key not in known:
                 raise PartitionerError(f"unknown DT parameter {key!r}")
-            setattr(params, key, value)
+        # A copy: the caller's params may be shared.
+        params = replace(params or DTParams(), **overrides)
+        if params.max_leaves < 1:
+            raise PartitionerError("max_leaves must be >= 1")
+        if params.max_depth < 0:
+            raise PartitionerError("max_depth must be >= 0")
         if not 0 < params.tau_min <= params.tau_max:
             raise PartitionerError("need 0 < tau_min <= tau_max")
         if not 0 < params.epsilon < 1:
@@ -181,15 +187,6 @@ class DTPartitioner:
             if csp:
                 csp.annotate(candidates=len(candidates))
         candidates.sort(key=lambda c: c.score, reverse=True)
-        # Leaf predicates that collapsed to one range clause are the
-        # index fast path's shape; declare their attributes now so the
-        # Merger's downstream exact scoring hits a warm index.
-        scorer.prepare_index({
-            candidate.predicate.clauses[0].attribute
-            for candidate in candidates
-            if candidate.predicate.num_clauses == 1
-            and isinstance(candidate.predicate.clauses[0], RangeClause)
-        })
         return PartitionerResult(
             candidates=candidates,
             elapsed=time.perf_counter() - start,
@@ -302,8 +299,8 @@ class DTPartitioner:
         ``ω`` shrinks from ``τ_max`` to ``τ_min`` as the partition's
         maximum influence approaches the group's global maximum — i.e.
         partitions holding influential tuples must be homogeneous, while
-        uninfluential ones may stay coarse (Figure 4; see DESIGN.md §4.1
-        for the sign-typo discussion).
+        uninfluential ones may stay coarse (Figure 4).  The slope is
+        negative, so ``ω`` falls as the partition's maximum rises.
         """
         inf_lo, inf_hi = group.inf_lo, group.inf_hi
         spread = inf_hi - inf_lo

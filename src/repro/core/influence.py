@@ -34,8 +34,10 @@ one vectorized pass: the labeled-row evaluator builds an
 and on the incrementally-removable path every predicate's per-group
 removed state — conceptually the matrix product ``M_g @ tuple_states_g``
 — is realized as a scatter-add over the matrix's non-zeros, followed by
-a single ``recover_batch`` per group.  Black-box aggregates fall back to
-a per-predicate recompute loop inside the same bookkeeping.
+one ``recover_batch`` over every matched (predicate, group) pair
+(:meth:`~repro.core.kernel.BatchKernel.fold`).  Black-box aggregates
+fall back to a per-predicate recompute loop inside the same
+bookkeeping.
 
 **Equivalence contract**: ``score_batch(preds)[i] == score(preds[i])``
 for every predicate, bit for bit.  The scalar path reduces a matched
@@ -51,39 +53,6 @@ scalar path's contiguous sum; of the built-ins only COUNT has
 exact.)  The memo cache is shared, so mixing ``score`` and
 ``score_batch`` calls never recomputes and never disagrees.
 
-The index fast path
--------------------
-
-``score_batch`` consults an :class:`~repro.index.IndexPlanner` before
-building mask matrices.  Three predicate shapes are answered by a
-lazily built :class:`~repro.index.PrefixAggregateIndex` instead of an
-O(n) mask row per predicate:
-
-* **single range clauses** over continuous labeled attributes (NAIVE's
-  1-clause enumeration, DT leaf ranges, MC's per-attribute cells,
-  Merger expansion starts) — two binary searches per group, removed
-  states from exact prefix-sum differences (O(1), when the group's
-  states are integer-summable) or an ascending-row-order gather of just
-  the matched rows (O(log n + k));
-* **single set clauses** over factorized discrete labeled attributes —
-  O(|codes|) code-bucket lookups per group, removed states from exact
-  per-bucket sums or the same ascending-row gather (see
-  :mod:`repro.index.discrete`);
-* **2-clause conjunctions** whose attributes both have index views —
-  the planner estimates each side's matched-row total, probes the
-  *rarer* clause's sorted slice or code buckets, and mask-tests only
-  those k rows against the other clause.
-
-Every tier reproduces the scalar masked sum bit for bit (see
-:mod:`repro.index.prefix`), so the equivalence contract is unchanged;
-the planner's routing counters (``indexed_predicates`` with its
-per-tier split ``indexed_ranges`` / ``indexed_sets`` /
-``indexed_conjunctions``, plus ``conjunction_fallbacks`` /
-``masked_predicates`` / ``index_builds`` / ``index_build_seconds``)
-surface through :class:`ScorerStats`.  Everything else — 3+-clause
-conjunctions, black-box aggregates, non-labeled attributes — takes the
-mask-matrix kernel exactly as before.
-
 Parallel sharded execution
 --------------------------
 
@@ -94,22 +63,19 @@ pool instead of looping them in-process (see :mod:`repro.parallel`).
 Shards are ``batch_chunk``-sized, except that a batch too small to fill
 ``2 × workers`` of them is cut finer so every worker gets a share, when
 the per-shard work clears the pool's dispatch cost
-(:meth:`~repro.index.cost.CostModel.choose_shard_size`).  The pool is
+(:func:`~repro.parallel.executor.choose_shard_size`).  The pool is
 handed this scorer's :class:`~repro.core.kernel.BatchKernel` once:
 forked workers inherit it copy-on-write and run *the same kernel
-methods on byte-identical arrays* as the serial loop, and shards are
+method on byte-identical arrays* as the serial loop, and shards are
 reassembled in submission order — so influences are bit-for-bit
-identical to serial execution at any worker count.  The parent builds
-every index view it routes before scoring, so ``index_builds`` counts
-exactly as serially; a worker forked before a view existed builds its
-own byte-identical copy.  Per-worker kernel counters are merged back
-into :class:`ScorerStats` (:meth:`ScorerStats.merge_worker_counters`),
-keeping aggregate counters equal to a serial run's; the parallel-only
-``parallel_batches`` / ``parallel_shards`` counters record how much work
-the pool took.  A failed parallel batch (worker crash, shard timeout) is
-retried on a restarted pool; past the restart budget, batches run
-serially until a cool-down probe succeeds (README "Failure semantics"
-has the policy).  Results are always produced.  Batches that fit in a
+identical to serial execution at any worker count.  Per-worker kernel
+counters are merged back into :class:`ScorerStats`
+(:meth:`ScorerStats.merge_worker_counters`), keeping aggregate counters
+equal to a serial run's; the parallel-only ``parallel_batches`` /
+``parallel_shards`` counters record how much work the pool took.  A
+failed parallel batch (worker crash, shard timeout) is retried on a
+restarted pool; past the restart budget, batches run serially until a
+cool-down probe succeeds (README "Failure semantics" has the policy).  Results are always produced.  Batches that fit in a
 single shard skip the pool entirely, and cache-hit / fallback
 predicates are always handled in the parent.
 """
@@ -130,13 +96,10 @@ from repro.aggregates.base import AggregateFunction
 from repro.core.kernel import INVALID_INFLUENCE, BatchKernel, GroupContext
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
-from repro.index import IndexPlanner
-from repro.index.cost import CostModel
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import current_tracer, span
-from repro.parallel import resolve_workers
+from repro.obs.trace import current_tracer
+from repro.parallel import choose_shard_size, resolve_workers
 from repro.parallel.recovery import ParallelRecovery
-from repro.predicates.clause import RangeClause
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
 
@@ -159,51 +122,20 @@ class ScorerStats:
     largest_batch: int = 0
     #: Wall-clock seconds spent inside ``score_batch``.
     batch_seconds: float = 0.0
-    #: Batch predicates the planner routed through the prefix-aggregate
-    #: index on any tier (unique predicates, cache hits excluded);
-    #: always equals ``indexed_ranges + indexed_sets +
-    #: indexed_conjunctions``.
-    indexed_predicates: int = 0
-    #: Index predicates answered by the single-range tier (binary
-    #: searches + prefix differences / gathers).
-    indexed_ranges: int = 0
-    #: Index predicates answered by the discrete code-bucket tier
-    #: (single set clauses).
-    indexed_sets: int = 0
-    #: Index predicates answered by the 2-clause conjunction tier
-    #: (probe the rarer clause, mask-test its rows).
-    indexed_conjunctions: int = 0
-    #: 2-clause predicates the planner examined for the conjunction
-    #: tier but routed to the mask kernel (missing index view).
-    conjunction_fallbacks: int = 0
-    #: Batch predicates that took the mask-matrix kernel instead.
+    #: Unique batch predicates scored by the mask-matrix kernel (cache
+    #: hits and scalar fallbacks excluded).
     masked_predicates: int = 0
-    #: Attribute indexes built so far (one sorted view per attribute).
-    index_builds: int = 0
-    #: Wall-clock seconds spent sorting / prefix-summing index builds.
-    index_build_seconds: float = 0.0
     #: ``score_batch`` calls whose shards ran on the worker pool.
     parallel_batches: int = 0
     #: Predicate shards executed by worker processes.
     parallel_shards: int = 0
-    #: Cost-model routing decisions by winning route (counted in the
-    #: parent at partition time, so serial and parallel runs of the
-    #: same batch stream record identical values).  Only index-eligible
-    #: shapes are priced; structurally unsupported predicates go to the
-    #: mask kernel without a decision and appear in none of these.
-    cost_routed_mask: int = 0
-    cost_routed_prefix: int = 0
-    cost_routed_bucket: int = 0
-    cost_routed_gather: int = 0
-    cost_routed_conj: int = 0
 
-    #: Counters incremented *inside* the batch kernels and therefore on
+    #: Counters incremented *inside* the batch kernel and therefore on
     #: worker processes when scoring runs parallel; :meth:`worker_counters`
     #: exports them from a worker's stats window and
     #: :meth:`merge_worker_counters` folds them back into the parent's, so
-    #: aggregate totals equal a serial run's.  Everything else — index
-    #: builds included, since the parent builds every routed view before
-    #: dispatch — is counted in the parent regardless of execution mode.
+    #: aggregate totals equal a serial run's.  Everything else is counted
+    #: in the parent regardless of execution mode.
     WORKER_MERGED = ("incremental_deltas", "full_recomputes")
 
     @property
@@ -229,14 +161,8 @@ class ScorerStats:
             setattr(self, name, getattr(self, name) + counters.get(name, 0))
 
     def reset(self) -> None:
-        """Zero every counter (field defaults are the zeros).
-
-        Monotonicity contract: resetting starts a fresh counting window
-        — it must never cause already-counted work to be re-counted.
-        The scorer's index-build sync honors this by accumulating
-        *deltas* against baselines it keeps outside the stats object
-        (see :meth:`InfluenceScorer._sync_index_stats`).
-        """
+        """Zero every counter (field defaults are the zeros): a fresh
+        counting window."""
         for spec in dataclasses.fields(self):
             setattr(self, spec.name, spec.default)
 
@@ -255,35 +181,21 @@ class InfluenceScorer:
     cache_scores:
         Memoize predicate → influence (predicates are hashable and the
         Merger re-scores candidates freely).
-    use_index:
-        Route single range clauses, single set clauses, and 2-clause
-        conjunctions in ``score_batch`` through the prefix-aggregate
-        index (on by default; only effective on the
-        incrementally-removable path).  Benchmarks and the equivalence
-        tests toggle it off to exercise the mask-matrix kernel.
     batch_chunk:
         Predicate cap per vectorized ``score_batch`` pass.  Defaults to
         the ``SCORPION_BATCH_CHUNK`` environment variable, else the
         class default :attr:`BATCH_CHUNK`; chunking never affects
-        results (both kernels are row-deterministic), so benchmarks can
+        results (the kernel is row-deterministic), so benchmarks can
         sweep it freely.  With ``workers > 1`` it is also the largest
         shard the executor fans out; a smaller batch is cut so every
         worker gets a shard (see
-        :meth:`~repro.index.cost.CostModel.choose_shard_size`).
+        :func:`~repro.parallel.executor.choose_shard_size`).
     workers:
         Worker processes for sharded ``score_batch`` execution (see
         :mod:`repro.parallel`).  Defaults to the ``SCORPION_WORKERS``
         environment variable, else 1 (serial, no pool); ``0`` means one
         worker per CPU.  Results are bit-for-bit identical at any
         setting.
-    cost_model:
-        The :class:`~repro.index.cost.CostModel` pricing the planner's
-        routing decisions.  ``None`` (default) takes the process-wide
-        :meth:`~repro.index.cost.CostModel.shared` model, which prices
-        from the shipped :data:`~repro.index.cost.DEFAULT_CONSTANTS`.
-        Tests inject :func:`~repro.index.cost.force_index_model` /
-        :func:`~repro.index.cost.force_mask_model` constants to pin a
-        tier regardless of problem shape.
     task_timeout:
         Per-shard worker deadline in seconds, forwarded to the
         executor (``None`` → the ``SCORPION_TASK_TIMEOUT`` /
@@ -292,10 +204,9 @@ class InfluenceScorer:
     """
 
     def __init__(self, query: ScorpionQuery, use_incremental: bool = True,
-                 cache_scores: bool = True, use_index: bool = True,
+                 cache_scores: bool = True,
                  batch_chunk: int | None = None,
                  workers: int | None = None,
-                 cost_model: "CostModel | None" = None,
                  task_timeout: float | None = None):
         self.query = query
         self.aggregate: AggregateFunction = query.aggregate
@@ -326,10 +237,6 @@ class InfluenceScorer:
         #: key on).
         self._pool_starts = 0
         self._finalizer: weakref.finalize | None = None
-        #: Index build totals already folded into ``stats`` — the sync
-        #: baselines that make :meth:`_sync_index_stats` monotonic.
-        self._index_builds_seen = 0
-        self._index_seconds_seen = 0.0
         self._score_cache: dict[Predicate, float] | None = {} if cache_scores else None
         self._outlier_score_cache: dict[Predicate, float] | None = (
             {} if cache_scores else None
@@ -352,12 +259,11 @@ class InfluenceScorer:
             attr: self.table.values(attr)[labeled_rows]
             for attr in query.attributes
         })
-        #: The batch kernel: the routing-tier kernels plus every array
-        #: they read, shared by the serial loop and the worker pool.
+        #: The batch kernel: the mask-matrix kernel plus every array it
+        #: reads, shared by the serial loop and the worker pool.
         self.kernel = BatchKernel(self.contexts, evaluator, self.aggregate,
                                   self.perturbation, self._incremental,
-                                  use_index, self.stats)
-        self._planner = IndexPlanner(self.kernel.index, cost_model)
+                                  self.stats)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -476,70 +382,6 @@ class InfluenceScorer:
     #: the ``SCORPION_BATCH_CHUNK`` environment variable).
     BATCH_CHUNK = 1024
 
-    @property
-    def uses_index(self) -> bool:
-        """Whether the prefix-aggregate index fast path is available."""
-        return self.kernel.index is not None
-
-    @property
-    def planner(self) -> IndexPlanner:
-        """The routing planner (exposed for tests and diagnostics)."""
-        return self._planner
-
-    def prepare_index(self, attributes: Iterable[str] | None = None,
-                      ) -> tuple[str, ...]:
-        """Pre-build the prefix-aggregate index for ``attributes``.
-
-        Hot single-clause producers (NAIVE's 1-clause enumeration, MC's
-        per-attribute cells, DT leaf ranges feeding the Merger) call
-        this to declare the attributes they are about to flood
-        ``score_batch`` with, so index build time lands up front instead
-        of inside the first scoring chunk.  Continuous attributes get
-        sorted range views, discrete attributes code-bucket views;
-        ``None`` builds every indexable attribute of either kind.
-        Returns the attributes actually indexed (empty when the fast
-        path is unavailable) — purely an optimization either way, since
-        routed queries build lazily.
-        """
-        index = self.kernel.index
-        if index is None:
-            return ()
-        if attributes is None:
-            evaluator = self.kernel.evaluator
-            attributes = (evaluator.continuous_attributes
-                          + evaluator.discrete_attributes)
-        with span("prepare_index") as sp:
-            built = []
-            for attribute in attributes:
-                if index.supports(attribute):
-                    index.ensure(attribute)
-                    built.append(attribute)
-                elif index.supports_discrete(attribute):
-                    index.ensure_discrete(attribute)
-                    built.append(attribute)
-            self._sync_index_stats()
-            if sp:
-                sp.annotate(attributes=len(built))
-        return tuple(built)
-
-    def _sync_index_stats(self) -> None:
-        """Fold index-build work into ``stats`` *monotonically*.
-
-        Accumulates only the delta since the last sync (baselines live
-        on the scorer, not the stats object), so a mid-run
-        ``stats.reset()`` / re-``prepare_index`` can neither resurrect
-        already-counted builds nor clobber counters merged back from
-        worker shards.
-        """
-        index = self.kernel.index
-        assert index is not None
-        builds = index.build_count
-        seconds = index.build_seconds
-        self.stats.index_builds += builds - self._index_builds_seen
-        self.stats.index_build_seconds += seconds - self._index_seconds_seen
-        self._index_builds_seen = builds
-        self._index_seconds_seen = seconds
-
     def clear_memo(self) -> None:
         """Drop the predicate → influence memo caches (memoization stays
         enabled; the caches refill).
@@ -563,8 +405,8 @@ class InfluenceScorer:
 
         Only the search scalars ``c`` / ``c_holdout`` / ``λ`` may
         differ: every cached artifact — the batch kernel with its
-        contexts, tuple states, labeled evaluator and index views, and
-        the worker pool holding it — is derived from the table, query,
+        contexts, tuple states and labeled evaluator, and the worker
+        pool holding it — is derived from the table, query,
         annotations, and perturbation mode, which must be identical (the
         resident service's content key guarantees this; the assertion is
         the safety net).  The kernel takes the scalars as call
@@ -603,25 +445,21 @@ class InfluenceScorer:
         Returns a float array aligned with ``predicates`` whose entries
         equal ``[self.score(p, ignore_holdouts) for p in predicates]``
         exactly; results populate the same memo cache ``score`` reads.
-        The planner routes index-eligible predicates (single continuous
-        range clause on the incremental path) through the
-        prefix-aggregate index; the rest take the mask-matrix kernel.
-        Predicates over attributes outside the labeled evaluator (or any
-        predicate when the aggregate is black-box at the Δ level) are
-        scored through the scalar machinery within the same call.
+        Unique uncached predicates take the mask-matrix kernel in
+        ``batch_chunk``-sized shards; predicates over attributes outside
+        the labeled evaluator are scored through the scalar machinery
+        within the same call.
         """
         predicates = list(predicates)
         tracer = current_tracer()
         if tracer is None:
             return self._score_batch_impl(predicates, ignore_holdouts)
-        # Traced wrapper: the batch's routing/tier profile is recovered
-        # from counter deltas so the scoring path itself is untouched
-        # (bit-for-bit identical to the untraced run).
+        # Traced wrapper: the batch's profile is recovered from counter
+        # deltas so the scoring path itself is untouched (bit-for-bit
+        # identical to the untraced run).
         stats = self.stats
         base = (stats.cache_hits, stats.masked_predicates,
-                stats.indexed_ranges, stats.indexed_sets,
-                stats.indexed_conjunctions, stats.parallel_shards,
-                stats.parallel_batches)
+                stats.parallel_shards, stats.parallel_batches)
         with tracer.begin("score_batch") as sp:
             out = self._score_batch_impl(predicates, ignore_holdouts)
             sp.annotate(
@@ -629,11 +467,8 @@ class InfluenceScorer:
                 groups=self.kernel.active_contexts(ignore_holdouts),
                 cache_hits=stats.cache_hits - base[0],
                 masked=stats.masked_predicates - base[1],
-                ranges=stats.indexed_ranges - base[2],
-                sets=stats.indexed_sets - base[3],
-                conjunctions=stats.indexed_conjunctions - base[4],
-                shards=stats.parallel_shards - base[5],
-                parallel=stats.parallel_batches > base[6],
+                shards=stats.parallel_shards - base[2],
+                parallel=stats.parallel_batches > base[3],
             )
         return out
 
@@ -662,54 +497,28 @@ class InfluenceScorer:
             else:
                 pending[predicate] = [i]
 
-        route = self._planner.partition(pending)
-        self.stats.conjunction_fallbacks += route.conjunction_fallbacks
-        self.stats.cost_routed_mask += route.cost_routed_mask
-        self.stats.cost_routed_prefix += route.cost_routed_prefix
-        self.stats.cost_routed_bucket += route.cost_routed_bucket
-        self.stats.cost_routed_gather += route.cost_routed_gather
-        self.stats.cost_routed_conj += route.cost_routed_conj
-        if self.kernel.index is not None:
-            self._build_routed_views(route)
-            self._sync_index_stats()
-
         size = self.batch_chunk
         if not self._parallel_disabled:
             # Cut a batch too small to feed every worker into finer
             # shards (chunking never changes a result).
-            size = self._planner.cost_model.choose_shard_size(
-                len(pending), self.kernel.n_labeled, self.workers, size)
-
-        # Every tier's work as (kind, predicates, kernel items) shards,
-        # in tier order; the kernels read only the bare items.
-        tiers = [("masked", route.masked, route.masked)]
-        for kind, pairs in (("indexed", route.ranges),
-                            ("indexed_set", route.sets),
-                            ("indexed_conj", route.conjunctions)):
-            tiers.append((kind, [predicate for predicate, _ in pairs],
-                          [item for _, item in pairs]))
-        shards = [(kind, owners[lo:lo + size], items[lo:lo + size])
-                  for kind, owners, items in tiers
-                  for lo in range(0, len(items), size)]
+            size = choose_shard_size(len(pending), self.kernel.n_labeled,
+                                     self.workers, size)
+        unique = list(pending)
+        shards = [unique[lo:lo + size] for lo in range(0, len(unique), size)]
 
         shard_values = None
         if not self._parallel_disabled and len(shards) >= 2:
             shard_values = self._score_shards_parallel(shards, ignore_holdouts)
         if shard_values is None:
             shard_values = [
-                self.kernel.score_shard(kind, items, ignore_holdouts,
-                                        self.c, self.c_holdout, self.lam)
-                for kind, _, items in shards]
+                self.kernel.score_masked_chunk(shard, ignore_holdouts,
+                                               self.c, self.c_holdout,
+                                               self.lam)
+                for shard in shards]
 
-        for (kind, chunk, _), values in zip(shards, shard_values):
-            if kind == "masked":
-                self.stats.mask_scores += len(chunk)
-                self.stats.masked_predicates += len(chunk)
-            else:
-                self.stats.indexed_predicates += len(chunk)
-                counter = self._TIER_COUNTERS[kind]
-                setattr(self.stats, counter,
-                        getattr(self.stats, counter) + len(chunk))
+        for chunk, values in zip(shards, shard_values):
+            self.stats.mask_scores += len(chunk)
+            self.stats.masked_predicates += len(chunk)
             for predicate, value in zip(chunk, values):
                 value = float(value)
                 if cache is not None:
@@ -731,26 +540,6 @@ class InfluenceScorer:
 
         self.stats.batch_seconds += time.perf_counter() - started
         return out
-
-    #: The :class:`ScorerStats` counter of each index tier's shards.
-    _TIER_COUNTERS = {"indexed": "indexed_ranges",
-                      "indexed_set": "indexed_sets",
-                      "indexed_conj": "indexed_conjunctions"}
-
-    def _build_routed_views(self, route) -> None:
-        """Build, here in the parent, every index view the routed tiers
-        read (a conjunction reads only its probe side's view), so
-        ``index_builds`` counts the same at any worker count."""
-        index = self.kernel.index
-        assert index is not None
-        clauses = ([clause for _, clause in route.ranges]
-                   + [clause for _, clause in route.sets]
-                   + [plan.probe for _, plan in route.conjunctions])
-        for clause in clauses:
-            if isinstance(clause, RangeClause):
-                index.ensure(clause.attribute)
-            else:
-                index.ensure_discrete(clause.attribute)
 
     # ------------------------------------------------------------------
     # Sharded parallel execution (see repro.parallel)
@@ -786,9 +575,9 @@ class InfluenceScorer:
             "pool_starts": self._pool_starts,
         }
 
-    def _score_shards_parallel(self, shards: list[tuple],
+    def _score_shards_parallel(self, shards: list[list[Predicate]],
                                ignore_holdouts: bool) -> list | None:
-        """Run routed shards on the worker pool.
+        """Run predicate shards on the worker pool.
 
         Returns one influence array per shard, aligned with ``shards``
         — bit-for-bit what the serial loop would compute — or None when
@@ -817,8 +606,7 @@ class InfluenceScorer:
         # them as arguments, so a rebound scorer's warm pool scores at
         # the current values.
         scalars = (self.c, self.c_holdout, self.lam)
-        tasks = [(kind, items, ignore_holdouts, scalars)
-                 for kind, _, items in shards]
+        tasks = [(shard, ignore_holdouts, scalars) for shard in shards]
         attempts = recovery.retries + 1
         for attempt in range(attempts):
             try:
@@ -874,7 +662,7 @@ class InfluenceScorer:
                 t1 = worker_counters.get("shard_t1")
                 if t0 is not None and t1 is not None:
                     tracer.add_span("shard", t0, t1, {
-                        "kind": task[0], "items": len(task[1]),
+                        "items": len(task[0]),
                         "queue_wait_ms": round(
                             max(0.0, t0 - submit_s) * 1e3, 3)})
         self.stats.parallel_batches += 1

@@ -1,29 +1,28 @@
 """The batch-scoring kernel of the Scorer (Figure 2, Section 5.1).
 
-:class:`BatchKernel` owns the four routing-tier kernels behind
-:meth:`~repro.core.influence.InfluenceScorer.score_batch` — the
-mask-matrix scatter-add, the single-range and single-set index tiers,
-and the 2-clause conjunction tier — with their shared back half (the
+:class:`BatchKernel` owns the mask-matrix kernel behind
+:meth:`~repro.core.influence.InfluenceScorer.score_batch` — build a
+chunk's mask matrix, scatter-add its set bits into per-(predicate,
+group) matched counts and removed states — with its back half (the
 per-group influence arithmetic and the delete/mean perturbation rules)
-and every array they read: the group contexts in labeled order
+and every array it reads: the group contexts in labeled order
 (outliers first) with their column spans, each labeled row's context
-id, the stacked per-tuple aggregate states, the labeled evaluator and
-the prefix-aggregate index.
+id, the stacked per-tuple aggregate states and the labeled evaluator.
 
 On the incremental path the back half is one fold,
-:meth:`BatchKernel.fold`: every tier hands it per-(predicate, group)
-matched counts and removed states, and it turns all matched pairs into
-metric values in one elementwise pass, with no loop over groups.  The
-Merger's cached-state estimate (:mod:`repro.core.merger`) calls the same
-fold on its volume-weighted counts and states.  Black-box aggregates
-recompute Δ per matched predicate from the raw values, group by group.
+:meth:`BatchKernel.fold`: it turns all matched (predicate, group) pairs
+into metric values in one elementwise pass, with no loop over groups.
+The Merger's cached-state estimate (:mod:`repro.core.merger`) calls the
+same fold on its volume-weighted counts and states.  Black-box
+aggregates recompute Δ per matched predicate from the raw values, group
+by group.
 
 The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
 not kernel state, so a kernel depends only on the table, the query,
 the annotations and the perturbation mode.  That makes it the one
 object the worker pool needs: forked workers inherit the parent's
 kernel copy-on-write, spawn-only platforms unpickle it once per
-worker, and every worker runs the methods the serial loop runs on
+worker, and every worker runs the method the serial loop runs on
 byte-identical arrays (see :mod:`repro.parallel`).
 """
 
@@ -36,7 +35,6 @@ import numpy as np
 
 from repro.aggregates.base import AggregateFunction
 from repro.errors import AggregateError
-from repro.index import PrefixAggregateIndex
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
 
@@ -106,7 +104,7 @@ class GroupContext:
 
 
 class BatchKernel:
-    """The routing-tier kernels plus the arrays they read.
+    """The mask-matrix kernel plus the arrays it reads.
 
     Parameters
     ----------
@@ -120,19 +118,16 @@ class BatchKernel:
     incremental:
         Whether Δ comes from cached states (the incrementally-removable
         path) rather than black-box recomputes.
-    use_index:
-        Build the prefix-aggregate index shell (incremental path only;
-        its per-attribute views build lazily).
     stats:
         The owning scorer's :class:`~repro.core.influence.ScorerStats`;
-        the kernels count ``incremental_deltas`` / ``full_recomputes``
+        the kernel counts ``incremental_deltas`` / ``full_recomputes``
         into it.
     """
 
     def __init__(self, contexts: Sequence[GroupContext],
                  evaluator: ArrayMaskEvaluator,
                  aggregate: AggregateFunction, perturbation: str,
-                 incremental: bool, use_index: bool, stats: "ScorerStats"):
+                 incremental: bool, stats: "ScorerStats"):
         self.contexts = list(contexts)
         self.evaluator = evaluator
         self.aggregate = aggregate
@@ -173,20 +168,6 @@ class BatchKernel:
             np.stack([ctx.mean_state for ctx in self.contexts])
             if self._total_states is not None and perturbation == "mean"
             else None)
-        # Black-box aggregates need mask rows to recompute from raw
-        # values, so the index exists on the incremental path only.
-        self.index: PrefixAggregateIndex | None = None
-        if use_index and incremental and offset:
-            self.index = PrefixAggregateIndex(
-                {attr: evaluator.continuous_values(attr)
-                 for attr in evaluator.continuous_attributes},
-                [(start, stop) for _, start, stop in self.slices],
-                [ctx.tuple_states for ctx in self.contexts],
-                codes_by_attr={attr: evaluator.discrete_codes(attr)
-                               for attr in evaluator.discrete_attributes},
-                code_tables={attr: evaluator.code_table(attr)
-                             for attr in evaluator.discrete_attributes},
-            )
 
     @property
     def has_holdouts(self) -> bool:
@@ -200,8 +181,7 @@ class BatchKernel:
     def resident_bytes(self) -> int:
         """Bytes of numpy array data held: per-context indices,
         aggregate values and states, the stacked state matrix, the
-        context ids, the evaluator's comparison arrays and every built
-        index view."""
+        context ids and the evaluator's comparison arrays."""
         total = 0
         for context in self.contexts:
             total += context.indices.nbytes + context.agg_values.nbytes
@@ -213,8 +193,6 @@ class BatchKernel:
             total += self._stacked_states.nbytes
         total += self._context_ids.nbytes
         total += self.evaluator.resident_bytes()
-        if self.index is not None:
-            total += self.index.resident_bytes()
         return int(total)
 
     # ------------------------------------------------------------------
@@ -281,24 +259,13 @@ class BatchKernel:
         return context.total_value - updated
 
     # ------------------------------------------------------------------
-    # The four routing tiers
+    # The mask-matrix kernel
     # ------------------------------------------------------------------
-    def score_shard(self, kind: str, items: Sequence, ignore_holdouts: bool,
-                    c: float, c_holdout: float, lam: float) -> np.ndarray:
-        """Score one routed shard — the single entry of the serial loop
-        and the worker pool.  ``kind`` names the tier: ``"masked"``
-        (predicates), ``"indexed"`` (range clauses), ``"indexed_set"``
-        (set clauses) or ``"indexed_conj"`` (conjunction plans)."""
-        tier = {"masked": self.score_masked_chunk,
-                "indexed": self.score_index_chunk,
-                "indexed_set": self.score_set_chunk,
-                "indexed_conj": self.score_conj_chunk}[kind]
-        return tier(items, ignore_holdouts, c, c_holdout, lam)
-
     def score_masked_chunk(self, predicates: Sequence[Predicate],
                            ignore_holdouts: bool, c: float,
                            c_holdout: float, lam: float) -> np.ndarray:
-        """The mask tier: evaluate the chunk's mask matrix and score it."""
+        """Score one chunk of predicates through its mask matrix — the
+        single entry of the serial loop and the worker pool."""
         matrix = self.evaluator.evaluate_batch(predicates)
         if ignore_holdouts and self.has_holdouts:
             # Hold-out contexts are skipped entirely downstream; dropping
@@ -351,99 +318,21 @@ class BatchKernel:
             removed = removed.reshape(m, n_ctx, -1)
         return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
-    def score_index_chunk(self, clauses: Sequence, ignore_holdouts: bool,
-                          c: float, c_holdout: float,
-                          lam: float) -> np.ndarray:
-        """The range tier: single range clauses through the
-        prefix-aggregate index — no mask matrix is materialized.
-
-        Per constrained attribute, every clause's per-group matched
-        count and summed removed state come from two binary searches
-        plus a prefix-sum difference (or an ascending-row gather of the
-        matched slice; see :mod:`repro.index.prefix`), feeding the same
-        influence arithmetic as the mask kernel.
-        """
-        assert self.index is not None and self.incremental
-        m = len(clauses)
-        n_ctx = len(self.slices)
-        active = self.active_contexts(ignore_holdouts)
-        counts = np.zeros((m, n_ctx), dtype=np.int64)
-        removed = np.zeros((m, n_ctx, self.index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, clause in enumerate(clauses):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            group = [clauses[j] for j in positions]
-            attr_counts, attr_removed = self.index.range_group_stats(
-                attribute,
-                np.asarray([clause.lo for clause in group], dtype=np.float64),
-                np.asarray([clause.hi for clause in group], dtype=np.float64),
-                np.asarray([clause.include_hi for clause in group], dtype=bool),
-                active_groups=active,
-            )
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
-
-    def score_set_chunk(self, clauses: Sequence, ignore_holdouts: bool,
-                        c: float, c_holdout: float, lam: float) -> np.ndarray:
-        """The set tier: single set clauses through the discrete
-        code-bucket index — no mask matrix is materialized.
-
-        Per constrained attribute, every clause's per-group matched
-        count and summed removed state come from its wanted codes'
-        buckets — exact per-bucket sums, or an ascending-row gather of
-        just the bucketed rows (see :mod:`repro.index.discrete`) —
-        feeding the same influence arithmetic as the mask kernel.
-        """
-        assert self.index is not None and self.incremental
-        m = len(clauses)
-        n_ctx = len(self.slices)
-        active = self.active_contexts(ignore_holdouts)
-        counts = np.zeros((m, n_ctx), dtype=np.int64)
-        removed = np.zeros((m, n_ctx, self.index.state_size),
-                           dtype=np.float64)
-        by_attr: dict[str, list[int]] = {}
-        for j, clause in enumerate(clauses):
-            by_attr.setdefault(clause.attribute, []).append(j)
-        for attribute, positions in by_attr.items():
-            wanted_lists = [self.index.translate(attribute, clauses[j].values)
-                            for j in positions]
-            attr_counts, attr_removed = self.index.set_group_stats(
-                attribute, wanted_lists, active_groups=active)
-            counts[positions] = attr_counts
-            removed[positions] = attr_removed
-        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
-
-    def score_conj_chunk(self, plans: Sequence, ignore_holdouts: bool,
-                         c: float, c_holdout: float, lam: float) -> np.ndarray:
-        """The conjunction tier: planned 2-clause conjunctions.  The
-        probe clause's index view supplies k candidate rows per group,
-        the other clause mask-tests only those rows (see
-        :meth:`~repro.index.PrefixAggregateIndex.conjunction_group_stats`).
-        """
-        assert self.index is not None and self.incremental
-        counts, removed = self.index.conjunction_group_stats(
-            [(plan.probe, plan.other) for plan in plans],
-            active_groups=self.active_contexts(ignore_holdouts))
-        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
-
     # ------------------------------------------------------------------
-    # The shared back half
+    # The back half
     # ------------------------------------------------------------------
     def fold(self, counts: np.ndarray, removed: np.ndarray | None,
              ignore_holdouts: bool, c: float, c_holdout: float, lam: float,
              count_deltas: bool = True) -> np.ndarray:
         """Fold per-(predicate, group) matched counts and removed states
-        into final metric values: the incremental back half of every
-        routing tier and of the Merger's cached-state estimate.
+        into final metric values: the incremental back half of the mask
+        kernel and of the Merger's cached-state estimate.
 
         ``counts`` is ``(m, n)`` and ``removed`` ``(m, n, k)`` over the
         first n contexts, at least those read (the outlier contexts
         when ``ignore_holdouts``, else all).  A (predicate, group) pair
         is matched when its count is at least 0.5: any matched row for
-        the kernels' whole-row counts, half a row for the estimate's
+        the kernel's whole-row counts, half a row for the estimate's
         volume-weighted ones.  All matched pairs go through one
         elementwise pass — Δ from :meth:`updated_from_removed_batch`,
         divided by ``count ** c`` (``c_holdout`` for hold-outs) through
@@ -501,7 +390,7 @@ class BatchKernel:
     def _recompute_influences(self, counts: np.ndarray, matrix: np.ndarray,
                               ignore_holdouts: bool, c: float,
                               c_holdout: float, lam: float) -> np.ndarray:
-        """The black-box back half of the mask tier: per context, Δ is
+        """The black-box back half of the mask kernel: per context, Δ is
         recomputed from the raw values for every matched predicate
         (:meth:`delta`, reading the context's mask-matrix slice), then
         folded with the same arithmetic as :meth:`fold`."""

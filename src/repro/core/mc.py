@@ -25,13 +25,9 @@ pruning bounds, exactly like transaction lists in Apriori-style subspace
 clustering.  The per-level candidate ranking — ``inf(O, ∅, p, V)`` for
 every surviving cell — goes through one
 :meth:`InfluenceScorer.score_batch` call per round rather than a Scorer
-round-trip per cell; the level-1 continuous cells are single range
-clauses, so MC declares its continuous attributes via
-:meth:`InfluenceScorer.prepare_index` and that first (largest) round
-rides the prefix-aggregate index instead of mask matrices.  Those same
-``score_batch`` rounds shard across worker processes when the scorer's
-``workers`` knob is set — MC inherits the parallelism with no changes
-here (see :mod:`repro.parallel`).
+round-trip per cell.  Those rounds shard across worker processes when
+the scorer's ``workers`` knob is set — MC inherits the parallelism with
+no changes here (see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -149,10 +145,6 @@ class MCPartitioner:
         start = time.perf_counter()
         scorer = scorer or InfluenceScorer(query)
         self._validate(query, scorer)
-        # Level-1 units are single-clause grid cells / value sets — the
-        # range and bucket tiers' shapes — so build those indexes up
-        # front (level-2 intersections are the conjunction tier's).
-        scorer.prepare_index(spec.name for spec in query.domain)
         merger = Merger(scorer, query.domain, params=self.merger_params)
         index = _OutlierIndex(scorer)
 
@@ -197,7 +189,7 @@ class MCPartitioner:
             candidates=[],
             ranked=ranked_list,
             elapsed=time.perf_counter() - start,
-            n_evaluated=scorer.stats.mask_scores + scorer.stats.indexed_predicates,
+            n_evaluated=scorer.stats.mask_scores,
         )
 
     # ------------------------------------------------------------------

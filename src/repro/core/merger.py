@@ -471,16 +471,6 @@ class Merger:
             expansion_starts = [c.predicate for c in ranked[:n_expand]]
         else:
             expansion_starts = list(seeds)
-        if expansion_starts:
-            # Declare the single-range starts to the prefix-aggregate
-            # index: they (and the merges they grow through) are the
-            # index fast path's shape.
-            self.scorer.prepare_index({
-                predicate.clauses[0].attribute
-                for predicate in expansion_starts
-                if predicate.num_clauses == 1
-                and isinstance(predicate.clauses[0], RangeClause)
-            })
         # _expand_lockstep opens by batch-scoring every start (and every
         # adoption downstream), so with caching on the scalar record()
         # calls below are all cache hits — no separate warm-up needed.

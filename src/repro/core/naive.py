@@ -7,20 +7,16 @@ modifications make it usable as the experimental baseline:
 
 * predicates are generated in increasing complexity order (clause count,
   then discrete value-set size), and
-* the search runs under a wall-clock (and optionally evaluation-count)
-  budget, returning the most influential predicate found so far; every
-  improvement is logged so Figure 11's convergence curves can be
-  regenerated.
+* the search runs under a budget, returning the most influential
+  predicate found so far; every improvement is logged so Figure 11's
+  convergence curves can be regenerated.  The paper's budget is wall
+  clock; the default here is an evaluation count, so the answer does
+  not depend on machine speed, and a wall-clock deadline is opt-in.
 
 Enumerated predicates are collected into fixed-size chunks and scored
 through :meth:`InfluenceScorer.score_batch` — one vectorized pass per
 chunk instead of a Scorer round-trip per predicate — while the budget
 checks still run per predicate, so truncation points are unchanged.
-The enumeration's opening wave is exactly the index fast path's shape
-(every 1-clause range over every continuous attribute), so the search
-declares those attributes up front via
-:meth:`InfluenceScorer.prepare_index` and the batches bypass mask
-matrices entirely.
 
 Because all scoring funnels through ``score_batch``, NAIVE inherits
 sharded multi-process execution from the scorer's ``workers`` knob with
@@ -53,11 +49,12 @@ class NaivePartitioner:
     max_discrete_set_size:
         Cap on discrete value-set sizes (None = unbounded).
     time_budget:
-        Wall-clock seconds before the search stops (paper: 40 minutes;
-        benches use seconds).  None = no time limit.
+        Optional wall-clock deadline in seconds (paper: 40 minutes).
+        None (the default) = no time limit; with a deadline the answer
+        depends on machine speed.
     max_evaluations:
-        Deterministic alternative budget: stop after this many predicate
-        evaluations.  None = no count limit.
+        Deterministic budget: stop after this many predicate
+        evaluations (default 10,000).  None = no count limit.
     top_k:
         How many of the best predicates to keep in the ranked output.
     batch_size:
@@ -70,8 +67,8 @@ class NaivePartitioner:
 
     def __init__(self, n_bins: int = 15, max_clauses: int | None = None,
                  max_discrete_set_size: int | None = None,
-                 time_budget: float | None = 30.0,
-                 max_evaluations: int | None = None,
+                 time_budget: float | None = None,
+                 max_evaluations: int | None = 10_000,
                  top_k: int = 10, batch_size: int = 256):
         if time_budget is None and max_evaluations is None:
             raise PartitionerError("NAIVE needs a time or evaluation budget "
@@ -92,12 +89,6 @@ class NaivePartitioner:
             ) -> PartitionerResult:
         """Search the predicate space and return the ranked best found."""
         scorer = scorer or InfluenceScorer(query)
-        # Declare the single-clause producers: every continuous
-        # attribute's grid cells (and their unions) and every discrete
-        # attribute's value sets arrive as 1-clause predicates — and
-        # their pairings as 2-clause conjunctions — all index-tier
-        # shapes.
-        scorer.prepare_index(spec.name for spec in query.domain)
         enumerator = PredicateEnumerator(
             query.domain,
             n_bins=self.n_bins,

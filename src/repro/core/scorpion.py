@@ -64,17 +64,14 @@ class ScorpionResult:
     n_candidates: int
     #: Scorer operation counters (:meth:`ScorerStats.as_dict`), including
     #: the batch-scoring counters ``batch_calls`` / ``batch_predicates``
-    #: / ``largest_batch`` / ``batch_seconds`` / ``batch_throughput``,
-    #: the index-routing counters ``indexed_predicates`` (with its
-    #: per-tier split ``indexed_ranges`` / ``indexed_sets`` /
-    #: ``indexed_conjunctions`` and ``conjunction_fallbacks``) /
-    #: ``masked_predicates`` / ``index_builds`` / ``index_build_seconds``,
-    #: and the parallel-execution counters ``parallel_batches`` /
-    #: ``parallel_shards`` (worker-side kernel counters are merged back
-    #: in, so totals match a serial run).  ``Scorpion.explain`` merges in
-    #: this call's :class:`~repro.core.cache.DTCache` window
-    #: (``dtcache_*`` deltas + entry gauge); the resident service adds
-    #: its own ``service_*`` counters on top.
+    #: / ``largest_batch`` / ``batch_seconds`` / ``batch_throughput`` /
+    #: ``masked_predicates``, and the parallel-execution counters
+    #: ``parallel_batches`` / ``parallel_shards`` (worker-side kernel
+    #: counters are merged back in, so totals match a serial run).
+    #: ``Scorpion.explain`` merges in this call's
+    #: :class:`~repro.core.cache.DTCache` window (``dtcache_*`` deltas +
+    #: entry gauge); the resident service adds its own ``service_*``
+    #: counters on top.
     scorer_stats: dict
     #: Exported span tree (flat list of span dicts; see
     #: :meth:`repro.obs.trace.Tracer.export`) when tracing was enabled
@@ -112,11 +109,6 @@ class Scorpion:
         extension and is off by default.
     relevance_threshold:
         Minimum relevance an attribute must reach to be kept.
-    use_index:
-        Let the Scorer route the search's hot predicate shapes —
-        single range clauses, single set clauses, and 2-clause
-        conjunctions — through the prefix-aggregate index (on by
-        default; see :mod:`repro.index`).
     batch_chunk:
         Override for the Scorer's per-pass predicate cap (None = the
         ``SCORPION_BATCH_CHUNK`` environment variable, else the
@@ -147,7 +139,7 @@ class Scorpion:
                  use_cache: bool = True, top_k: int = 5,
                  auto_select_attributes: bool = False,
                  relevance_threshold: float = 0.05,
-                 use_index: bool = True, batch_chunk: int | None = None,
+                 batch_chunk: int | None = None,
                  workers: int | None = None,
                  task_timeout: float | None = None,
                  trace: bool | None = None):
@@ -162,7 +154,6 @@ class Scorpion:
         self.top_k = top_k
         self.auto_select_attributes = auto_select_attributes
         self.relevance_threshold = relevance_threshold
-        self.use_index = use_index
         self.batch_chunk = batch_chunk
         self.workers = workers
         self.task_timeout = task_timeout
@@ -184,8 +175,7 @@ class Scorpion:
         with span("build") as sp:
             if self.auto_select_attributes:
                 query = self._narrow_attributes(query)
-            scorer = InfluenceScorer(query, use_index=self.use_index,
-                                     batch_chunk=self.batch_chunk,
+            scorer = InfluenceScorer(query, batch_chunk=self.batch_chunk,
                                      workers=self.workers,
                                      task_timeout=self.task_timeout)
             if sp:

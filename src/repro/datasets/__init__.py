@@ -4,7 +4,7 @@
   random hyper-cubes of outlier tuples inside 2–4 dimensional groups);
 * :mod:`~repro.datasets.intel` — a statistically matched simulator of the
   Intel Lab sensor trace with the two failure workloads the paper
-  analyzes (see DESIGN.md §3 for the substitution rationale);
+  analyzes (the original trace is not available offline);
 * :mod:`~repro.datasets.expenses` — a generator shaped like the FEC 2012
   campaign-expense file with the Obama media-buy outlier days.
 

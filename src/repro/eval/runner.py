@@ -40,17 +40,15 @@ class RunRecord:
     n_candidates: int = 0
     #: Scorer operation counters for the run (see
     #: :meth:`repro.core.influence.ScorerStats.as_dict`), including the
-    #: batch-scoring size/throughput counters, the index-routing
-    #: counters (``indexed_predicates`` / ``masked_predicates`` /
-    #: ``index_builds`` / ``index_build_seconds``), and the
-    #: parallel-execution counters (``parallel_batches`` /
+    #: batch-scoring size/throughput counters, ``masked_predicates`` and
+    #: the parallel-execution counters (``parallel_batches`` /
     #: ``parallel_shards``) with worker-side kernel counters merged in.
     scorer_stats: dict = field(default_factory=dict)
     #: Per-phase wall-clock breakdown in seconds.  Always carries the
     #: result's ``partition`` / ``merge`` timings; with tracing enabled
     #: (``SCORPION_TRACE=1`` or a traced Scorpion/service) every span
     #: name is a key — ``score_batch``, ``merge_round``, ``build``,
-    #: ``prepare_index``, ``shard``, ... — each summed across the run
+    #: ``shard``, ... — each summed across the run
     #: (see :func:`repro.obs.trace.phase_totals`).
     phase_seconds: dict = field(default_factory=dict)
     #: The run's exported span tree when tracing was enabled
@@ -66,27 +64,6 @@ class RunRecord:
         """Predicates/second through the Scorer's batch API (0 if the
         run never batched)."""
         return float(self.scorer_stats.get("batch_throughput", 0.0))
-
-    @property
-    def indexed_predicates(self) -> int:
-        """Predicates the planner routed through the prefix-aggregate
-        index during the run (all tiers)."""
-        return int(self.scorer_stats.get("indexed_predicates", 0))
-
-    @property
-    def indexed_ranges(self) -> int:
-        """Index predicates answered by the single-range tier."""
-        return int(self.scorer_stats.get("indexed_ranges", 0))
-
-    @property
-    def indexed_sets(self) -> int:
-        """Index predicates answered by the discrete code-bucket tier."""
-        return int(self.scorer_stats.get("indexed_sets", 0))
-
-    @property
-    def indexed_conjunctions(self) -> int:
-        """Index predicates answered by the 2-clause conjunction tier."""
-        return int(self.scorer_stats.get("indexed_conjunctions", 0))
 
     @property
     def masked_predicates(self) -> int:
@@ -189,7 +166,7 @@ def sweep_c(name: str, problem: ScorpionQuery, c_values: Sequence[float],
     partitions and merger warm starts (the Section 8.3.3 experiment).
     With ``use_service`` the sweep runs through a resident
     :class:`~repro.service.ExplainService` instead: the problem image,
-    index views, and worker pool are built once and every ``c`` after
+    batch kernel and worker pool are built once and every ``c`` after
     the first rebinds against them (no per-``c`` ``with_c`` rebuild),
     on top of the same DT partition/merge reuse ``share_cache`` gives.
     ``workers`` applies to every run (see :func:`run_algorithm`).

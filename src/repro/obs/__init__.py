@@ -4,13 +4,14 @@ Zero-dependency instrumentation for the resident explain pipeline:
 
 * :mod:`repro.obs.trace` — a ``perf_counter_ns`` span tracer recording
   a per-explain span tree (build/checkout, partition phases, every
-  ``score_batch`` with its routed tiers, merger rounds, parallel shard
-  fan-out with worker-side wall time and queue wait).  Off by default;
-  opt in with ``SCORPION_TRACE=1`` or ``--trace``.  Tracing is
-  bit-for-bit invisible to results — the differential oracle runs a
-  traced leg, and ``bench_obs_overhead.py`` pins the overhead.
+  ``score_batch`` with its cache hits and shards, merger rounds,
+  parallel shard fan-out with worker-side wall time and queue wait).
+  Off by default; opt in with ``SCORPION_TRACE=1`` or ``--trace``.
+  Tracing is bit-for-bit invisible to results — the differential
+  oracle runs a traced leg, and ``bench_obs_overhead.py`` pins the
+  overhead.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges, and histograms that the service/index/pool layers publish
+  gauges, and histograms that the service and pool layers publish
   into, exported as a snapshot dict or Prometheus text exposition.
 * :mod:`repro.obs.logs` — one-JSON-object-per-line structured logging
   with per-request trace IDs for the ``--serve`` loop

@@ -4,10 +4,10 @@ scorer's batch kernel.
 One :class:`ShardedScoringExecutor` serves one scorer/problem:
 :meth:`start` spins up the pool with the scorer's
 :class:`~repro.core.kernel.BatchKernel` as the initializer argument, and
-every parallel ``score_batch`` call turns into one :meth:`run` of routed
-shards.  Results come back in submission order, so reassembly in the
-scorer is a plain ``zip`` and the output is bit-for-bit identical to the
-serial chunk loop.
+every parallel ``score_batch`` call turns into one :meth:`run` of
+predicate shards, cut to :func:`choose_shard_size`.  Results come back
+in submission order, so reassembly in the scorer is a plain ``zip`` and
+the output is bit-for-bit identical to the serial chunk loop.
 
 Failure policy: any pool-level failure — a worker crash
 (``BrokenProcessPool``), a shard exceeding ``task_timeout``, a
@@ -41,6 +41,11 @@ from repro.parallel import worker as _worker
 #: ``SCORPION_WORKER_TIMEOUT`` alias; ``0`` disables).
 DEFAULT_TASK_TIMEOUT = 300.0
 
+#: Estimated per-task dispatch overhead of the worker pool (pickle,
+#: queue, result IPC) in nanoseconds; shards smaller than a couple of
+#: these are not worth cutting.
+DISPATCH_NS = 200_000.0
+
 
 def resolve_workers(workers: int | None) -> int:
     """Resolve the ``workers`` knob to an effective process count.
@@ -59,6 +64,32 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 1:
         raise ParallelError(f"workers must be >= 0, got {workers}")
     return workers
+
+
+def choose_shard_size(n_predicates: int, n_rows: int, workers: int,
+                      batch_chunk: int) -> int:
+    """Predicates per shard for a parallel batch of ``n_predicates``
+    over ``n_rows`` labeled rows.
+
+    ``batch_chunk`` unless the batch is too small to fill ``2 ×
+    workers`` chunks of it; then the batch is cut into ``2 × workers``
+    shards so every worker gets a share — provided one such shard's
+    estimated mask-kernel work clears a couple of dispatch round-trips
+    (cutting a microsecond of scoring into IPC is a loss at any worker
+    count).  One predicate is priced at 3.3 ns per labeled row (build
+    and scan its mask row), 50 ns per matched row (scatter-add, a
+    quarter of the rows assumed matched) and 2 µs fixed.  Deterministic
+    pure arithmetic, and chunking never changes a result.
+    """
+    shards = 2 * workers
+    if (n_predicates <= 0 or workers <= 1
+            or -(-n_predicates // batch_chunk) >= shards):
+        return batch_chunk
+    size = -(-n_predicates // shards)
+    per_predicate_ns = 3.3 * n_rows + 50.0 * (n_rows / 4) + 2000.0
+    if size * per_predicate_ns < 2.0 * DISPATCH_NS:
+        return batch_chunk
+    return size
 
 
 def _resolve_timeout(task_timeout: float | None) -> float | None:

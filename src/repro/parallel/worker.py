@@ -4,16 +4,10 @@ The process pool initializes each worker exactly once with
 :func:`initialize`, handing it the parent scorer's
 :class:`~repro.core.kernel.BatchKernel` (inherited copy-on-write under
 ``fork``, unpickled once under ``spawn``), and then feeds it
-:func:`run_shard` calls.  A shard is one slice of a ``score_batch``
-call, already routed by the parent's
-:class:`~repro.index.IndexPlanner`: ``"masked"`` shards carry
-predicates, ``"indexed"`` / ``"indexed_set"`` shards bare range or set
-clauses, and ``"indexed_conj"`` shards the parent-planned
-:class:`~repro.index.ConjunctionPlan` objects (probe side already
-chosen).  The worker runs the kernel method the serial loop runs, so
-the returned influences are bit-for-bit what the parent would have
-computed.  A worker forked before the parent built an index view builds
-its own copy on first use; stable argsort makes it byte-identical.
+:func:`run_shard` calls.  A shard is one slice of the predicates a
+``score_batch`` call has left to score.  The worker runs the mask
+kernel the serial loop runs, so the returned influences are bit-for-bit
+what the parent would have computed.
 
 Each call returns ``(influences, worker_counters)`` where the counters
 are the kernel-internal :class:`ScorerStats` increments
@@ -39,17 +33,17 @@ def initialize(kernel) -> None:
     _KERNEL = kernel
 
 
-def run_shard(kind: str, items: Sequence, ignore_holdouts: bool,
+def run_shard(predicates: Sequence, ignore_holdouts: bool,
               scalars: tuple[float, float, float],
               ) -> tuple[np.ndarray, dict[str, float]]:
-    """Score one routed shard at the parent's current ``(c, c_holdout,
-    λ)``; see the module docstring."""
+    """Score one shard of predicates at the parent's current ``(c,
+    c_holdout, λ)``; see the module docstring."""
     kernel = _KERNEL
     assert kernel is not None, "worker used before initialize()"
     fault_point("worker.shard")
     shard_t0 = time.perf_counter()
     kernel.stats.reset()
-    values = kernel.score_shard(kind, items, ignore_holdouts, *scalars)
+    values = kernel.score_masked_chunk(predicates, ignore_holdouts, *scalars)
     counters = kernel.stats.worker_counters()
     # Wall-time stamps for the parent's tracer: perf_counter is
     # CLOCK_MONOTONIC (machine-wide on Linux), so the parent can

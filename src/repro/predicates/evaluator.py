@@ -99,47 +99,6 @@ class ArrayMaskEvaluator:
     def supports(self, attribute: str) -> bool:
         return attribute in self._continuous or attribute in self._codes
 
-    @property
-    def continuous_attributes(self) -> tuple[str, ...]:
-        """Names of the attributes held as continuous value arrays."""
-        return tuple(self._continuous)
-
-    def continuous_values(self, attribute: str) -> np.ndarray:
-        """The raw value array of a continuous attribute (the exact rows
-        clause comparisons run against — index builders sort these so
-        sorted-slice membership equals mask membership)."""
-        try:
-            return self._continuous[attribute]
-        except KeyError:
-            raise PredicateError(
-                f"no continuous attribute {attribute!r} in evaluator"
-            ) from None
-
-    @property
-    def discrete_attributes(self) -> tuple[str, ...]:
-        """Names of the attributes held as factorized discrete codes."""
-        return tuple(self._codes)
-
-    def discrete_codes(self, attribute: str) -> np.ndarray:
-        """The factorized code array of a discrete attribute (the exact
-        codes set-clause lookups run against — index builders bucket
-        these so bucket membership equals mask membership)."""
-        try:
-            return self._codes[attribute]
-        except KeyError:
-            raise PredicateError(
-                f"no discrete attribute {attribute!r} in evaluator"
-            ) from None
-
-    def code_table(self, attribute: str) -> dict:
-        """The value → code table of a discrete attribute."""
-        try:
-            return self._code_of[attribute]
-        except KeyError:
-            raise PredicateError(
-                f"no discrete attribute {attribute!r} in evaluator"
-            ) from None
-
     def supports_predicate(self, predicate: Predicate) -> bool:
         """Whether every clause attribute is known to this evaluator."""
         return all(self.supports(clause.attribute) for clause in predicate)

@@ -1,5 +1,5 @@
 """Resident explain service: content-keyed caching of problem images,
-index views, and worker pools across calls (see
+batch kernels and worker pools across calls (see
 :mod:`repro.service.service` for the design notes)."""
 
 from repro.service.keys import (

@@ -4,9 +4,8 @@ expensive per-problem artifacts behind a content key.
 A one-shot ``Scorpion.explain`` pays, on every call, for work that is
 pure function of the *problem* rather than of the Section 7 knobs: the
 group-by execution and provenance (the problem image), the labeled
-evaluator's factorized comparison arrays, the prefix-aggregate index
-views, the DT partitions, and — with ``workers > 1`` — forking a worker
-pool.  An interactive session
+evaluator's factorized comparison arrays, the DT partitions, and — with
+``workers > 1`` — forking a worker pool.  An interactive session
 (the paper's ``c``-slider UI, Section 8.3.3) or an eval sweep repeats
 the same problem dozens of times with only scalar-knob changes, so a
 resident process should pay once.
@@ -18,7 +17,7 @@ set × perturbation, deliberately excluding ``c`` / ``c_holdout`` / ``λ``
 which rebind in O(1).  Each entry owns a narrowed problem, a dedicated
 :class:`~repro.core.scorpion.Scorpion` (its own bounded DT cache), and
 the live :class:`~repro.core.influence.InfluenceScorer` carrying the
-contexts, index views, and (lazily) the started worker pool.
+contexts, the batch kernel, and (lazily) the started worker pool.
 
 **Equivalence contract.**  A warm ``explain`` returns a result
 bit-for-bit equal to a cold ``Scorpion.explain`` of the same problem —
@@ -31,10 +30,9 @@ per-tuple delta memo is kept because tuple deltas are independent of
 every knob the key excludes.
 
 **Memory accounting.**  Every entry is billed its scorer's resident
-bytes — context index/state arrays, the stacked state matrix, evaluator
-comparison arrays, and built index views (the index's shared value
-arrays are aliases of evaluator arrays and excluded, so nothing is
-billed twice).  Eviction walks LRU order while over ``cache_bytes``
+bytes when it is built — context index/state arrays, the stacked state
+matrix and evaluator comparison arrays.  Eviction walks LRU order while
+over ``cache_bytes``
 (constructor > ``SCORPION_CACHE_BYTES`` > 512 MiB), skipping pinned
 (in-flight) entries; a closed entry releases its worker pool.
 
@@ -72,8 +70,7 @@ DEFAULT_CACHE_BYTES = 512 * 1024 * 1024
 
 #: ``scorer_stats`` keys that legitimately differ between a cold
 #: ``Scorpion.explain`` and a warm service call for the same problem:
-#: the service/DT-cache counters themselves, the build counters for
-#: work a warm call reuses instead of redoing, and wall-clock timings.
+#: the service/DT-cache counters themselves and wall-clock timings.
 #: Everything *outside* this set is covered by the bit-for-bit
 #: warm-equals-cold contract (the differential oracle in
 #: ``tests/test_service.py`` asserts exactly that).
@@ -82,7 +79,6 @@ CACHE_STAT_KEYS = frozenset({
     "service_evictions", "service_entries", "service_cached_bytes",
     "dtcache_partition_hits", "dtcache_partition_misses",
     "dtcache_entry_evictions", "dtcache_c_evictions", "dtcache_entries",
-    "index_builds", "index_build_seconds",
     "batch_seconds", "batch_throughput",
 })
 
@@ -99,24 +95,8 @@ _PUBLISHED_COUNTERS = (
      "DT-cache signature entries evicted"),
     ("dtcache_c_evictions", "scorpion_dtcache_c_evictions_total",
      "DT-cache per-c merge results evicted"),
-    ("index_builds", "scorpion_index_builds_total",
-     "Prefix-aggregate index attribute views built"),
-    ("index_build_seconds", "scorpion_index_build_seconds_total",
-     "Seconds spent building index attribute views"),
     ("masked_predicates", "scorpion_masked_predicates_total",
      "Predicates scored through the mask-matrix kernel"),
-    ("indexed_predicates", "scorpion_indexed_predicates_total",
-     "Predicates answered by the prefix-aggregate index"),
-    ("cost_routed_mask", "scorpion_cost_routed_mask_total",
-     "Cost-model decisions routed to the mask kernel"),
-    ("cost_routed_prefix", "scorpion_cost_routed_prefix_total",
-     "Cost-model decisions routed to the prefix tier"),
-    ("cost_routed_bucket", "scorpion_cost_routed_bucket_total",
-     "Cost-model decisions routed to the bucket tier"),
-    ("cost_routed_gather", "scorpion_cost_routed_gather_total",
-     "Cost-model decisions routed to the gather tier"),
-    ("cost_routed_conj", "scorpion_cost_routed_conj_total",
-     "Cost-model decisions routed to the conjunction tier"),
     ("parallel_shards", "scorpion_parallel_shards_total",
      "Shards dispatched to the worker pool"),
 )
@@ -576,13 +556,12 @@ class ExplainService:
         target = entry.problem.with_params(c=c, c_holdout=c_holdout, lam=lam)
         scorer.rebind(target)
         result = entry.scorpion.explain(target, scorer=scorer)
-        self._reaccount(entry)
         result.scorer_stats.update(self._service_stats(hit))
         return result
 
     def _reaccount(self, entry: _CacheEntry) -> None:
-        """Re-bill the entry's resident bytes (they grow when a run
-        builds index views lazily) and evict if now over capacity."""
+        """Bill the entry's resident bytes and evict if now over
+        capacity."""
         nbytes = entry.scorer.resident_bytes()
         with self._lock:
             if not entry.dead:

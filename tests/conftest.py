@@ -11,23 +11,16 @@ import pytest
 
 from repro.aggregates import Avg, Sum
 from repro.core.influence import InfluenceScorer
-from repro.index.cost import CostModel
 from repro.obs.trace import Tracer
+from repro.parallel import executor
 from repro.core.problem import ScorpionQuery
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
-#: Counters that must agree between the index-routed scorer and a
-#: parallel scorer fed the same batch (routing — including every
-#: cost-model decision — happens in the parent either way, and
-#: worker-side kernel counters merge back).
-ROUTING_COUNTERS = (
-    "indexed_predicates", "indexed_ranges", "indexed_sets",
-    "indexed_conjunctions", "conjunction_fallbacks", "masked_predicates",
-    "incremental_deltas", "full_recomputes", "index_builds",
-    "cost_routed_mask", "cost_routed_prefix", "cost_routed_bucket",
-    "cost_routed_gather", "cost_routed_conj",
-)
+#: Counters that must agree between the serial batch scorer and a
+#: parallel scorer fed the same batch (worker-side kernel counters merge
+#: back into the parent's).
+POOL_COUNTERS = ("incremental_deltas", "full_recomputes", "masked_predicates")
 
 
 def assert_same_floats(actual, expected) -> None:
@@ -52,20 +45,17 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     one predicate list:
 
     1. scalar ``score()`` per predicate (the reference semantics);
-    2. ``score_batch`` with the index disabled (mask-matrix kernel);
-    3. ``score_batch`` with the index enabled (planner-routed tiers);
+    2. ``score_batch`` (the mask-matrix kernel);
+    3. ``score_batch`` under an active span tracer;
     4. when ``workers`` is given: ``score_batch`` with ``workers``
-       processes two ways — the whole batch in one chunk under a cost
-       model whose dispatch gate always passes (so the automatic split
-       must cut it into shards), and small predicate chunks.
+       processes two ways — the whole batch in one chunk with the
+       pool's dispatch cost zeroed (so the automatic split must cut it
+       into shards), and small predicate chunks.
 
-    Also asserts routing-counter consistency: the per-tier split sums
-    to ``indexed_predicates``, the mask-only scorer routes nothing, a
-    replayed partition of the same unique predicates reproduces every
-    routing and cost-model counter exactly (so routing is a
-    deterministic function of the batch, not of execution mode), and
-    every parallel leg's routing/kernel counters equal the serial
-    indexed run's.  ``expect_pool`` additionally requires that the
+    Also asserts that the batch scorer sent every unique predicate the
+    labeled evaluator supports through the mask kernel, and that every
+    parallel leg's kernel counters (:data:`POOL_COUNTERS`) equal the
+    serial batch run's.  ``expect_pool`` additionally requires that the
     parallel legs actually dispatched shards to worker processes (at
     least two for the one-chunk leg).  Extra keyword arguments
     construct every scorer (e.g. ``use_incremental=False``).  Returns
@@ -73,36 +63,19 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     """
     predicates = list(predicates)
     chunk_kwargs = {} if batch_chunk is None else {"batch_chunk": batch_chunk}
-    parallel = workers is not None and workers > 1
-    if parallel:
-        # The one-chunk leg prices routes with the same constants but a
-        # zero dispatch cost, so routing is identical and the
-        # shard-size gate passes.
-        routing_model = (scorer_kwargs.get("cost_model")
-                         or CostModel.shared())
-        open_gate = CostModel(routing_model.constants)
-        open_gate.DISPATCH_NS = 0.0
 
-    scalar_kwargs = dict(scorer_kwargs, use_index=False)
     scalar_scorer = InfluenceScorer(problem, cache_scores=False,
-                                    **scalar_kwargs)
+                                    **scorer_kwargs)
     scalar = np.asarray([
         scalar_scorer.score(p, ignore_holdouts=ignore_holdouts)
         for p in predicates
     ])
 
-    mask_kwargs = dict(scorer_kwargs, use_index=False)
-    masked = InfluenceScorer(problem, cache_scores=False, **mask_kwargs,
-                             **chunk_kwargs)
-    via_mask = masked.score_batch(predicates, ignore_holdouts=ignore_holdouts)
-
-    indexed = InfluenceScorer(problem, cache_scores=False, **scorer_kwargs,
+    batched = InfluenceScorer(problem, cache_scores=False, **scorer_kwargs,
                               **chunk_kwargs)
-    via_index = indexed.score_batch(predicates,
+    via_batch = batched.score_batch(predicates,
                                     ignore_holdouts=ignore_holdouts)
-
-    assert_same_floats(via_mask, scalar)
-    assert_same_floats(via_index, scalar)
+    assert_same_floats(via_batch, scalar)
 
     # Tracing leg: an active span tracer must be bit-for-bit invisible
     # to the influences (annotations read counters, never touch the
@@ -120,60 +93,38 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
         assert any(s["name"] == "score_batch" for s in tracer.export()), \
             "traced batch recorded no score_batch span"
 
-    stats = indexed.stats
-    assert stats.indexed_predicates == (
-        stats.indexed_ranges + stats.indexed_sets
-        + stats.indexed_conjunctions), "per-tier split must sum to total"
-    assert masked.stats.indexed_predicates == 0
-    if not indexed.uses_index:
-        assert stats.indexed_predicates == 0
-    assert (stats.indexed_predicates + stats.masked_predicates
-            <= len(set(predicates)))
-    # Routing-replay guard: re-partitioning the batch's unique scorable
-    # predicates must reproduce the recorded routing and cost-model
-    # counters exactly — routing is a deterministic function of the
-    # batch and the cost model, never of execution mode or history.
-    # (Replaces the old unconditional-engagement guard: with cost-based
-    # routing, which tier answers a shape depends on the problem size.)
+    stats = batched.stats
     scorable = [p for p in dict.fromkeys(predicates)
-                if indexed.kernel.evaluator.supports_predicate(p)]
-    replay = indexed.planner.partition(scorable)
-    assert stats.indexed_ranges == len(replay.ranges)
-    assert stats.indexed_sets == len(replay.sets)
-    assert stats.indexed_conjunctions == len(replay.conjunctions)
-    assert stats.masked_predicates == len(replay.masked)
-    assert stats.conjunction_fallbacks == replay.conjunction_fallbacks
-    for name in ("cost_routed_mask", "cost_routed_prefix",
-                 "cost_routed_bucket", "cost_routed_gather",
-                 "cost_routed_conj"):
-        assert getattr(stats, name) == getattr(replay, name), name
+                if batched.kernel.evaluator.supports_predicate(p)]
+    assert stats.masked_predicates == len(scorable)
 
-    if parallel:
-        parallel_legs = (
-            # The whole batch in one chunk: only the automatic
-            # predicate split can feed the pool.
-            dict(scorer_kwargs, cost_model=open_gate,
-                 batch_chunk=max(len(predicates), 1)),
-            # Small predicate chunks.
-            dict(scorer_kwargs, batch_chunk=batch_chunk or 8),
-        )
-        for leg, kwargs in enumerate(parallel_legs):
+    if workers is not None and workers > 1:
+        # Leg 0: the whole batch in one chunk, so only the automatic
+        # predicate split can feed the pool.  Leg 1: small chunks.
+        for leg, chunk in enumerate((max(len(predicates), 1),
+                                     batch_chunk or 8)):
             parallel_scorer = InfluenceScorer(problem, cache_scores=False,
-                                              workers=workers, **kwargs)
+                                              workers=workers,
+                                              batch_chunk=chunk,
+                                              **scorer_kwargs)
+            dispatch_ns = executor.DISPATCH_NS
+            if leg == 0:
+                executor.DISPATCH_NS = 0.0  # the split's gate always passes
             try:
                 via_parallel = parallel_scorer.score_batch(
                     predicates, ignore_holdouts=ignore_holdouts)
-                assert_same_floats(via_parallel, scalar)
-                for name in ROUTING_COUNTERS:
-                    assert getattr(parallel_scorer.stats, name) == \
-                        getattr(stats, name), (name, leg)
-                if expect_pool:
-                    assert parallel_scorer.stats.parallel_shards >= \
-                        (2 if leg == 0 else 1), \
-                        f"pool was never used (leg {leg})"
             finally:
+                executor.DISPATCH_NS = dispatch_ns
                 parallel_scorer.close()
-    return via_index
+            assert_same_floats(via_parallel, scalar)
+            for name in POOL_COUNTERS:
+                assert getattr(parallel_scorer.stats, name) == \
+                    getattr(stats, name), (name, leg)
+            if expect_pool:
+                assert parallel_scorer.stats.parallel_shards >= \
+                    (2 if leg == 0 else 1), \
+                    f"pool was never used (leg {leg})"
+    return via_batch
 
 
 def assert_no_live_workers(baseline=frozenset(),

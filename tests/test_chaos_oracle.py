@@ -50,8 +50,8 @@ def make_problem(c: float = 0.5) -> ScorpionQuery:
 
 
 def chaos_batch() -> list[Predicate]:
-    """Every routed shape, so a recovered pool re-scores the full tier
-    mix: ranges, sets, conjunctions, and the mask kernel."""
+    """Every predicate shape, so a recovered pool re-scores the full
+    mix: ranges, sets, conjunctions, and TRUE."""
     batch = [Predicate([RangeClause("a1", 4.0 * i, 4.0 * i + 22.0)])
              for i in range(24)]
     batch += [Predicate([SetClause("state", ["TX"])]),

@@ -58,6 +58,24 @@ class TestValidation:
         with pytest.raises(PartitionerError):
             DTPartitioner(epsilon=1.5)
 
+    def test_overrides_leave_callers_params_untouched(self):
+        params = DTParams()
+        dt = DTPartitioner(params, max_depth=3)
+        assert params.max_depth == DTParams().max_depth
+        assert dt.params.max_depth == 3
+        assert dt.params is not params
+
+    @pytest.mark.parametrize("override", [
+        {"max_leaves": 0}, {"max_leaves": -1}, {"max_depth": -1}])
+    def test_degenerate_tree_caps_rejected(self, override):
+        # Either cap would silently collapse DT to one whole-domain
+        # candidate.
+        (name,) = override
+        with pytest.raises(PartitionerError, match=name):
+            DTPartitioner(**override)
+        with pytest.raises(PartitionerError, match=name):
+            DTPartitioner(DTParams(**override))
+
 
 class TestThresholdCurve:
     """Section 6.1.1 / Figure 4: the error threshold shrinks to τ_min as

@@ -1,12 +1,11 @@
 """Seeded end-to-end golden test at the API surface.
 
 ``Scorpion.explain`` funnels every candidate predicate through the
-influence scorer, so planner-routing drift anywhere in the stack —
-range tier, discrete-bucket tier, conjunction tier, mask kernel,
-parallel shards — would surface here as a different explanation.  On a
-fixed synthetic dataset, the default run, the ``use_index=False`` run
-(CLI ``--no-index``), and the ``workers=2`` run (CLI ``--workers 2``)
-must return identical top predicates and influences.
+influence scorer, so drift anywhere in the scoring stack — mask kernel
+or parallel shards — would surface here as a different explanation.
+On a fixed synthetic dataset, the default run and the ``workers=2`` run
+(CLI ``--workers 2``) must return identical top predicates and
+influences.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from repro.aggregates import Sum
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
-from repro.index import cost, force_index_model
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
@@ -23,7 +21,7 @@ from repro.table import ColumnKind, ColumnSpec, Schema, Table
 def golden_problem(seed: int = 11) -> ScorpionQuery:
     """A planted SUM workload with one continuous and one discrete
     explanation attribute, so the search emits single ranges, single
-    set clauses, and 2-clause conjunctions — every index tier."""
+    set clauses, and 2-clause conjunctions."""
     rng = np.random.default_rng(seed)
     n_per_group, groups = 120, ["g0", "g1", "g2", "g3"]
     n = n_per_group * len(groups)
@@ -57,44 +55,10 @@ def test_explain_identical_across_scoring_paths(algorithm):
     problem = golden_problem()
     default = Scorpion(algorithm=algorithm, use_cache=False,
                        batch_chunk=32).explain(problem)
-    no_index = Scorpion(algorithm=algorithm, use_cache=False,
-                        batch_chunk=32, use_index=False).explain(problem)
     parallel = Scorpion(algorithm=algorithm, use_cache=False,
                         batch_chunk=32, workers=2).explain(problem)
 
-    assert explanation_signature(default) == explanation_signature(no_index)
     assert explanation_signature(default) == explanation_signature(parallel)
-
-    # The default run's routing was actually priced by the cost model;
-    # the --no-index run never made a decision; the parallel run routed
-    # identically, cost decisions included.
-    cost_counters = tuple(f"cost_routed_{k}"
-                          for k in ("mask", "prefix", "bucket", "gather",
-                                    "conj"))
-    assert sum(default.scorer_stats[c] for c in cost_counters) > 0
-    assert no_index.scorer_stats["indexed_predicates"] == 0
-    assert sum(no_index.scorer_stats[c] for c in cost_counters) == 0
-    for name in (("indexed_predicates", "indexed_ranges", "indexed_sets",
-                  "indexed_conjunctions", "masked_predicates")
-                 + cost_counters):
+    # The parallel run scored exactly the serial run's predicates.
+    for name in ("masked_predicates", "mask_scores", "incremental_deltas"):
         assert parallel.scorer_stats[name] == default.scorer_stats[name], name
-
-
-def test_default_run_exercises_new_tiers():
-    """The planted workload's best explanation is a conjunction (hot
-    region = a1 range × state set), so with the mask kernel priced out
-    the search must hit the conjunction tier; DT's discrete splits also
-    emit set clauses.  (At this problem size the *real* cost model may
-    rightly keep conjunctions on the mask kernel — the pinned model
-    keeps this a tier-engagement test, not an economics test.)"""
-    cost.set_shared(force_index_model())
-    try:
-        result = Scorpion(algorithm="dt", use_cache=False,
-                          batch_chunk=32).explain(golden_problem())
-    finally:
-        cost.set_shared(None)
-    assert result.scorer_stats["indexed_conjunctions"] > 0
-    assert result.scorer_stats["cost_routed_conj"] > 0
-    best = result.best.predicate
-    assert best is not None
-    assert "state" in best.attributes or "a1" in best.attributes

@@ -62,7 +62,7 @@ class TestGrammar:
         assert hang.arg == 0.25
         (exit_spec,) = parse_faults("worker.shard:exit=3@1")
         assert exit_spec.arg == 3.0
-        (bare,) = parse_faults("index.build:memerror")
+        (bare,) = parse_faults("service.build:memerror")
         assert bare.arg is None and bare.hits is None \
             and bare.probability is None
 

@@ -1,14 +1,13 @@
-"""Property tests for the discrete-bucket and 2-clause-conjunction
-index tiers, driven through the shared differential oracle
+"""Property tests for single set clauses and 2-clause conjunctions,
+driven through the shared differential oracle
 (:func:`tests.conftest.assert_scoring_paths_agree`).
 
-Coverage targets the tier-specific hazards: random discrete
-cardinalities, set clauses naming values the table never takes (empty
-buckets — globally or only in some groups), NaN-bearing continuous
-columns on the conjunction's other side, degenerate one-row groups, and
-conjunctions where either clause is the rarer (probe) side.  Plus the
-planner's clean fallback when a conjunction references an attribute
-with no prepared index view (the satellite bug-fix regression).
+Coverage targets the mask kernel's hardest inputs for bit-exactness
+against the scalar path: random discrete cardinalities, set clauses
+naming values the table never takes (globally or only in some groups),
+NaN-bearing continuous columns on the conjunction's other side,
+degenerate one-row groups, every clause pairing, and conjunctions where
+either clause is the narrower side.
 """
 
 import numpy as np
@@ -19,14 +18,6 @@ from hypothesis import strategies as st
 from repro.aggregates import Avg, StdDev, Sum
 from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
-from repro.errors import PredicateError
-from repro.index import (
-    ConjunctionPlan,
-    GroupDiscreteIndex,
-    IndexPlanner,
-    PrefixAggregateIndex,
-    force_index_model,
-)
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
@@ -45,12 +36,11 @@ SCHEMA = Schema([
 
 #: a1 is drawn from a small grid so clause boundaries coincide with
 #: duplicated data values; ``ac`` values come from this pool (per-group
-#: subsets leave some buckets empty in some groups), ``ad`` is binary.
+#: subsets leave some values absent from some groups), ``ad`` is binary.
 A1_GRID = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 AC_POOL = [f"c{i}" for i in range(12)]
 AD_POOL = ["x", "y"]
-#: Clause values beyond the pool — never present, so their buckets are
-#: empty in every group.
+#: Clause values beyond the pool — never present in any group.
 AC_ABSENT = ["zz", "missing"]
 
 
@@ -66,8 +56,8 @@ def build_problem(aggregate, *, cardinality: int = 6,
              "h1": rows_per_group}
     for gi, (group, shift) in enumerate((("o1", 4.0), ("o2", 2.0),
                                          ("h1", 0.0))):
-        # Each group draws from a rotated slice of the code pool, so
-        # some codes exist globally but have empty buckets per group.
+        # Each group draws from a rotated slice of the value pool, so
+        # some values exist globally but are absent from some groups.
         pool = [AC_POOL[(gi * 2 + j) % len(AC_POOL)]
                 for j in range(max(cardinality, 1))]
         for _ in range(sizes[group]):
@@ -115,7 +105,7 @@ def range_clauses(draw, attribute=None) -> RangeClause:
 def conjunction_predicates(draw) -> Predicate:
     """2-clause conjunctions across every kind pairing — range×range,
     range×set, set×set — with selectivities varied enough that either
-    clause ends up the rarer (probe) side."""
+    clause ends up the narrower side."""
     kind = draw(st.sampled_from(["rr", "rs", "ss"]))
     if kind == "rr":
         return Predicate([draw(range_clauses(attribute="a1")),
@@ -169,23 +159,6 @@ class TestDiscreteBucketTier:
         values = assert_scoring_paths_agree(build_problem(Avg()), [nothing])
         assert values[0] == 0.0
 
-    def test_set_tier_routes_and_counts(self):
-        scorer = InfluenceScorer(build_problem(Sum(), integer_values=True),
-                                 cache_scores=False)
-        scorer.score_batch([Predicate([SetClause("ac", [AC_POOL[0]])]),
-                            Predicate([SetClause("ad", ["x", "y"])])])
-        assert scorer.stats.indexed_sets == 2
-        assert scorer.stats.indexed_predicates == 2
-        assert scorer.stats.masked_predicates == 0
-        index = scorer.planner.index
-        assert index.bucket_tier_groups("ac") == 3  # exact bucket tier
-
-    def test_gather_tier_for_float_states(self):
-        scorer = InfluenceScorer(build_problem(Avg()), cache_scores=False)
-        scorer.prepare_index(["ac"])
-        assert scorer.planner.index.bucket_tier_groups("ac") == 0
-
-
 class TestConjunctionTier:
     @settings(max_examples=25, deadline=None)
     @given(predicates=st.lists(conjunction_predicates(), max_size=8))
@@ -218,8 +191,9 @@ class TestConjunctionTier:
 
     @pytest.mark.parametrize("narrow_side", ["range", "set"])
     def test_either_side_probes(self, narrow_side):
-        """The planner must pick whichever clause matches fewer rows;
-        both orientations must score identically to scalar."""
+        """A conjunction whose narrow side is the point range, and one
+        whose narrow side is the single-value set, both score
+        identically to scalar."""
         problem = build_problem(Avg(), cardinality=12, seed=3)
         if narrow_side == "range":
             predicate = Predicate([RangeClause("a1", 2.0, 2.0),
@@ -227,49 +201,24 @@ class TestConjunctionTier:
         else:
             predicate = Predicate([RangeClause("a1", -10.0, 100.0),
                                    SetClause("ac", [AC_POOL[0]])])
-        # force_index_model pins the plan-vs-mask choice: on a fixture
-        # this small the real cost model may price the probe out.
-        scorer = InfluenceScorer(problem, cache_scores=False,
-                                 cost_model=force_index_model())
-        plan = scorer.planner.plan_conjunction(predicate)
-        assert plan is not None
-        if narrow_side == "range":
-            assert isinstance(plan.probe, RangeClause)
-        else:
-            assert isinstance(plan.probe, SetClause)
         assert_scoring_paths_agree(problem, [predicate])
 
     def test_unselective_conjunction_prefers_mask_kernel(self):
-        """When even the rarer clause covers most of the labeled rows,
-        probing cannot beat the mask kernel's amortized batch scan — the
-        planner must fall back (and still score identically)."""
+        """A conjunction whose clauses both cover most of the labeled
+        rows scores identically to scalar on the mask kernel."""
         problem = build_problem(Avg())
         predicate = Predicate([RangeClause("a1", -10.0, 100.0),
                                SetClause("ac", AC_POOL)])
         scorer = InfluenceScorer(problem, cache_scores=False)
-        assert scorer.planner.plan_conjunction(predicate) is None
         values = scorer.score_batch([predicate])
-        assert scorer.stats.conjunction_fallbacks == 1
         assert scorer.stats.masked_predicates == 1
         np.testing.assert_array_equal(
             values, assert_scoring_paths_agree(problem, [predicate]))
 
-    def test_probe_estimate_is_exact(self):
-        problem = build_problem(Avg(), seed=5)
-        scorer = InfluenceScorer(problem, cache_scores=False)
-        clause = RangeClause("a1", 1.0, 4.0)
-        estimate = scorer.planner.index.estimate_clause_count(clause)
-        a1 = np.concatenate([
-            problem.table.values("a1")[r.indices]
-            for r in problem.outlier_results + problem.holdout_results
-        ])
-        assert estimate == int(np.count_nonzero(clause.mask_values(a1)))
-
-
 class TestWorkersTwo:
-    """The acceptance bar: every tier bit-for-bit equal to scalar under
-    the oracle at workers ∈ {1, 2} (serial legs run in every oracle
-    call; these add the pooled leg)."""
+    """Every shape bit-for-bit equal to scalar under the oracle at
+    workers ∈ {1, 2} (serial legs run in every oracle call; these add
+    the pooled legs)."""
 
     def test_mixed_tiers_parallel(self):
         batch = (
@@ -295,121 +244,17 @@ class TestWorkersTwo:
 
 
 class TestPlannerFallback:
-    """Satellite regression: a conjunction referencing an attribute
-    with no prepared index view must fall back to the mask kernel with
-    a recorded counter — never crash."""
+    """A range × set conjunction scores on the mask kernel, identically
+    to scalar."""
 
     def conjunction(self) -> Predicate:
         return Predicate([RangeClause("a1", 1.0, 5.0),
                           SetClause("ac", [AC_POOL[0], AC_POOL[1]])])
 
-    def test_planner_without_codes_falls_back(self):
-        problem = build_problem(Avg())
-        scorer = InfluenceScorer(problem, cache_scores=False)
-        index = scorer.planner.index
-        # An index built without discrete codes (e.g. a caller wiring
-        # PrefixAggregateIndex directly): the set side has no view.
-        sparse = PrefixAggregateIndex(
-            {attr: index._values[attr] for attr in index._values},
-            index.group_slices,
-            index._states,
-        )
-        planner = IndexPlanner(sparse)
-        assert planner.plan_conjunction(self.conjunction()) is None
-        route = planner.partition([self.conjunction()])
-        assert route.masked == [self.conjunction()]
-        assert route.conjunction_fallbacks == 1
-        assert route.indexed_total == 0
-
     def test_scorer_falls_back_and_still_scores(self):
         problem = build_problem(Avg())
         reference = assert_scoring_paths_agree(problem, [self.conjunction()])
         scorer = InfluenceScorer(problem, cache_scores=False)
-        # Strip one attribute's raw arrays out of the live index — the
-        # regression shape: planner must route around the missing view.
-        scorer.planner.index._codes.pop("ac")
         values = scorer.score_batch([self.conjunction()])
         np.testing.assert_array_equal(values, reference)
-        assert scorer.stats.conjunction_fallbacks == 1
         assert scorer.stats.masked_predicates == 1
-        assert scorer.stats.indexed_conjunctions == 0
-
-    def test_set_clause_without_codes_falls_back(self):
-        problem = build_problem(Avg())
-        scorer = InfluenceScorer(problem, cache_scores=False)
-        scorer.planner.index._codes.pop("ac")
-        predicate = Predicate([SetClause("ac", [AC_POOL[0]])])
-        expected = InfluenceScorer(problem, cache_scores=False,
-                                   use_index=False).score(predicate)
-        assert scorer.score_batch([predicate])[0] == expected
-        assert scorer.stats.indexed_sets == 0
-        assert scorer.stats.masked_predicates == 1
-
-    def test_missing_attribute_errors_are_typed(self):
-        problem = build_problem(Avg())
-        index = InfluenceScorer(problem, cache_scores=False).planner.index
-        with pytest.raises(PredicateError):
-            index.ensure_discrete("nope")
-        with pytest.raises(PredicateError):
-            index.translate("nope", ["x"])
-        with pytest.raises(PredicateError):
-            index.n_codes("nope")
-        with pytest.raises(PredicateError):
-            index.estimate_clause_count(object())
-        assert not index.supports_clause(object())
-
-    def test_codes_require_code_tables(self):
-        problem = build_problem(Avg())
-        index = InfluenceScorer(problem, cache_scores=False).planner.index
-        with pytest.raises(PredicateError):
-            PrefixAggregateIndex(
-                {attr: index._values[attr] for attr in index._values},
-                index.group_slices, index._states,
-                codes_by_attr={"ac": index._codes["ac"]})
-
-
-class TestGroupDiscreteIndex:
-    """Bucket membership and removed states vs the mask reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_matches_mask_semantics(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        n = data.draw(st.integers(1, 60))
-        n_codes = data.draw(st.integers(1, 8))
-        codes = rng.integers(0, n_codes, size=n).astype(np.int64)
-        states = np.column_stack([rng.normal(size=n), np.ones(n)])
-        wanted = np.asarray(sorted(data.draw(st.sets(
-            st.integers(0, n_codes - 1), max_size=n_codes))), dtype=np.int64)
-
-        index = GroupDiscreteIndex(codes, n_codes, states, exact=False)
-        mask = np.isin(codes, wanted)
-        rows = index.rows_for_codes(wanted)
-        assert sorted(rows) == list(np.flatnonzero(mask))
-        assert int(index.bucket_counts[wanted].sum()) == \
-            int(np.count_nonzero(mask))
-
-    def test_bucket_tier_states_are_exact(self):
-        rng = np.random.default_rng(7)
-        codes = rng.integers(0, 5, size=200).astype(np.int64)
-        states = np.column_stack([
-            rng.integers(0, 1000, size=200).astype(np.float64),
-            np.ones(200),
-        ])
-        index = GroupDiscreteIndex(codes, 5, states, exact=True)
-        assert index.uses_buckets
-        for c in range(5):
-            np.testing.assert_array_equal(
-                index.bucket_states[c], states[codes == c].sum(axis=0))
-
-
-class TestConjunctionPlanShape:
-    def test_plan_is_picklable(self):
-        import pickle
-
-        plan = ConjunctionPlan(RangeClause("a1", 0.0, 1.0),
-                               SetClause("ac", ["c0"]), probe_count=7)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.probe == plan.probe
-        assert clone.other == plan.other
-        assert clone.probe_count == 7

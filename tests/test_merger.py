@@ -615,11 +615,7 @@ class TestBatchedEstimator:
 
 #: Scorer counters a Merger run must reproduce exactly whatever the
 #: batching of its score_batch calls.
-CONTRACT_COUNTERS = (
-    "incremental_deltas", "indexed_predicates", "indexed_ranges",
-    "indexed_sets", "indexed_conjunctions", "masked_predicates",
-    "cost_routed_mask", "cost_routed_prefix", "cost_routed_bucket",
-    "cost_routed_gather", "cost_routed_conj")
+CONTRACT_COUNTERS = ("incremental_deltas", "masked_predicates")
 
 
 def warm_start_seeds(scorer, problem, candidates):
@@ -760,7 +756,7 @@ class TestApproximationProvenance:
     #: Scorer counters a traced and an untraced run must agree on.
     COUNTERS = ("predicate_scores", "mask_scores", "incremental_deltas",
                 "cache_hits", "batch_calls", "batch_predicates",
-                "indexed_predicates", "masked_predicates")
+                "masked_predicates")
 
     def _run(self, problem, traced: bool):
         scorer = InfluenceScorer(problem)

@@ -64,6 +64,13 @@ class TestBudgets:
         result = NaivePartitioner(n_bins=2, time_budget=60.0).run(paper_problem)
         assert not result.truncated
 
+    def test_default_budget_is_a_deterministic_count(self, paper_problem):
+        partitioner = NaivePartitioner()
+        assert partitioner.time_budget is None
+        result = partitioner.run(paper_problem)
+        assert result.n_evaluated == 10_000
+        assert result.truncated
+
     def test_no_budget_rejected(self):
         with pytest.raises(PartitionerError):
             NaivePartitioner(time_budget=None, max_evaluations=None)

@@ -298,8 +298,6 @@ class TestTracedExplain:
         if parallel.scorer_stats.get("parallel_shards", 0) > 0:
             assert shards
             for sp in shards:
-                assert sp["attrs"]["kind"] in (
-                    "masked", "indexed", "indexed_set", "indexed_conj")
                 assert sp["attrs"]["items"] > 0
                 assert sp["attrs"]["queue_wait_ms"] >= 0
                 assert sp["dur_ns"] > 0
@@ -356,11 +354,9 @@ class TestServiceMetrics:
         # Two requests with identical per-request counters: the
         # published total must be the sum of per-request deltas, not
         # the last request's cumulative value.
-        per_request = first.scorer_stats.get("masked_predicates", 0) \
-            + first.scorer_stats.get("indexed_predicates", 0)
+        per_request = first.scorer_stats["masked_predicates"]
         assert per_request > 0
-        published = snap.get("scorpion_masked_predicates_total", 0) \
-            + snap.get("scorpion_indexed_predicates_total", 0)
+        published = snap["scorpion_masked_predicates_total"]
         assert published == 2 * per_request
 
     def test_traced_service_attaches_trace_and_stays_bit_for_bit(self):

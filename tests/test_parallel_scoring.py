@@ -22,11 +22,11 @@ from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import ParallelError
-from repro.index.cost import CostModel, force_index_model
 from repro.obs.metrics import REGISTRY
 from repro.parallel import (
     ParallelRecovery,
     ShardedScoringExecutor,
+    choose_shard_size,
     resolve_workers,
 )
 from repro.parallel.executor import _resolve_timeout
@@ -35,7 +35,7 @@ from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
 
 from tests.conftest import (
-    ROUTING_COUNTERS,
+    POOL_COUNTERS,
     assert_no_live_workers,
     assert_scoring_paths_agree,
     planted_sum_table,
@@ -48,9 +48,7 @@ from tests.test_chaos_oracle import chaos_batch
 COMPARED_COUNTERS = (
     "predicate_scores", "mask_scores", "incremental_deltas",
     "full_recomputes", "cache_hits", "batch_calls", "batch_predicates",
-    "largest_batch", "indexed_predicates", "indexed_ranges",
-    "indexed_sets", "indexed_conjunctions", "conjunction_fallbacks",
-    "masked_predicates", "index_builds",
+    "largest_batch", "masked_predicates",
 )
 
 
@@ -62,15 +60,14 @@ def make_problem(aggregate, c: float = 0.5, **kwargs) -> ScorpionQuery:
 
 
 def routed_batch(n: int = 24) -> list[Predicate]:
-    """Single continuous ranges — the range-tier shape."""
+    """Single continuous ranges."""
     return [Predicate([RangeClause("a1", 4.0 * i, 4.0 * i + 22.0,
                                    include_hi=bool(i % 2))])
             for i in range(n)]
 
 
 def set_batch() -> list[Predicate]:
-    """Single set clauses — the discrete-bucket-tier shape, including a
-    value the table never takes (empty buckets everywhere)."""
+    """Single set clauses, including a value the table never takes."""
     return [
         Predicate([SetClause("state", ["TX"])]),
         Predicate([SetClause("state", ["CA", "NY"])]),
@@ -80,21 +77,20 @@ def set_batch() -> list[Predicate]:
 
 
 def conj_batch(n: int = 12) -> list[Predicate]:
-    """2-clause conjunctions — the probe tier shape, with widths swept
-    so either side can be the rarer one."""
+    """2-clause conjunctions, with widths swept so either side can be
+    the narrower one."""
     batch = [Predicate([RangeClause("a1", 8.0 * i, 8.0 * i + 30.0),
                         SetClause("state", ["TX", "CA"])])
              for i in range(n)]
     batch.append(Predicate([RangeClause("a1", 49.0, 51.0),
                             SetClause("state", ["TX"])]))
     batch.append(Predicate([RangeClause("a1", 0.0, 100.0),
-                            SetClause("state", ["ZZ"])]))  # empty probe
+                            SetClause("state", ["ZZ"])]))  # matches nothing
     return batch
 
 
 def masked_batch() -> list[Predicate]:
-    """Mask-kernel shapes: TRUE deletes whole groups and has no clause
-    for any tier to route."""
+    """TRUE: deletes whole groups."""
     return [Predicate.true()]
 
 
@@ -108,8 +104,8 @@ def assert_parallel_equals_serial(problem, batch, workers: int,
                                   batch_chunk: int = 8,
                                   ignore_holdouts: bool = False,
                                   **scorer_kwargs) -> None:
-    """All four oracle legs, with the parallel leg required to actually
-    use the worker pool."""
+    """Every oracle leg, with the parallel legs required to actually use
+    the worker pool."""
     assert_scoring_paths_agree(problem, batch, workers=workers,
                                batch_chunk=batch_chunk,
                                ignore_holdouts=ignore_holdouts,
@@ -125,10 +121,11 @@ class TestParallelEquivalence:
 
     @pytest.mark.parametrize("aggregate", [Sum, StdDev])
     def test_mask_kernel_only(self, aggregate):
-        # use_index=False forces every shard through the mask kernel.
+        # use_incremental=False sends every shard through the mask
+        # kernel's black-box half: Δ recomputed from the raw values.
         assert_parallel_equals_serial(make_problem(aggregate()),
                                       mixed_batch(), workers=2,
-                                      use_index=False)
+                                      use_incremental=False)
 
     def test_ignore_holdouts(self):
         assert_parallel_equals_serial(make_problem(Sum()), mixed_batch(),
@@ -139,9 +136,9 @@ class TestParallelEquivalence:
                                       mixed_batch(), workers=2)
 
     def test_black_box_aggregate(self):
-        # Median has no incremental removal: no index exists, every
-        # shape takes mask shards that recompute per predicate from the
-        # shared agg-value views.
+        # Median has no incremental removal: every shape takes mask
+        # shards that recompute per predicate from the shared agg-value
+        # views.
         assert_parallel_equals_serial(make_problem(Median()),
                                       masked_batch() + set_batch()
                                       + conj_batch(6) + routed_batch(8),
@@ -217,20 +214,17 @@ class TestAutomaticSplit:
                                 outliers=outliers, holdouts=holdouts,
                                 error_vectors=+1.0, c=0.5)
         batch = mixed_batch()
-        # Default constants keep the decision machine-independent.
-        model = CostModel()
-        size = model.choose_shard_size(len(set(batch)), len(table), 2,
-                                       len(batch))
+        size = choose_shard_size(len(set(batch)), len(table), 2, len(batch))
         assert 1 <= size < len(batch)
         serial = InfluenceScorer(problem, cache_scores=False, workers=1,
-                                 batch_chunk=len(batch), cost_model=model)
+                                 batch_chunk=len(batch))
         parallel = InfluenceScorer(problem, cache_scores=False, workers=2,
-                                   batch_chunk=len(batch), cost_model=model)
+                                   batch_chunk=len(batch))
         try:
             np.testing.assert_array_equal(parallel.score_batch(batch),
                                           serial.score_batch(batch))
             assert parallel.stats.parallel_shards >= 2
-            for name in ROUTING_COUNTERS:
+            for name in POOL_COUNTERS:
                 assert getattr(parallel.stats, name) == \
                     getattr(serial.stats, name), name
         finally:
@@ -396,89 +390,34 @@ class TestLifecycle:
         scorer.close()
         assert_no_live_workers(baseline)
 
-    def test_views_built_after_fork_match_serial(self):
-        # The pool forks on the first parallel batch, which routes only
-        # a1 ranges; the state views the second batch reads are built
-        # in the parent after that, so every worker builds its own copy.
-        problem = make_problem(Sum())
-        first = routed_batch()
-        second = set_batch() + conj_batch()
-        serial = InfluenceScorer(problem, cache_scores=False, workers=1,
-                                 batch_chunk=8, cost_model=force_index_model())
-        parallel = InfluenceScorer(problem, cache_scores=False, workers=2,
-                                   batch_chunk=8,
-                                   cost_model=force_index_model())
-        try:
-            np.testing.assert_array_equal(parallel.score_batch(first),
-                                          serial.score_batch(first))
-            assert parallel._executor is not None
-            assert parallel.stats.parallel_shards > 0
-            assert parallel.kernel.index.attributes_built == ("a1",)
-            shards = parallel.stats.parallel_shards
-            np.testing.assert_array_equal(parallel.score_batch(second),
-                                          serial.score_batch(second))
-            assert parallel.stats.parallel_shards > shards
-            assert "state" in parallel.kernel.index.attributes_built
-            assert parallel.stats.indexed_sets > 0
-            assert parallel.stats.indexed_conjunctions > 0
-            for name in ROUTING_COUNTERS:
-                assert getattr(parallel.stats, name) == \
-                    getattr(serial.stats, name), name
-        finally:
-            parallel.close()
-
-
 class TestKernelPickles:
     """Spawn-only platforms unpickle the kernel once per worker: a
-    round-tripped kernel must score every routed tier exactly like the
+    round-tripped kernel must score every shape exactly like the
     original."""
 
-    @pytest.mark.parametrize("aggregate,perturbation,cost_model,tiers", [
-        (Sum, "delete", force_index_model,
-         {"masked", "indexed", "indexed_set", "indexed_conj"}),
-        (Median, "delete", None, {"masked"}),
-        (Avg, "mean", None, None),
+    @pytest.mark.parametrize("aggregate,perturbation", [
+        (Sum, "delete"),
+        (Median, "delete"),
+        (Avg, "mean"),
     ], ids=["sum-all-tiers", "median-black-box", "avg-mean"])
-    def test_round_trip_scores_identically(self, aggregate, perturbation,
-                                           cost_model, tiers):
+    def test_round_trip_scores_identically(self, aggregate, perturbation):
         problem = make_problem(aggregate(), perturbation=perturbation)
         batch = chaos_batch()
-        scorer = InfluenceScorer(
-            problem, cache_scores=False, workers=1,
-            cost_model=cost_model() if cost_model else None)
+        scorer = InfluenceScorer(problem, cache_scores=False, workers=1)
         expected = scorer.score_batch(batch)
         clone = pickle.loads(pickle.dumps(scorer.kernel))
-        route = scorer.planner.partition(list(dict.fromkeys(batch)))
-        routed = {
-            "masked": route.masked,
-            "indexed": [clause for _, clause in route.ranges],
-            "indexed_set": [clause for _, clause in route.sets],
-            "indexed_conj": [plan for _, plan in route.conjunctions],
-        }
-        if tiers is not None:
-            assert {kind for kind, items in routed.items() if items} == tiers
+        unique = list(dict.fromkeys(batch))
         scalars = (problem.c, problem.c_holdout, problem.lam)
-        for kind, items in routed.items():
-            if not items:
-                continue
-            for ignore_holdouts in (False, True):
-                np.testing.assert_array_equal(
-                    clone.score_shard(kind, items, ignore_holdouts,
-                                      *scalars),
-                    scorer.kernel.score_shard(kind, items, ignore_holdouts,
-                                              *scalars))
+        for ignore_holdouts in (False, True):
+            np.testing.assert_array_equal(
+                clone.score_masked_chunk(unique, ignore_holdouts, *scalars),
+                scorer.kernel.score_masked_chunk(unique, ignore_holdouts,
+                                                 *scalars))
         # And the clone agrees with the scorer's own batch answer.
         position = {predicate: i for i, predicate in enumerate(batch)}
-        for kind, pairs in (("masked", [(p, p) for p in route.masked]),
-                            ("indexed", route.ranges),
-                            ("indexed_set", route.sets),
-                            ("indexed_conj", route.conjunctions)):
-            if not pairs:
-                continue
-            values = clone.score_shard(kind, [item for _, item in pairs],
-                                       False, *scalars)
-            np.testing.assert_array_equal(
-                values, expected[[position[p] for p, _ in pairs]])
+        np.testing.assert_array_equal(
+            clone.score_masked_chunk(unique, False, *scalars),
+            expected[[position[p] for p in unique]])
 
 
 class TestRecoveryKnobs:
@@ -569,31 +508,8 @@ class TestResolveTimeout:
 
 
 class TestStatsConsistency:
-    """The scorer_stats double-reset hazard (monotonic index-build
-    accounting): resets start a fresh window and can never resurrect or
-    clobber already-counted work."""
-
-    def test_reset_does_not_resurrect_index_builds(self):
-        scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False)
-        scorer.score_batch(routed_batch(4))
-        assert scorer.stats.index_builds == 1
-        scorer.stats.reset()
-        # Same attribute again: already built, nothing new to count.
-        scorer.score_batch(routed_batch(4))
-        assert scorer.stats.index_builds == 0
-        assert scorer.stats.index_build_seconds == 0.0
-        # Re-declaring the built attribute must not re-count it either.
-        scorer.prepare_index(["a1"])
-        assert scorer.stats.index_builds == 0
-
-    def test_new_builds_count_after_reset(self):
-        scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False)
-        scorer.prepare_index(["a1"])
-        assert scorer.stats.index_builds == 1
-        scorer.stats.reset()
-        scorer.prepare_index()  # builds the remaining attributes
-        assert scorer.stats.index_builds == len(
-            scorer.kernel.index.attributes_built) - 1
+    """Resets start a fresh counting window, and worker counters merge
+    back by plain addition."""
 
     def test_reset_clears_parallel_counters(self):
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False,

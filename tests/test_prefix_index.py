@@ -1,13 +1,14 @@
-"""Index-vs-mask-vs-scalar equivalence for the prefix-aggregate index.
+"""Single-range predicates through the differential oracle.
 
-The routing contract (see :mod:`repro.index`): a single-clause range
-predicate scores identically — exact float equality — whether it goes
-through the index fast path, the batch mask-matrix kernel, or scalar
-``score()``.  These tests drive all three paths over random ranges,
-including empty ranges, whole-group deletion, NaN-bearing attribute
-columns, and duplicate values sitting exactly on clause boundaries, on
-both index tiers (O(1) prefix differences for integer-summable states,
-ascending-row gathers for general floats).
+A single-clause range predicate scores identically — exact float
+equality, down to the sign bit — through the batch mask-matrix kernel
+and scalar ``score()``.  These tests drive the oracle over random
+ranges, including empty ranges, whole-group deletion, NaN-bearing
+attribute columns, duplicate values sitting exactly on clause
+boundaries, integer-valued states (exactly summable in any order) and
+general float states.  They also pin the batch API's surface: the
+``batch_chunk`` knob, memo-cache coherence and the scorer counters a
+result carries.
 """
 
 import numpy as np
@@ -15,19 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import Avg, Count, Median, StdDev, Sum
+from repro.aggregates import Avg, Count, StdDev, Sum
 from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
 from repro.core.naive import NaivePartitioner
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import PredicateError
 from repro.eval.runner import RunRecord
-from repro.index import (
-    GroupAttributeIndex,
-    PrefixAggregateIndex,
-    exactly_summable,
-    force_index_model,
-)
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
@@ -91,80 +86,17 @@ def range_predicates(draw) -> Predicate:
 def assert_three_paths_equal(problem: ScorpionQuery,
                              predicates: list[Predicate],
                              ignore_holdouts: bool = False) -> np.ndarray:
-    """Drive the shared differential oracle (scalar / mask / index), the
-    historical three-path check this file was built around."""
+    """Drive the shared differential oracle (scalar / mask kernel /
+    traced)."""
     return assert_scoring_paths_agree(problem, predicates,
                                       ignore_holdouts=ignore_holdouts)
 
 
-class TestExactSummable:
-    def test_count_states_qualify(self):
-        assert exactly_summable(np.ones((100, 1)))
-
-    def test_integer_states_qualify(self):
-        states = np.column_stack([np.arange(50.0), np.arange(50.0) ** 2,
-                                  np.ones(50)])
-        assert exactly_summable(states)
-
-    def test_fractional_states_do_not(self):
-        assert not exactly_summable(np.asarray([[0.5, 1.0]]))
-
-    def test_magnitude_budget(self):
-        assert not exactly_summable(np.asarray([[2.0 ** 53, 1.0]]))
-
-    def test_nan_states_do_not(self):
-        assert not exactly_summable(np.asarray([[np.nan, 1.0]]))
-
-    def test_empty_qualifies(self):
-        assert exactly_summable(np.empty((0, 2)))
-
-
-class TestGroupAttributeIndex:
-    """Slice membership and removed states vs the mask reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_matches_mask_semantics(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        n = data.draw(st.integers(1, 60))
-        values = rng.choice(A1_GRID, size=n)
-        nan_count = data.draw(st.integers(0, 3))
-        values[:nan_count] = np.nan
-        states = np.column_stack([rng.normal(size=n), np.ones(n)])
-        lo = data.draw(st.sampled_from(A1_GRID))
-        hi = lo + data.draw(st.sampled_from([0.0, 1.0, 3.0, 8.0]))
-        include_hi = data.draw(st.booleans()) or hi == lo
-        clause = RangeClause("a1", lo, hi, include_hi)
-
-        index = GroupAttributeIndex(values, states,
-                                    exact=exactly_summable(states))
-        a, b = index.slice_bounds(np.asarray([lo]), np.asarray([hi]),
-                                  np.asarray([include_hi]))
-        mask = clause.mask_values(values)
-        assert int(b[0] - a[0]) == int(np.count_nonzero(mask))
-        assert sorted(index.order[a[0]:b[0]]) == list(np.flatnonzero(mask))
-        removed = index.removed_states(a, b, states)
-        np.testing.assert_array_equal(removed[0], states[mask].sum(axis=0))
-
-    def test_prefix_tier_difference_is_exact(self):
-        rng = np.random.default_rng(7)
-        values = rng.choice(A1_GRID, size=200)
-        states = np.column_stack([
-            rng.integers(0, 1000, size=200).astype(np.float64),
-            np.ones(200),
-        ])
-        index = GroupAttributeIndex(values, states, exact=True)
-        assert index.uses_prefix
-        for lo, hi in [(0.0, 3.0), (2.0, 2.0), (5.0, 100.0), (8.5, 9.0)]:
-            a, b = index.slice_bounds(np.asarray([lo]), np.asarray([hi]),
-                                      np.asarray([True]))
-            mask = RangeClause("a1", lo, hi).mask_values(values)
-            np.testing.assert_array_equal(
-                index.removed_states(a, b, states)[0],
-                states[mask].sum(axis=0) if mask.any() else np.zeros(2))
-
-
 class TestThreePathEquivalence:
+    """The oracle over random single ranges, per aggregate and knob:
+    the ``gather_tier`` cases carry general float states,
+    ``test_prefix_tier_sum`` integer ones."""
+
     @settings(max_examples=25, deadline=None)
     @given(predicates=st.lists(range_predicates(), max_size=10))
     def test_gather_tier_avg(self, predicates):
@@ -243,78 +175,29 @@ class TestEdgeCases:
 
 
 class TestRoutingAndPlanner:
+    """Which path a batch predicate takes, and the memo cache the two
+    paths share."""
+
     def test_mixed_batch_routes_by_shape(self):
-        # force_index_model pins the tier choice: on a fixture this
-        # small the real cost model (rightly) sends conjunctions to the
-        # mask kernel.
         problem = build_problem(Avg())
-        scorer = InfluenceScorer(problem, cache_scores=False,
-                                 cost_model=force_index_model())
+        scorer = InfluenceScorer(problem, cache_scores=False)
         batch = [
-            Predicate([RangeClause("a1", 1.0, 3.0)]),              # range tier
-            Predicate([RangeClause("a2", 1.0, 3.0)]),              # range tier
+            Predicate([RangeClause("a1", 1.0, 3.0)]),
+            Predicate([RangeClause("a2", 1.0, 3.0)]),
             Predicate([RangeClause("a1", 1.0, 3.0),
-                       RangeClause("a2", 0.0, 5.0)]),              # conjunction
-            Predicate.true(),                                      # masked
+                       RangeClause("a2", 0.0, 5.0)]),
+            Predicate.true(),
             Predicate([SetClause("g", ["o1"])]),                   # scalar
         ]
-        reference = InfluenceScorer(problem, cache_scores=False,
-                                    use_index=False)
+        reference = InfluenceScorer(problem, cache_scores=False)
         np.testing.assert_array_equal(
-            scorer.score_batch(batch), reference.score_batch(batch))
-        assert scorer.stats.indexed_predicates == 3
-        assert scorer.stats.indexed_ranges == 2
-        assert scorer.stats.indexed_conjunctions == 1
-        assert scorer.stats.indexed_sets == 0
-        assert scorer.stats.conjunction_fallbacks == 0
-        # TRUE takes the mask kernel; the group-by clause is outside the
-        # labeled evaluator → scalar fallback.
-        assert scorer.stats.masked_predicates == 1
-        assert scorer.stats.mask_scores == 2
-
-    def test_planner_rejects_black_box_aggregates(self):
-        scorer = InfluenceScorer(build_problem(Median()), cache_scores=False)
-        assert not scorer.uses_index
-        assert scorer.planner.fast_clause(
-            Predicate([RangeClause("a1", 0.0, 2.0)])) is None
-
-    def test_use_index_false_disables_routing(self):
-        scorer = InfluenceScorer(build_problem(Avg()), cache_scores=False,
-                                 use_index=False)
-        assert not scorer.uses_index
-        scorer.score_batch([Predicate([RangeClause("a1", 0.0, 2.0)])])
-        assert scorer.stats.indexed_predicates == 0
-        assert scorer.stats.masked_predicates == 1
-
-    def test_lazy_build_and_prepare(self):
-        scorer = InfluenceScorer(build_problem(Avg()))
-        assert scorer.stats.index_builds == 0
-        scorer.score_batch([Predicate([RangeClause("a1", 0.0, 2.0)])])
-        assert scorer.stats.index_builds == 1  # only a1, built on demand
-        # prepare covers the remaining continuous A_rest attributes,
-        # building each exactly once.
-        built = scorer.prepare_index()
-        assert set(built) == {"a1", "a2"}
-        assert scorer.stats.index_builds == 2
-        assert scorer.prepare_index() == built
-        assert scorer.stats.index_builds == 2
-        assert scorer.stats.index_build_seconds >= 0.0
-
-    def test_prepare_index_without_index_is_noop(self):
-        scorer = InfluenceScorer(build_problem(Median()))
-        assert scorer.prepare_index() == ()
-
-    def test_prefix_tier_engages_for_integer_states(self):
-        scorer = InfluenceScorer(build_problem(Sum(), integer_values=True))
-        scorer.prepare_index(["a1"])
-        index = scorer.planner.index
-        assert isinstance(index, PrefixAggregateIndex)
-        assert index.prefix_tier_groups("a1") == 3
-
-    def test_gather_tier_for_float_states(self):
-        scorer = InfluenceScorer(build_problem(Avg()))
-        scorer.prepare_index(["a1"])
-        assert scorer.planner.index.prefix_tier_groups("a1") == 0
+            scorer.score_batch(batch),
+            [reference.score(predicate) for predicate in batch])
+        # Every predicate over labeled attributes takes the mask kernel;
+        # the group-by clause is outside the labeled evaluator → scalar
+        # fallback.
+        assert scorer.stats.masked_predicates == 4
+        assert scorer.stats.mask_scores == 5
 
     def test_cache_coherent_across_paths(self):
         scorer = InfluenceScorer(build_problem(Avg()))
@@ -354,7 +237,7 @@ class TestBatchChunkKnob:
         large = InfluenceScorer(problem, cache_scores=False)
         np.testing.assert_array_equal(small.score_batch(predicates),
                                       large.score_batch(predicates))
-        assert small.stats.indexed_predicates == len(predicates)
+        assert small.stats.masked_predicates == len(predicates)
 
 
 class TestEndToEndSurface:
@@ -364,34 +247,19 @@ class TestEndToEndSurface:
                                        max_clauses=1)
         scorpion = Scorpion(partitioner=partitioner, use_cache=False)
         result = scorpion.explain(problem)
-        assert result.scorer_stats["indexed_predicates"] > 0
-        assert result.scorer_stats["index_builds"] > 0
-        assert result.scorer_stats["index_build_seconds"] >= 0.0
-
-    def test_index_does_not_change_explanations(self):
-        problem = build_problem(Avg())
-        partitioner = NaivePartitioner(time_budget=None, max_evaluations=120)
-        with_index = Scorpion(partitioner=partitioner,
-                              use_cache=False).explain(problem)
-        partitioner = NaivePartitioner(time_budget=None, max_evaluations=120)
-        without = Scorpion(partitioner=partitioner, use_cache=False,
-                           use_index=False).explain(problem)
-        assert with_index.best.predicate == without.best.predicate
-        assert with_index.best.influence == without.best.influence
-        assert without.scorer_stats["indexed_predicates"] == 0
+        # NAIVE scores its 80 single-clause predicates through the batch
+        # API; the final explanations' scalar scores are cache hits.
+        assert result.scorer_stats["masked_predicates"] == 80
+        assert result.scorer_stats["mask_scores"] == 80
 
     def test_run_record_routing_properties(self):
         record = RunRecord(algorithm="naive", c=0.5, predicate=None,
                            influence=0.0, runtime=0.0,
-                           scorer_stats={"indexed_predicates": 7,
-                                         "indexed_ranges": 4,
-                                         "indexed_sets": 2,
-                                         "indexed_conjunctions": 1,
-                                         "masked_predicates": 3})
-        assert record.indexed_predicates == 7
-        assert record.indexed_ranges == 4
-        assert record.indexed_sets == 2
-        assert record.indexed_conjunctions == 1
+                           scorer_stats={"masked_predicates": 3,
+                                         "parallel_shards": 2})
         assert record.masked_predicates == 3
-        assert RunRecord(algorithm="naive", c=0.5, predicate=None,
-                         influence=0.0, runtime=0.0).indexed_predicates == 0
+        assert record.parallel_shards == 2
+        empty = RunRecord(algorithm="naive", c=0.5, predicate=None,
+                          influence=0.0, runtime=0.0)
+        assert empty.masked_predicates == 0
+        assert empty.parallel_shards == 0

@@ -90,7 +90,6 @@ class TestEquivalenceProperty:
     def test_black_box_path(self, predicates):
         scorer = InfluenceScorer(sensors_problem(Median()), cache_scores=False)
         assert not scorer.uses_incremental
-        assert not scorer.uses_index
         assert_scoring_paths_agree(sensors_problem(Median()), predicates)
 
     @settings(max_examples=20, deadline=None)
@@ -131,10 +130,10 @@ class TestEdgeCases:
         p = Predicate([SetClause("sensorid", [3])])
         batched = scorer.score_batch([p, p, p])
         assert batched[0] == batched[1] == batched[2] == scorer.score(p)
-        # Three submissions, one discrete-bucket evaluation for the trio
+        # Three submissions, one mask-kernel evaluation for the trio
         # + one mask evaluation for the scalar call.
-        assert scorer.stats.indexed_sets == 1
-        assert scorer.stats.mask_scores == 1
+        assert scorer.stats.masked_predicates == 1
+        assert scorer.stats.mask_scores == 2
 
     def test_non_rest_attribute_falls_back(self):
         scorer = InfluenceScorer(sensors_problem(), cache_scores=False)
