@@ -4,12 +4,12 @@ Scores one large predicate batch through ``InfluenceScorer.score_batch``
 at increasing ``workers`` settings, on two shard shapes:
 
 * *mask kernel* — 2-clause range conjunctions, so every shard is an
-  ``evaluate_batch`` + scatter-add pass in a worker;
+  ``evaluate_batch`` + scatter-add pass on a shard thread;
 * *few predicates* — a batch far smaller than ``workers ×
   batch_chunk`` over a many-group problem, so ``batch_chunk``-sized
   shards alone cannot keep the pool busy and the automatic split
-  (:func:`~repro.parallel.executor.choose_shard_size`) cuts the batch
-  into ``2 × workers`` smaller predicate shards instead.
+  (:func:`~repro.parallel.choose_shard_size`) cuts the batch into
+  ``2 × workers`` smaller predicate shards instead.
 
 What varies with ``workers`` is only the sharding.  Influences and
 stats counters must be identical at every worker count (the parallel
@@ -137,7 +137,7 @@ def _run_config(problem, batch, workers: int, expect_split: bool):
                     for name in COMPARED_COUNTERS}
         if workers > 1:
             assert scorer.stats.parallel_shards > 0, \
-                "parallel run never reached the worker pool"
+                "parallel run never reached the thread pool"
             if expect_split:
                 assert scorer.stats.parallel_shards >= 2, \
                     "few-predicates batch was never split across the pool"
@@ -210,7 +210,7 @@ def test_parallel_scaling(benchmark):
         ["shape", "workers", "batch", "batch ms", "preds/s",
          "speedup", "spinup ms"], rows))
     emit_bench_json("parallel_scaling", {
-        "description": "score_batch sharded over worker processes: "
+        "description": "score_batch sharded over threads: "
                        "predicates/second vs workers on mask-kernel and "
                        "few-predicates (automatic predicate split over "
                        "many groups) shapes (serial equality and counter "

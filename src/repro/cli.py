@@ -90,22 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="most predicates per vectorized scoring pass "
                              "(default: SCORPION_BATCH_CHUNK env var or "
                              "the built-in 1024; with --workers > 1 a "
-                             "smaller batch is cut so every worker gets a "
+                             "smaller batch is cut so every thread gets a "
                              "shard; results are unaffected)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for sharded batch scoring "
+                        help="threads for sharded batch scoring "
                              "(default: SCORPION_WORKERS env var or 1 = "
                              "serial; 0 = one per CPU; results are "
                              "bit-for-bit identical at any setting)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        help="per-shard worker deadline in seconds "
-                             "(default: SCORPION_TASK_TIMEOUT env var or "
-                             "300; <= 0 waits forever)")
     parser.add_argument("--serve", action="store_true",
                         help="resident service mode: read one JSON request "
                              "per stdin line, write one JSON response per "
-                             "line, caching problem images and worker "
-                             "pools across requests")
+                             "line, caching problem images and scorers "
+                             "across requests")
     parser.add_argument("--cache-bytes", type=int, default=None,
                         help="resident cache capacity in bytes for --serve "
                              "(default: SCORPION_CACHE_BYTES env var or "
@@ -220,9 +216,7 @@ def _guarded_explain(service: ExplainService, request: dict, args,
     an error ``code`` (``oom_retry`` for memory exhaustion even after
     cache shedding, ``bad_request`` for caller mistakes, ``internal``
     for anything else — injected faults included), so no request can
-    kill the serve loop.  Successful payloads carry a sparse
-    ``"degraded": true`` marker while any pool circuit is holding
-    batches serial.
+    kill the serve loop.
     """
     try:
         payload = _explain_op(service, request, args, table, query)
@@ -233,8 +227,6 @@ def _guarded_explain(service: ExplainService, request: dict, args,
     except Exception as exc:  # noqa: BLE001 - the serve loop must survive
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                 "code": "internal"}
-    if service.health()["degraded"]:
-        payload["degraded"] = True
     return payload
 
 
@@ -253,7 +245,7 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     operations bypass scoring: ``{"op": "stats"}`` answers with
     :meth:`ExplainService.stats`, ``{"op": "metrics"}`` with the
     Prometheus text dump, and ``{"op": "health"}`` with
-    :meth:`ExplainService.health` (pool/cache/degradation state).  Each
+    :meth:`ExplainService.health` (liveness and cache state).  Each
     response line carries the request's ``trace_id`` — the same ID its
     structured log lines (on ``log``, default stderr) carry — and a
     malformed or unknown request yields a structured ``"ok": false``
@@ -271,7 +263,7 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
 
     **Shutdown.**  SIGINT/SIGTERM (and EOF) drain in-flight requests,
     write their responses, log one ``serve_shutdown`` event with the
-    reason, release the service (its worker pools), and exit 0 —
+    reason, release the service (its scorers' threads), and exit 0 —
     a deployed explainer is restartable without losing accepted work.
     """
     logger = JsonLogger(stream=log)
@@ -279,8 +271,7 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     service = ExplainService(
         cache_bytes=args.cache_bytes, algorithm=args.algorithm,
         top_k=args.top_k,
-        batch_chunk=args.batch_chunk, workers=args.workers,
-        task_timeout=args.task_timeout, logger=logger,
+        batch_chunk=args.batch_chunk, workers=args.workers, logger=logger,
         trace=True if args.trace else None)
     #: (trace_id, op, perf_counter at read, Future[payload]) per
     #: in-flight explain, in submission order.
@@ -452,7 +443,6 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout,
         scorpion = Scorpion(algorithm=args.algorithm, top_k=args.top_k,
                             batch_chunk=args.batch_chunk,
                             workers=args.workers,
-                            task_timeout=args.task_timeout,
                             trace=(True if args.trace or args.profile
                                    else None))
         if args.explore_c:

@@ -40,6 +40,7 @@ from repro.core.partition import CandidatePredicate, ScoredPredicate
 from repro.core.problem import ScorpionQuery
 from repro.errors import PartitionerError
 from repro.predicates.predicate import Predicate
+from repro.table.table import Table
 
 #: Default signature-LRU capacity (distinct queries remembered).
 DEFAULT_MAX_ENTRIES = 16
@@ -47,7 +48,9 @@ DEFAULT_MAX_ENTRIES = 16
 
 def query_signature(query: ScorpionQuery) -> tuple:
     """A key identifying everything DT output depends on — the dataset,
-    query, annotations, and λ — but *not* ``c``."""
+    query, annotations, and λ — but *not* ``c``.  The dataset is keyed
+    by ``id``, which stays unique because :class:`_Entry` holds the
+    table."""
     return (
         id(query.raw_table),
         repr(query.query),
@@ -61,6 +64,9 @@ def query_signature(query: ScorpionQuery) -> tuple:
 
 @dataclass
 class _Entry:
+    #: The raw table whose ``id`` the signature carries, kept alive
+    #: because CPython hands a freed object's id to a later one.
+    table: Table
     candidates: list[CandidatePredicate]
     partition_elapsed: float
     #: Merge results keyed by the ``c`` they were computed at, in
@@ -124,7 +130,8 @@ class DTCache:
         if entry is None:
             self.partition_misses += 1
             result = partitioner.run(query, scorer)
-            entry = _Entry(result.candidates, result.elapsed)
+            entry = _Entry(query.raw_table, result.candidates,
+                           result.elapsed)
             self._entries[key] = entry
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -27,12 +27,11 @@ group as chunked mask matrices (:meth:`ArrayMaskEvaluator.evaluate_batch`)
 and their removal statistics and sampled-influence scores come from two
 ``einsum`` contractions per chunk.  Exact influence scoring of the
 candidates happens downstream — the Merger batch-scores its expansion
-starts through :meth:`InfluenceScorer.score_batch`; single-clause leaf
-ranges are declared to the Scorer's prefix-aggregate index first so
-that scoring takes the O(log n) fast path.  Those batches (and the
-Merger's per-round adoption verifications) shard across worker
-processes when the scorer's ``workers`` knob is set, with no changes
-here (see :mod:`repro.parallel`).
+starts through :meth:`InfluenceScorer.score_batch`, whose mask kernel
+scores every predicate shape.  Those batches (and the Merger's
+per-round adoption verifications) shard across the scorer's threads
+when its ``workers`` knob is set, with no changes here (see
+:mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -621,6 +620,5 @@ class DTPartitioner:
                 predicate=predicate,
                 score=float(influence_sums[p_index] / influence_counts[p_index]),
                 group_stats=stats,
-                volume=self._query.domain.volume_fraction(predicate),
             ))
         return candidates

@@ -57,27 +57,26 @@ Parallel sharded execution
 --------------------------
 
 With ``workers > 1`` (constructor / ``SCORPION_WORKERS`` /
-``Scorpion(workers=...)`` / CLI ``--workers``; ``0`` = one worker per
-CPU), ``score_batch`` hands its predicate shards to a persistent process
-pool instead of looping them in-process (see :mod:`repro.parallel`).
+``Scorpion(workers=...)`` / CLI ``--workers``; ``0`` = one thread per
+CPU), ``score_batch`` maps its predicate shards over a thread pool the
+scorer owns instead of looping them in turn (see :mod:`repro.parallel`).
 Shards are ``batch_chunk``-sized, except that a batch too small to fill
-``2 × workers`` of them is cut finer so every worker gets a share, when
-the per-shard work clears the pool's dispatch cost
-(:func:`~repro.parallel.executor.choose_shard_size`).  The pool is
-handed this scorer's :class:`~repro.core.kernel.BatchKernel` once:
-forked workers inherit it copy-on-write and run *the same kernel
-method on byte-identical arrays* as the serial loop, and shards are
-reassembled in submission order — so influences are bit-for-bit
-identical to serial execution at any worker count.  Per-worker kernel
-counters are merged back into :class:`ScorerStats`
-(:meth:`ScorerStats.merge_worker_counters`), keeping aggregate counters
-equal to a serial run's; the parallel-only ``parallel_batches`` /
-``parallel_shards`` counters record how much work the pool took.  A
-failed parallel batch (worker crash, shard timeout) is retried on a
-restarted pool; past the restart budget, batches run serially until a
-cool-down probe succeeds (README "Failure semantics" has the policy).  Results are always produced.  Batches that fit in a
-single shard skip the pool entirely, and cache-hit / fallback
-predicates are always handled in the parent.
+``2 × workers`` of them is cut finer so every thread gets a share, when
+the per-shard work clears the dispatch cost
+(:func:`~repro.parallel.choose_shard_size`).  Every thread runs *the
+same kernel method on the same arrays* as the serial loop — the
+kernel's large NumPy operations release the GIL — and shards are
+reassembled in submission order, so influences are bit-for-bit
+identical to serial execution at any worker count.  Each shard counts
+into its own :class:`ScorerStats` window, merged back in submission
+order (:meth:`ScorerStats.merge_worker_counters`), keeping aggregate
+counters equal to a serial run's; the parallel-only
+``parallel_batches`` / ``parallel_shards`` counters record how much
+work the pool took.  An exception raised inside a shard propagates
+from ``score_batch`` as the serial loop would raise it, and nothing of
+that batch enters the memo cache.  Batches that fit in a single shard
+skip the pool entirely, and cache-hit / fallback predicates are always
+handled in the calling thread.
 """
 
 from __future__ import annotations
@@ -85,8 +84,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
-import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -96,12 +94,13 @@ from repro.aggregates.base import AggregateFunction
 from repro.core.kernel import INVALID_INFLUENCE, BatchKernel, GroupContext
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.parallel import choose_shard_size, resolve_workers
-from repro.parallel.recovery import ParallelRecovery
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
+
+#: Name prefix of the scorer's shard threads.
+SHARD_THREAD_PREFIX = "scorpion-shard"
 
 
 @dataclass
@@ -125,17 +124,17 @@ class ScorerStats:
     #: Unique batch predicates scored by the mask-matrix kernel (cache
     #: hits and scalar fallbacks excluded).
     masked_predicates: int = 0
-    #: ``score_batch`` calls whose shards ran on the worker pool.
+    #: ``score_batch`` calls whose shards ran on the thread pool.
     parallel_batches: int = 0
-    #: Predicate shards executed by worker processes.
+    #: Predicate shards executed on the thread pool.
     parallel_shards: int = 0
 
-    #: Counters incremented *inside* the batch kernel and therefore on
-    #: worker processes when scoring runs parallel; :meth:`worker_counters`
-    #: exports them from a worker's stats window and
-    #: :meth:`merge_worker_counters` folds them back into the parent's, so
-    #: aggregate totals equal a serial run's.  Everything else is counted
-    #: in the parent regardless of execution mode.
+    #: Counters incremented *inside* the batch kernel and therefore in a
+    #: shard's own stats window when scoring runs parallel;
+    #: :meth:`worker_counters` exports them from that window and
+    #: :meth:`merge_worker_counters` folds them back into the scorer's,
+    #: so aggregate totals equal a serial run's.  Everything else is
+    #: counted by the calling thread regardless of execution mode.
     WORKER_MERGED = ("incremental_deltas", "full_recomputes")
 
     @property
@@ -152,11 +151,11 @@ class ScorerStats:
         return data
 
     def worker_counters(self) -> dict[str, float]:
-        """The kernel-internal counters of this (worker-side) window."""
+        """The kernel-internal counters of this (shard-side) window."""
         return {name: getattr(self, name) for name in self.WORKER_MERGED}
 
     def merge_worker_counters(self, counters: dict[str, float]) -> None:
-        """Fold one worker shard's kernel counters into this aggregate."""
+        """Fold one shard's kernel counters into this aggregate."""
         for name in self.WORKER_MERGED:
             setattr(self, name, getattr(self, name) + counters.get(name, 0))
 
@@ -187,27 +186,23 @@ class InfluenceScorer:
         class default :attr:`BATCH_CHUNK`; chunking never affects
         results (the kernel is row-deterministic), so benchmarks can
         sweep it freely.  With ``workers > 1`` it is also the largest
-        shard the executor fans out; a smaller batch is cut so every
-        worker gets a shard (see
-        :func:`~repro.parallel.executor.choose_shard_size`).
+        shard the thread pool takes; a smaller batch is cut so every
+        thread gets a shard (see
+        :func:`~repro.parallel.choose_shard_size`).
     workers:
-        Worker processes for sharded ``score_batch`` execution (see
+        Threads for sharded ``score_batch`` execution (see
         :mod:`repro.parallel`).  Defaults to the ``SCORPION_WORKERS``
         environment variable, else 1 (serial, no pool); ``0`` means one
-        worker per CPU.  Results are bit-for-bit identical at any
-        setting.
-    task_timeout:
-        Per-shard worker deadline in seconds, forwarded to the
-        executor (``None`` → the ``SCORPION_TASK_TIMEOUT`` /
-        legacy ``SCORPION_WORKER_TIMEOUT`` environment variables, else
-        the executor default; ``<= 0`` waits forever).
+        thread per CPU.  Results are bit-for-bit identical at any
+        setting.  With ``workers > 1`` the aggregate's ``compute`` and
+        ``recover_batch`` run on several threads at once, so a
+        user-defined aggregate must not mutate shared state.
     """
 
     def __init__(self, query: ScorpionQuery, use_incremental: bool = True,
                  cache_scores: bool = True,
                  batch_chunk: int | None = None,
-                 workers: int | None = None,
-                 task_timeout: float | None = None):
+                 workers: int | None = None):
         self.query = query
         self.aggregate: AggregateFunction = query.aggregate
         self.lam = query.lam
@@ -227,16 +222,9 @@ class InfluenceScorer:
         if self.batch_chunk < 1:
             raise PredicateError(
                 f"batch_chunk must be >= 1, got {self.batch_chunk}")
-        self.task_timeout = task_timeout
         self.workers = resolve_workers(workers)
-        self._executor = None
-        self._parallel_disabled = self.workers <= 1
-        self._recovery = ParallelRecovery() if self.workers > 1 else None
-        #: Pools started over this scorer's lifetime (restart counter
-        #: and the ``SCORPION_POOL_GENERATION`` stamp fault schedules
-        #: key on).
-        self._pool_starts = 0
-        self._finalizer: weakref.finalize | None = None
+        #: The shard thread pool, started by the first parallel batch.
+        self._pool: ThreadPoolExecutor | None = None
         self._score_cache: dict[Predicate, float] | None = {} if cache_scores else None
         self._outlier_score_cache: dict[Predicate, float] | None = (
             {} if cache_scores else None
@@ -260,7 +248,7 @@ class InfluenceScorer:
             for attr in query.attributes
         })
         #: The batch kernel: the mask-matrix kernel plus every array it
-        #: reads, shared by the serial loop and the worker pool.
+        #: reads, shared by the serial loop and the shard threads.
         self.kernel = BatchKernel(self.contexts, evaluator, self.aggregate,
                                   self.perturbation, self._incremental,
                                   self.stats)
@@ -405,8 +393,8 @@ class InfluenceScorer:
 
         Only the search scalars ``c`` / ``c_holdout`` / ``λ`` may
         differ: every cached artifact — the batch kernel with its
-        contexts, tuple states and labeled evaluator, and the worker
-        pool holding it — is derived from the table, query,
+        contexts, tuple states and labeled evaluator — is derived from
+        the table, query,
         annotations, and perturbation mode, which must be identical (the
         resident service's content key guarantees this; the assertion is
         the safety net).  The kernel takes the scalars as call
@@ -498,18 +486,17 @@ class InfluenceScorer:
                 pending[predicate] = [i]
 
         size = self.batch_chunk
-        if not self._parallel_disabled:
-            # Cut a batch too small to feed every worker into finer
+        if self.workers > 1:
+            # Cut a batch too small to feed every thread into finer
             # shards (chunking never changes a result).
             size = choose_shard_size(len(pending), self.kernel.n_labeled,
                                      self.workers, size)
         unique = list(pending)
         shards = [unique[lo:lo + size] for lo in range(0, len(unique), size)]
 
-        shard_values = None
-        if not self._parallel_disabled and len(shards) >= 2:
+        if self.workers > 1 and len(shards) >= 2:
             shard_values = self._score_shards_parallel(shards, ignore_holdouts)
-        if shard_values is None:
+        else:
             shard_values = [
                 self.kernel.score_masked_chunk(shard, ignore_holdouts,
                                                self.c, self.c_holdout,
@@ -544,170 +531,65 @@ class InfluenceScorer:
     # ------------------------------------------------------------------
     # Sharded parallel execution (see repro.parallel)
     # ------------------------------------------------------------------
-    @property
-    def uses_parallel(self) -> bool:
-        """Whether batch shards may be dispatched to worker processes
-        right now (``workers > 1`` and the recovery circuit is not
-        holding batches serial).  Unlike the pre-ISSUE-9 permanent
-        fallback this can flip back to True: the circuit re-probes
-        parallel after its cooldown."""
-        if self._parallel_disabled:
-            return False
-        return self._recovery is None or self._recovery.allow_parallel()
-
-    def parallel_health(self) -> dict:
-        """Live pool/degradation state (surfaced by service ``health``).
-
-        ``state`` is ``"serial"`` (structural: ``workers <= 1``),
-        ``"parallel"`` (circuit closed), or ``"degraded"`` (circuit
-        open/half-open: batches run serial until a re-probe succeeds).
-        """
-        if self._parallel_disabled:
-            return {"state": "serial", "workers": self.workers,
-                    "pool_live": False, "pool_starts": self._pool_starts}
-        recovery = self._recovery
-        assert recovery is not None
-        return {
-            "state": "degraded" if recovery.degraded else "parallel",
-            "circuit": recovery.state(),
-            "workers": self.workers,
-            "pool_live": self._executor is not None,
-            "pool_starts": self._pool_starts,
-        }
-
     def _score_shards_parallel(self, shards: list[list[Predicate]],
-                               ignore_holdouts: bool) -> list | None:
-        """Run predicate shards on the worker pool.
+                               ignore_holdouts: bool) -> list[np.ndarray]:
+        """Score predicate shards on the thread pool (started on first
+        use), one influence array per shard aligned with ``shards`` —
+        bit-for-bit what the serial loop computes.
 
-        Returns one influence array per shard, aligned with ``shards``
-        — bit-for-bit what the serial loop would compute — or None when
-        this batch must run serial (the caller then takes the serial
-        path, so scoring always completes).
-
-        Failure policy (self-healing; see
-        :class:`~repro.parallel.recovery.ParallelRecovery`): a pool
-        failure releases the broken pool, backs off, restarts, and
-        retries the whole batch up to ``SCORPION_SHARD_RETRIES`` times;
-        exhausted retries or an exhausted restart budget degrade *this
-        batch only* to serial (the circuit breaker re-probes parallel
-        after its cooldown).  ``KeyboardInterrupt``/``SystemExit``
-        propagate after the pool is released.
+        Results are collected in submission order, so the first failing
+        shard's exception propagates, as in the serial loop; shards not
+        yet started are cancelled.  Each shard counts into its own
+        :class:`ScorerStats` window, merged here in submission order.
         """
-        recovery = self._recovery
-        assert recovery is not None
-        if not recovery.allow_parallel():
-            REGISTRY.counter(
-                "scorpion_degraded_batches_total",
-                "Batches scored serial because the pool circuit "
-                "was open or retries were exhausted").inc()
-            return None
-        tracer = current_tracer()
-        # Shards carry the live (c, c_holdout, λ): the kernel takes
-        # them as arguments, so a rebound scorer's warm pool scores at
-        # the current values.
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self.workers, thread_name_prefix=SHARD_THREAD_PREFIX)
+        # The kernel takes the live (c, c_holdout, λ) as arguments, so a
+        # rebound scorer scores at the current values.
         scalars = (self.c, self.c_holdout, self.lam)
-        tasks = [(shard, ignore_holdouts, scalars) for shard in shards]
-        attempts = recovery.retries + 1
-        for attempt in range(attempts):
-            try:
-                executor = self._ensure_executor()
-                submit_s = time.perf_counter()
-                results = executor.run(tasks)
-            except BaseException as exc:  # noqa: BLE001 - availability
-                # over purity: a broken pool must never break scoring,
-                # only slow it down.  Release the pool first so no path
-                # (interrupt included) leaves workers behind.
-                self.close()
-                REGISTRY.counter(
-                    "scorpion_pool_failures_total",
-                    "Worker-pool failures (start or batch)").inc()
-                if not isinstance(exc, Exception):
-                    raise
-                within_budget = recovery.record_failure()
-                if within_budget and attempt + 1 < attempts:
-                    REGISTRY.counter(
-                        "scorpion_pool_retries_total",
-                        "Batch retries after a pool failure "
-                        "(each restarts the pool)").inc()
-                    if tracer is not None:
-                        now = time.perf_counter()
-                        tracer.add_span("pool_retry", now, now, {
-                            "attempt": attempt + 1, "error": repr(exc)})
-                    recovery.backoff(attempt)
-                    continue
-                reason = ("restart budget exhausted — circuit open for "
-                          f"{recovery.cooldown:g}s" if not within_budget
-                          else f"{attempts} attempts failed")
-                warnings.warn(
-                    f"parallel scoring failed ({exc}); {reason}; scoring "
-                    "serial until the pool recovers",
-                    RuntimeWarning, stacklevel=3)
-                REGISTRY.counter(
-                    "scorpion_degraded_batches_total",
-                    "Batches scored serial because the pool circuit "
-                    "was open or retries were exhausted").inc()
-                return None
-            recovery.record_success()
-            break
+        submit_s = time.perf_counter()
+        futures = [self._pool.submit(self._score_shard, shard,
+                                     ignore_holdouts, scalars)
+                   for shard in shards]
+        try:
+            results = [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+        tracer = current_tracer()
         values = []
-        for task, (shard_values, worker_counters) in zip(tasks, results):
-            self.stats.merge_worker_counters(worker_counters)
+        for shard, (shard_values, window, t0, t1) in zip(shards, results):
+            self.stats.merge_worker_counters(window.worker_counters())
             values.append(shard_values)
             if tracer is not None:
-                # Worker-side perf_counter() stamps ride back in the
-                # counters dict (ignored by merge_worker_counters);
-                # CLOCK_MONOTONIC is machine-wide, so t0 minus the
-                # parent's submit stamp is the shard's real queue wait.
-                t0 = worker_counters.get("shard_t0")
-                t1 = worker_counters.get("shard_t1")
-                if t0 is not None and t1 is not None:
-                    tracer.add_span("shard", t0, t1, {
-                        "items": len(task[0]),
-                        "queue_wait_ms": round(
-                            max(0.0, t0 - submit_s) * 1e3, 3)})
+                tracer.add_span("shard", t0, t1, {
+                    "items": len(shard),
+                    "queue_wait_ms": round(max(0.0, t0 - submit_s) * 1e3, 3)})
         self.stats.parallel_batches += 1
-        self.stats.parallel_shards += len(tasks)
+        self.stats.parallel_shards += len(shards)
         return values
 
-    def _ensure_executor(self):
-        """Lazily start the persistent worker pool around this scorer's
-        batch kernel.
-
-        Every start stamps ``SCORPION_POOL_GENERATION`` with this
-        scorer's pool-start ordinal so fault schedules (``~gN``) can
-        target early generations only, and counts restarts (any start
-        after the first) in ``scorpion_pool_restarts_total``.
-        """
-        if self._executor is None:
-            from repro.faults.registry import GENERATION_ENV
-            from repro.parallel import ShardedScoringExecutor
-
-            os.environ[GENERATION_ENV] = str(self._pool_starts)
-            executor = ShardedScoringExecutor(self.workers,
-                                              task_timeout=self.task_timeout)
-            executor.start(self.kernel)
-            if self._pool_starts:
-                REGISTRY.counter(
-                    "scorpion_pool_restarts_total",
-                    "Worker-pool restarts after a failure").inc()
-            self._pool_starts += 1
-            self._executor = executor
-            self._finalizer = weakref.finalize(self, executor.close)
-        return self._executor
+    def _score_shard(self, shard: list[Predicate], ignore_holdouts: bool,
+                     scalars: tuple[float, float, float]) -> tuple:
+        """One shard on a pool thread: ``(influences, stats window,
+        start, end)``, the stamps from ``perf_counter`` for the shard's
+        trace span."""
+        t0 = time.perf_counter()
+        window = ScorerStats()
+        values = self.kernel.with_stats(window).score_masked_chunk(
+            shard, ignore_holdouts, *scalars)
+        return values, window, t0, time.perf_counter()
 
     def close(self) -> None:
-        """Release the worker pool (terminating its workers).
+        """Shut the shard thread pool down, waiting for its threads.
 
         No-op for serial scorers; idempotent.  The scorer stays fully
-        usable afterwards — a later parallel batch simply restarts the
-        pool.
+        usable afterwards — a later parallel batch starts a new pool.
         """
-        executor, self._executor = self._executor, None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if executor is not None:
-            executor.close()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Per-tuple influence (DT's split metric, MC's pruning bound)

@@ -19,15 +19,16 @@ by group.
 
 The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
 not kernel state, so a kernel depends only on the table, the query,
-the annotations and the perturbation mode.  That makes it the one
-object the worker pool needs: forked workers inherit the parent's
-kernel copy-on-write, spawn-only platforms unpickle it once per
-worker, and every worker runs the method the serial loop runs on
-byte-identical arrays (see :mod:`repro.parallel`).
+the annotations and the perturbation mode, and its arrays are never
+written after construction.  The scorer's shard threads therefore run
+the method the serial loop runs on the same arrays, each through a
+:meth:`~BatchKernel.with_stats` view that counts into its own stats
+window (see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -169,6 +170,14 @@ class BatchKernel:
             if self._total_states is not None and perturbation == "mean"
             else None)
 
+    def with_stats(self, stats: "ScorerStats") -> "BatchKernel":
+        """A shallow copy sharing every array but counting into
+        ``stats``: one per parallel shard, so no two threads write the
+        same counters."""
+        view = copy.copy(self)
+        view.stats = stats
+        return view
+
     @property
     def has_holdouts(self) -> bool:
         return len(self.contexts) > self.n_outliers
@@ -265,7 +274,7 @@ class BatchKernel:
                            ignore_holdouts: bool, c: float,
                            c_holdout: float, lam: float) -> np.ndarray:
         """Score one chunk of predicates through its mask matrix — the
-        single entry of the serial loop and the worker pool."""
+        single entry of the serial loop and the shard threads."""
         matrix = self.evaluator.evaluate_batch(predicates)
         if ignore_holdouts and self.has_holdouts:
             # Hold-out contexts are skipped entirely downstream; dropping

@@ -25,9 +25,9 @@ pruning bounds, exactly like transaction lists in Apriori-style subspace
 clustering.  The per-level candidate ranking — ``inf(O, ∅, p, V)`` for
 every surviving cell — goes through one
 :meth:`InfluenceScorer.score_batch` call per round rather than a Scorer
-round-trip per cell.  Those rounds shard across worker processes when
-the scorer's ``workers`` knob is set — MC inherits the parallelism with
-no changes here (see :mod:`repro.parallel`).
+round-trip per cell.  Those rounds shard across the scorer's threads
+when its ``workers`` knob is set — MC inherits the parallelism with no
+changes here (see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations

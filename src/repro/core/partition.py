@@ -30,10 +30,6 @@ class GroupRemovalStats:
     count: float
     state_sum: np.ndarray | None = None
 
-    def copy(self) -> "GroupRemovalStats":
-        state = None if self.state_sum is None else self.state_sum.copy()
-        return GroupRemovalStats(self.count, state)
-
 
 @dataclass
 class CandidatePredicate:
@@ -45,8 +41,6 @@ class CandidatePredicate:
     score: float
     #: Per-outlier-group removal stats keyed by group key (optional).
     group_stats: dict[tuple, GroupRemovalStats] | None = None
-    #: Relative volume of the predicate box inside the domain (optional).
-    volume: float | None = None
 
     def __repr__(self) -> str:
         return f"CandidatePredicate({self.predicate}, score={self.score:.4g})"

@@ -113,19 +113,15 @@ class Scorpion:
         Override for the Scorer's per-pass predicate cap (None = the
         ``SCORPION_BATCH_CHUNK`` environment variable, else the
         built-in default); benchmarks sweep it.  With ``workers > 1``
-        it is also the largest shard fanned out to worker processes;
-        a smaller batch is cut so every worker gets a shard.
+        it is also the largest shard handed to a scoring thread; a
+        smaller batch is cut so every thread gets a shard.
     workers:
-        Worker processes for sharded batch scoring (None = the
+        Threads for sharded batch scoring (None = the
         ``SCORPION_WORKERS`` environment variable, else 1 = serial;
-        ``0`` = one worker per CPU).  Every search algorithm funnels
+        ``0`` = one thread per CPU).  Every search algorithm funnels
         through ``InfluenceScorer.score_batch``, so NAIVE, MC, DT, and
         the Merger all inherit the parallelism; results are bit-for-bit
         identical at any setting (see :mod:`repro.parallel`).
-    task_timeout:
-        Per-shard worker deadline in seconds (None = the
-        ``SCORPION_TASK_TIMEOUT`` environment variable, else the
-        executor default; ``<= 0`` waits forever).
     trace:
         Record a per-call span tree on :attr:`ScorpionResult.trace`
         (None = the ``SCORPION_TRACE`` environment variable, default
@@ -141,7 +137,6 @@ class Scorpion:
                  relevance_threshold: float = 0.05,
                  batch_chunk: int | None = None,
                  workers: int | None = None,
-                 task_timeout: float | None = None,
                  trace: bool | None = None):
         if algorithm not in ("auto", "dt", "mc", "naive"):
             raise PartitionerError(f"unknown algorithm {algorithm!r}")
@@ -156,7 +151,6 @@ class Scorpion:
         self.relevance_threshold = relevance_threshold
         self.batch_chunk = batch_chunk
         self.workers = workers
-        self.task_timeout = task_timeout
         self.trace = tracing_enabled() if trace is None else bool(trace)
         self.cache = DTCache()
 
@@ -176,8 +170,7 @@ class Scorpion:
             if self.auto_select_attributes:
                 query = self._narrow_attributes(query)
             scorer = InfluenceScorer(query, batch_chunk=self.batch_chunk,
-                                     workers=self.workers,
-                                     task_timeout=self.task_timeout)
+                                     workers=self.workers)
             if sp:
                 sp.annotate(groups=len(scorer.contexts),
                             attributes=len(query.attributes))
@@ -247,10 +240,9 @@ class Scorpion:
                         scorer_stats=scorer_stats,
                     )
                 finally:
-                    # Release the parallel executor's worker pool
-                    # promptly (no-op for serial scorers).
-                    # Injected scorers outlive the call — their owner
-                    # closes them.
+                    # Release the scorer's shard threads promptly (no-op
+                    # for serial scorers).  Injected scorers outlive the
+                    # call — their owner closes them.
                     if owned:
                         scorer.close()
             if own_tracer:

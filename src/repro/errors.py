@@ -52,15 +52,11 @@ class DatasetError(ScorpionError):
 
 
 class ParallelError(ScorpionError):
-    """The parallel scoring executor failed or was misconfigured.
+    """The ``workers`` knob was set to a negative thread count.
 
-    Raised for invalid worker counts or recovery knobs, and wrapped
-    around worker-pool failures (a crashed worker process, a shard that
-    exceeded its timeout, or a shard that could not be submitted).  The scorer
-    absorbs executor failures internally — retrying, restarting the
-    pool, and degrading single batches to serial scoring — so callers
-    of ``score_batch`` only see this exception for configuration
-    mistakes.
+    Shard failures are not wrapped: an exception raised while scoring
+    a shard propagates from ``score_batch`` with its own type, as the
+    serial loop would raise it.
     """
 
 

@@ -12,7 +12,6 @@ from .registry import (
     faults_enabled,
     install_faults,
     parse_faults,
-    pool_generation,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "faults_enabled",
     "install_faults",
     "parse_faults",
-    "pool_generation",
 ]

@@ -1,28 +1,25 @@
 """Deterministic fault injection for the explain pipeline.
 
 Production code is sprinkled with *named injection points* — one
-:func:`fault_point` call at each place a real deployment can fail (a
-worker scoring a shard, a pool start, a service build or checkout, a
-serve-loop read).  When no schedule is armed the call is a single
-module-global load plus a ``None`` check: the disabled path allocates
-nothing and branches once, so the points can stay in the hot paths
-permanently.
+:func:`fault_point` call at each place a real deployment can fail: a
+service checkout (``service.checkout``), a problem build
+(``service.build``) and a serve-loop read (``serve.read``).  When no
+schedule is armed the call is a single module-global load plus a
+``None`` check: the disabled path allocates nothing and branches once,
+so the points can stay in the hot paths permanently.
 
 A *schedule* arms one or more points with an action and a hit pattern::
 
-    SCORPION_FAULTS="worker.shard:crash@2;pool.start:oserror@1"
+    SCORPION_FAULTS="service.build:memerror@1;serve.read:oserror@2"
 
 Grammar, per ``;``-separated spec (``point:action[=arg][@sched][~mods]``):
 
 ========  =============================================================
 token     meaning
 ========  =============================================================
-action    ``crash`` (raise :class:`InjectedFault`), ``exit`` (kill the
-          process with ``os._exit`` — a real worker death), ``oserror``,
-          ``memerror``, ``hang`` (sleep ``arg`` seconds, default 60 —
-          induces shard timeouts)
-``=arg``  numeric action argument (``hang=0.5`` sleep seconds,
-          ``exit=3`` exit status)
+action    ``crash`` (raise :class:`InjectedFault`), ``oserror``,
+          ``memerror``, ``hang`` (sleep ``arg`` seconds, default 60)
+``=arg``  numeric action argument (``hang=0.5`` sleep seconds)
 ``@2``    fire on the 2nd hit of the point (counted per process)
 ``@2,5``  fire on hits 2 and 5
 ``@2..4`` fire on hits 2 through 4
@@ -32,23 +29,16 @@ action    ``crash`` (raise :class:`InjectedFault`), ``exit`` (kill the
 ``~s42``  seed the ``@p`` RNG (default seed 0; the stream is also
           keyed by the point name, so two points never share a flip
           sequence)
-``~g2``   fire only while the pool generation (the
-          ``SCORPION_POOL_GENERATION`` environment variable the
-          executor stamps before each pool start) is below 2 — the
-          lever that lets a schedule break generation-0 pools and
-          prove the restarted pool recovers
 ========  =============================================================
 
-Hit counters are per-process: a forked worker inherits the parent's
-armed registry and counts its own hits from the fork point, a spawned
-worker re-arms from the inherited ``SCORPION_FAULTS`` environment and
-counts from zero.  Both are deterministic for a fixed schedule and
-fixed shard routing, which is what the chaos differential oracle needs.
+Hit counters are per-process and deterministic for a fixed schedule,
+which is what the chaos differential oracle needs; a process started
+with ``SCORPION_FAULTS`` set arms itself at import.
 
-Programmatic arming (tests, benchmarks)::
+Programmatic arming (tests)::
 
-    with fault_injection("worker.shard:exit@1~g1"):
-        result = Scorpion(workers=2).explain(problem)
+    with fault_injection("service.build:memerror@1"):
+        result = ExplainService().explain(problem)
 
 ``install_faults`` / ``clear_faults`` are the non-context equivalents;
 :func:`fault_stats` reports per-point hit/fire counts for assertions.
@@ -76,17 +66,10 @@ __all__ = [
     "fault_injection",
     "fault_stats",
     "parse_faults",
-    "pool_generation",
 ]
 
 #: Environment variable holding the armed schedule.
 ENV_VAR = "SCORPION_FAULTS"
-
-#: Environment variable the parallel executor stamps with the pool's
-#: restart generation (0 = a scorer's first pool, 1 = first restart,
-#: ...) just before starting it, so worker processes inherit it and
-#: ``~gN`` filters can scope faults to early generations.
-GENERATION_ENV = "SCORPION_POOL_GENERATION"
 
 
 class InjectedFault(RuntimeError):
@@ -99,22 +82,13 @@ class FaultError(ValueError):
     """A ``SCORPION_FAULTS`` spec string could not be parsed."""
 
 
-_ACTIONS = frozenset({"crash", "exit", "oserror", "memerror", "hang"})
+_ACTIONS = frozenset({"crash", "oserror", "memerror", "hang"})
 
 _SPEC_RE = re.compile(
     r"^(?P<action>[a-z_]+)"
     r"(?:=(?P<arg>[0-9]*\.?[0-9]+))?"
     r"(?:@(?P<sched>[^~]+))?"
     r"(?:~(?P<mods>[a-z0-9.,]+))?$")
-
-
-def pool_generation() -> int:
-    """The current pool generation (see :data:`GENERATION_ENV`)."""
-    raw = os.environ.get(GENERATION_ENV, "").strip()
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -133,13 +107,8 @@ class FaultSpec:
     #: Per-hit Bernoulli probability, or None.
     probability: float | None = None
     seed: int = 0
-    #: Fire only while :func:`pool_generation` is below this, or None.
-    max_generation: int | None = None
 
     def matches_hit(self, hit: int, rng: random.Random | None) -> bool:
-        if self.max_generation is not None \
-                and pool_generation() >= self.max_generation:
-            return False
         if self.probability is not None:
             assert rng is not None
             return rng.random() < self.probability
@@ -193,15 +162,12 @@ def _parse_mods(mods: str | None) -> dict:
             continue
         kind, value = token[0], token[1:]
         try:
-            if kind == "s":
-                out["seed"] = int(value)
-            elif kind == "g":
-                out["max_generation"] = int(value)
-            else:
+            if kind != "s":
                 raise ValueError
+            out["seed"] = int(value)
         except ValueError:
             raise FaultError(f"bad modifier {token!r} "
-                             "(expected sN seed or gN generation)") from None
+                             "(expected sN seed)") from None
     return out
 
 
@@ -283,8 +249,6 @@ class FaultRegistry:
         detail = f"injected {spec.action} at {name} (hit {hit})"
         if spec.action == "crash":
             raise InjectedFault(detail)
-        if spec.action == "exit":
-            os._exit(int(spec.arg) if spec.arg is not None else 13)
         if spec.action == "oserror":
             raise OSError(detail)
         if spec.action == "memerror":
@@ -317,8 +281,7 @@ def _registry_from_env() -> FaultRegistry | None:
 
 
 #: The armed registry, or None (the common case: injection disabled).
-#: Parsed from ``SCORPION_FAULTS`` at import so spawned workers arm
-#: themselves; forked workers inherit the live object.
+#: Parsed from ``SCORPION_FAULTS`` at import.
 _REGISTRY: FaultRegistry | None = _registry_from_env()
 
 

@@ -2,7 +2,7 @@
 
 One global :data:`REGISTRY` instance collects what the per-request
 ``scorer_stats`` dicts cannot: monotonic totals across requests, the
-cache's live size, pool restarts — the process-level view a scraper
+cache's live size, OOM-shed retries — the process-level view a scraper
 wants.  The service publishes into it on every request; tests pass a
 fresh :class:`MetricsRegistry` for isolation.
 

@@ -1,42 +1,79 @@
-"""Parallel scoring over a process pool (the ``workers`` knob).
+"""Parallel scoring settings (the ``workers`` knob) and the shard-size rule.
 
-:class:`~repro.core.influence.InfluenceScorer.score_batch` is
+:meth:`~repro.core.influence.InfluenceScorer.score_batch` is
 embarrassingly parallel across its predicate shards: every shard's
 influences depend only on the problem's read-only arrays, and the mask
 kernel is row-deterministic, so sharding can never change a result.
-This package exploits that:
+With ``workers > 1`` the scorer maps its shards over a thread pool it
+owns, each thread calling the same
+:meth:`~repro.core.kernel.BatchKernel.score_masked_chunk` the serial
+loop calls; the kernel's large NumPy operations release the GIL, so the
+threads overlap.
 
-* :mod:`repro.parallel.executor` — the persistent pool, started with
-  the scorer's :class:`~repro.core.kernel.BatchKernel` as its
-  initializer argument (forked workers inherit it copy-on-write;
-  spawn-only platforms unpickle it once per worker), with ordered
-  reassembly, crash/timeout failure reporting and the shard-size rule
-  (:func:`~repro.parallel.executor.choose_shard_size`);
-* :mod:`repro.parallel.worker` — the per-shard entry point workers run,
-  calling the same kernel method as the serial loop;
-* :mod:`repro.parallel.recovery` — the retry / restart-budget /
-  circuit-breaker policy for a failing pool.
-
-The scorer's ``workers`` knob (constructor argument, the
+This module resolves the ``workers`` knob (constructor argument, the
 ``SCORPION_WORKERS`` environment variable, ``Scorpion(workers=...)``,
-or ``--workers`` on the CLI) selects the process count: ``1`` (the
-default) keeps today's serial path, ``0`` means one worker per CPU.
-Results are bit-for-bit identical at any worker count, and per-worker
-scoring counters are merged back into the aggregate ``scorer_stats``.
+or ``--workers`` on the CLI) to a thread count, ``1`` (the default)
+being serial and ``0`` one thread per CPU, and decides how finely a
+batch is cut (:func:`choose_shard_size`).  Results are bit-for-bit
+identical at any worker count, and per-shard kernel counters are merged
+back into the aggregate ``scorer_stats``.
 """
 
-from repro.parallel.executor import (
-    DEFAULT_TASK_TIMEOUT,
-    ShardedScoringExecutor,
-    choose_shard_size,
-    resolve_workers,
-)
-from repro.parallel.recovery import ParallelRecovery
+from __future__ import annotations
 
-__all__ = [
-    "DEFAULT_TASK_TIMEOUT",
-    "ParallelRecovery",
-    "ShardedScoringExecutor",
-    "choose_shard_size",
-    "resolve_workers",
-]
+import os
+
+from repro.errors import ParallelError
+
+__all__ = ["DISPATCH_NS", "choose_shard_size", "resolve_workers"]
+
+#: Estimated per-shard dispatch overhead in nanoseconds; shards smaller
+#: than a couple of these are not worth cutting.  Measured for the
+#: process pool this module used to drive (pickle, queue, result IPC)
+#: and kept as is for the thread pool, without re-measuring.
+DISPATCH_NS = 200_000.0
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Resolve the ``workers`` knob to an effective thread count.
+
+    ``None`` reads ``SCORPION_WORKERS`` (absent → 1, the serial path);
+    ``0`` means one thread per CPU (``os.cpu_count()``); positive
+    integers are taken as-is.  ``1`` means serial in-thread scoring —
+    no pool.
+    """
+    if workers is None:
+        raw = os.environ.get("SCORPION_WORKERS", "").strip()
+        workers = int(raw) if raw else 1
+    workers = int(workers)
+    if workers == 0:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ParallelError(f"workers must be >= 0, got {workers}")
+    return workers
+
+
+def choose_shard_size(n_predicates: int, n_rows: int, workers: int,
+                      batch_chunk: int) -> int:
+    """Predicates per shard for a parallel batch of ``n_predicates``
+    over ``n_rows`` labeled rows.
+
+    ``batch_chunk`` unless the batch is too small to fill ``2 ×
+    workers`` chunks of it; then the batch is cut into ``2 × workers``
+    shards so every worker gets a share — provided one such shard's
+    estimated mask-kernel work clears a couple of dispatch costs
+    (:data:`DISPATCH_NS`).  One predicate is priced at 3.3 ns per
+    labeled row (build and scan its mask row), 50 ns per matched row
+    (scatter-add, a quarter of the rows assumed matched) and 2 µs
+    fixed.  Deterministic pure arithmetic, and chunking never changes a
+    result.
+    """
+    shards = 2 * workers
+    if (n_predicates <= 0 or workers <= 1
+            or -(-n_predicates // batch_chunk) >= shards):
+        return batch_chunk
+    size = -(-n_predicates // shards)
+    per_predicate_ns = 3.3 * n_rows + 50.0 * (n_rows / 4) + 2000.0
+    if size * per_predicate_ns < 2.0 * DISPATCH_NS:
+        return batch_chunk
+    return size

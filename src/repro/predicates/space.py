@@ -123,15 +123,6 @@ class Domain:
     def __iter__(self) -> Iterator[AttributeDomain]:
         return (self._by_name[name] for name in self._order)
 
-    def volume_fraction(self, predicate: Predicate) -> float:
-        """Relative volume of the predicate's box inside the domain
-        (unconstrained attributes contribute a factor of 1)."""
-        volume = 1.0
-        for clause in predicate:
-            if clause.attribute in self._by_name:
-                volume *= self._by_name[clause.attribute].clause_fraction(clause)
-        return volume
-
     def full_predicate(self) -> Predicate:
         """A predicate explicitly spanning the whole domain (used as the
         DT root partition)."""

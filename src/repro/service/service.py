@@ -5,10 +5,10 @@ A one-shot ``Scorpion.explain`` pays, on every call, for work that is
 pure function of the *problem* rather than of the Section 7 knobs: the
 group-by execution and provenance (the problem image), the labeled
 evaluator's factorized comparison arrays, the DT partitions, and — with
-``workers > 1`` — forking a worker pool.  An interactive session
-(the paper's ``c``-slider UI, Section 8.3.3) or an eval sweep repeats
-the same problem dozens of times with only scalar-knob changes, so a
-resident process should pay once.
+``workers > 1`` — starting the scorer's shard threads.  An interactive
+session (the paper's ``c``-slider UI, Section 8.3.3) or an eval sweep
+repeats the same problem dozens of times with only scalar-knob changes,
+so a resident process should pay once.
 
 :class:`ExplainService` holds an LRU of cache entries keyed by
 :func:`~repro.service.keys.problem_key` / ``request_key`` — dataset
@@ -17,7 +17,7 @@ set × perturbation, deliberately excluding ``c`` / ``c_holdout`` / ``λ``
 which rebind in O(1).  Each entry owns a narrowed problem, a dedicated
 :class:`~repro.core.scorpion.Scorpion` (its own bounded DT cache), and
 the live :class:`~repro.core.influence.InfluenceScorer` carrying the
-contexts, the batch kernel, and (lazily) the started worker pool.
+contexts, the batch kernel, and (lazily) its shard thread pool.
 
 **Equivalence contract.**  A warm ``explain`` returns a result
 bit-for-bit equal to a cold ``Scorpion.explain`` of the same problem —
@@ -34,14 +34,15 @@ bytes when it is built — context index/state arrays, the stacked state
 matrix and evaluator comparison arrays.  Eviction walks LRU order while
 over ``cache_bytes``
 (constructor > ``SCORPION_CACHE_BYTES`` > 512 MiB), skipping pinned
-(in-flight) entries; a closed entry releases its worker pool.
+(in-flight) entries; a closed entry shuts its shard thread pool down.
 
 Thread-safe: a service-level lock guards the LRU and counters, a
 per-entry lock serializes requests that share an entry (scorers are
 stateful), and distinct entries execute concurrently.  The asyncio
 front end (:meth:`ExplainService.explain_async`) runs requests on
-worker threads with a per-request deadline defaulting to the same
-``SCORPION_TASK_TIMEOUT`` machinery the parallel executor uses.
+worker threads with a per-request deadline defaulting to
+``SCORPION_TASK_TIMEOUT`` (:data:`DEFAULT_TASK_TIMEOUT` seconds when
+unset).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import asyncio
 import os
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from typing import Callable, Iterable, Mapping
 
@@ -59,7 +61,6 @@ from repro.errors import ResourceExhausted, ScorpionError
 from repro.faults import fault_point
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import Tracer, current_tracer, span, tracing_enabled
-from repro.parallel.executor import _resolve_timeout
 from repro.query.groupby import GroupByQuery
 from repro.service.keys import problem_key, request_key
 from repro.table.table import Table
@@ -67,6 +68,11 @@ from repro.table.table import Table
 #: Default cache capacity when neither the constructor nor
 #: ``SCORPION_CACHE_BYTES`` specifies one.
 DEFAULT_CACHE_BYTES = 512 * 1024 * 1024
+
+#: Default :meth:`ExplainService.explain_async` deadline in seconds
+#: (override via ``SCORPION_TASK_TIMEOUT``, or the deprecated
+#: ``SCORPION_WORKER_TIMEOUT`` alias; ``0`` disables).
+DEFAULT_TASK_TIMEOUT = 300.0
 
 #: ``scorer_stats`` keys that legitimately differ between a cold
 #: ``Scorpion.explain`` and a warm service call for the same problem:
@@ -98,8 +104,28 @@ _PUBLISHED_COUNTERS = (
     ("masked_predicates", "scorpion_masked_predicates_total",
      "Predicates scored through the mask-matrix kernel"),
     ("parallel_shards", "scorpion_parallel_shards_total",
-     "Shards dispatched to the worker pool"),
+     "Shards scored on the scorer's thread pool"),
 )
+
+
+def _resolve_timeout(task_timeout: float | None) -> float | None:
+    """A deadline in seconds, or None for no deadline: ``task_timeout``
+    when given, else ``SCORPION_TASK_TIMEOUT``, else the deprecated
+    ``SCORPION_WORKER_TIMEOUT``, else :data:`DEFAULT_TASK_TIMEOUT`;
+    ``<= 0`` means none."""
+    if task_timeout is None:
+        raw = os.environ.get("SCORPION_TASK_TIMEOUT", "").strip()
+        if not raw:
+            # Legacy alias from before the knob was documented.
+            raw = os.environ.get("SCORPION_WORKER_TIMEOUT", "").strip()
+            if raw:
+                warnings.warn(
+                    "SCORPION_WORKER_TIMEOUT is deprecated and will be "
+                    "removed in the release after 2026-12; set "
+                    "SCORPION_TASK_TIMEOUT instead",
+                    DeprecationWarning, stacklevel=3)
+        task_timeout = float(raw) if raw else DEFAULT_TASK_TIMEOUT
+    return task_timeout if task_timeout > 0 else None
 
 
 def _resolve_cache_bytes(cache_bytes: int | None) -> int:
@@ -132,8 +158,8 @@ class _CacheEntry:
         self.lock = threading.Lock()
 
     def release(self) -> None:
-        """Free the scorer's worker pool and the entry's DT cache.
-        Idempotent."""
+        """Shut the scorer's shard threads down and free the entry's DT
+        cache.  Idempotent."""
         if self.scorer is not None:
             self.scorer.close()
         if self.scorpion is not None:
@@ -152,9 +178,7 @@ class ExplainService:
     registry:
         :class:`~repro.obs.metrics.MetricsRegistry` this service
         publishes into (None → the process-wide
-        :data:`~repro.obs.metrics.REGISTRY`).  Pool-level metrics
-        (``scorpion_pool_*``) always land in the global registry, since
-        the pool layer has no service handle.
+        :data:`~repro.obs.metrics.REGISTRY`).
     logger:
         Optional :class:`~repro.obs.logs.JsonLogger`; when set, async
         deadline expiries are logged as ``deadline_expired`` events.
@@ -328,10 +352,10 @@ class ExplainService:
 
         Concurrent calls for the same content key serialize on the
         entry (one build, N reuses); distinct keys run concurrently.
-        ``deadline`` is seconds (None → ``SCORPION_TASK_TIMEOUT`` /
-        the executor default, the same resolution chain worker shards
-        use; ``<= 0`` waits forever); expiry raises
-        :class:`asyncio.TimeoutError` via :func:`asyncio.wait_for`.
+        ``deadline`` is seconds (None → ``SCORPION_TASK_TIMEOUT``, else
+        :data:`DEFAULT_TASK_TIMEOUT`; ``<= 0`` waits forever); expiry
+        raises :class:`asyncio.TimeoutError` via
+        :func:`asyncio.wait_for`.
         """
         if deadline is None:
             deadline = _resolve_timeout(None)
@@ -355,9 +379,8 @@ class ExplainService:
     def stats(self) -> dict:
         """Current service counters (the same numbers each result
         carries under ``service_*`` keys), plus the process-level view:
-        completed-request count and error count, the request-latency
-        histogram snapshot, and worker-pool start/failure totals.  The
-        extra keys are registry-backed — ``service_requests`` counts
+        completed-request count and error count, and the request-latency
+        histogram snapshot.  The extra keys are registry-backed — ``service_requests`` counts
         requests that *completed* while ``service_hits + service_misses``
         counts requests that *started*, so the two only differ by
         in-flight or failed requests."""
@@ -373,25 +396,12 @@ class ExplainService:
         base["service_requests"] = latency["count"]
         base["service_request_errors"] = self._m_errors.value
         base["service_request_seconds"] = latency
-        # Pool metrics are process-wide and always published to the
-        # global registry by the executor layer.
-        for stats_key, metric_name in (
-                ("service_pool_starts", "scorpion_pool_starts_total"),
-                ("service_pool_failures", "scorpion_pool_failures_total")):
-            metric = REGISTRY.get(metric_name)
-            base[stats_key] = int(metric.value) if metric is not None else 0
         return base
 
     def health(self) -> dict:
-        """Liveness/degradation summary for the serve ``health`` op.
-
-        ``degraded`` is True while any cached scorer's recovery circuit
-        is holding batches serial; per-scorer detail rides in
-        ``pools``.  Process-wide resilience counters (restarts,
-        degraded batches, OOM retries) come from the global registry —
-        the pool layer publishes there regardless of which registry the
-        service was built with.
-        """
+        """Liveness summary for the serve ``health`` op: whether the
+        service is open, cache occupancy and capacity, pinned entries,
+        and the OOM-shed retries counted in this service's registry."""
         with self._lock:
             entries = list(self._entries.values())
             info: dict = {
@@ -401,22 +411,8 @@ class ExplainService:
                 "cache_capacity_bytes": self.cache_bytes,
                 "pinned_entries": sum(1 for e in entries if e.pins > 0),
             }
-        pools = []
-        for entry in entries:
-            scorer = entry.scorer
-            if scorer is not None:
-                pools.append(scorer.parallel_health())
-        info["pools"] = pools
-        info["degraded"] = any(p["state"] == "degraded" for p in pools)
-        for key_name, metric_name in (
-                ("pool_starts", "scorpion_pool_starts_total"),
-                ("pool_failures", "scorpion_pool_failures_total"),
-                ("pool_restarts", "scorpion_pool_restarts_total"),
-                ("pool_retries", "scorpion_pool_retries_total"),
-                ("degraded_batches", "scorpion_degraded_batches_total"),
-                ("oom_retries", "scorpion_oom_retries_total")):
-            metric = REGISTRY.get(metric_name)
-            info[key_name] = int(metric.value) if metric is not None else 0
+        metric = self.registry.get("scorpion_oom_retries_total")
+        info["oom_retries"] = int(metric.value) if metric is not None else 0
         return info
 
     def __len__(self) -> int:

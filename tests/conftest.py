@@ -3,23 +3,23 @@ cross-path differential scoring oracle."""
 
 from __future__ import annotations
 
-import multiprocessing
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.parallel as parallel
 from repro.aggregates import Avg, Sum
-from repro.core.influence import InfluenceScorer
+from repro.core.influence import SHARD_THREAD_PREFIX, InfluenceScorer
 from repro.obs.trace import Tracer
-from repro.parallel import executor
 from repro.core.problem import ScorpionQuery
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 #: Counters that must agree between the serial batch scorer and a
-#: parallel scorer fed the same batch (worker-side kernel counters merge
-#: back into the parent's).
+#: parallel scorer fed the same batch (per-shard kernel counters merge
+#: back into the scorer's).
 POOL_COUNTERS = ("incremental_deltas", "full_recomputes", "masked_predicates")
 
 
@@ -48,15 +48,15 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     2. ``score_batch`` (the mask-matrix kernel);
     3. ``score_batch`` under an active span tracer;
     4. when ``workers`` is given: ``score_batch`` with ``workers``
-       processes two ways — the whole batch in one chunk with the
-       pool's dispatch cost zeroed (so the automatic split must cut it
-       into shards), and small predicate chunks.
+       threads two ways — the whole batch in one chunk with the
+       dispatch cost zeroed (so the automatic split must cut it into
+       shards), and small predicate chunks.
 
     Also asserts that the batch scorer sent every unique predicate the
     labeled evaluator supports through the mask kernel, and that every
     parallel leg's kernel counters (:data:`POOL_COUNTERS`) equal the
     serial batch run's.  ``expect_pool`` additionally requires that the
-    parallel legs actually dispatched shards to worker processes (at
+    parallel legs actually dispatched shards to the thread pool (at
     least two for the one-chunk leg).  Extra keyword arguments
     construct every scorer (e.g. ``use_incremental=False``).  Returns
     the agreed influence vector.
@@ -107,14 +107,14 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
                                               workers=workers,
                                               batch_chunk=chunk,
                                               **scorer_kwargs)
-            dispatch_ns = executor.DISPATCH_NS
+            dispatch_ns = parallel.DISPATCH_NS
             if leg == 0:
-                executor.DISPATCH_NS = 0.0  # the split's gate always passes
+                parallel.DISPATCH_NS = 0.0  # the split's gate always passes
             try:
                 via_parallel = parallel_scorer.score_batch(
                     predicates, ignore_holdouts=ignore_holdouts)
             finally:
-                executor.DISPATCH_NS = dispatch_ns
+                parallel.DISPATCH_NS = dispatch_ns
                 parallel_scorer.close()
             assert_same_floats(via_parallel, scalar)
             for name in POOL_COUNTERS:
@@ -127,20 +127,25 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     return via_batch
 
 
+def shard_threads() -> set[threading.Thread]:
+    """The live scorer shard threads of this process."""
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith(SHARD_THREAD_PREFIX)}
+
+
 def assert_no_live_workers(baseline=frozenset(),
                            timeout: float = 5.0) -> None:
-    """No worker process outlives its pool: polls
-    ``multiprocessing.active_children()`` (which also reaps exited
-    children) until it holds nothing beyond ``baseline`` — the children
-    alive before the test started — failing after ``timeout`` seconds."""
+    """No shard thread outlives its scorer: polls :func:`shard_threads`
+    until it holds nothing beyond ``baseline`` — the shard threads alive
+    before the test started — failing after ``timeout`` seconds."""
     deadline = time.monotonic() + timeout
     while True:
-        alive = set(multiprocessing.active_children()) - set(baseline)
+        alive = shard_threads() - set(baseline)
         if not alive:
             return
         if time.monotonic() > deadline:
             raise AssertionError(
-                f"worker processes outlived close(): {sorted(map(str, alive))}")
+                f"shard threads outlived close(): {sorted(map(str, alive))}")
         time.sleep(0.02)
 
 

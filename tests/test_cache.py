@@ -1,15 +1,22 @@
 """Unit tests for cross-c caching (paper Section 8.3.3)."""
 
+import gc
+
+import numpy as np
 import pytest
 
+from repro.aggregates import Sum
 from repro.core.cache import DEFAULT_MAX_ENTRIES, DTCache, query_signature
 from repro.errors import PartitionerError
 from repro.core.dt import DTPartitioner
 from repro.core.influence import InfluenceScorer
 from repro.core.partition import ScoredPredicate
+from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.predicates.clause import SetClause
 from repro.predicates.predicate import Predicate
+from repro.query.groupby import GroupByQuery
+from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 from tests.test_dt import avg_problem
 
@@ -177,3 +184,55 @@ class TestScorpionCaching:
         scorpion.explain(problem.with_c(0.1))
         assert scorpion.cache.partition_hits == 1
         assert scorpion.cache.partition_misses == 1
+
+
+
+def cluster_table(lo: float) -> Table:
+    """400 rows over groups g0..g3 whose outlier groups g0/g1 carry
+    value 50 on rows with ``a`` in ``[lo, lo + 10)``; every call builds
+    a new table with the same schema, rows and groups apart from the
+    cluster."""
+    rng = np.random.default_rng(0)
+    groups = np.repeat(["g0", "g1", "g2", "g3"], 100)
+    a = rng.uniform(0.0, 100.0, 400)
+    value = np.ones(400)
+    value[np.isin(groups, ["g0", "g1"]) & (a >= lo) & (a < lo + 10.0)] = 50.0
+    schema = Schema([ColumnSpec("g", ColumnKind.DISCRETE),
+                     ColumnSpec("a", ColumnKind.CONTINUOUS),
+                     ColumnSpec("value", ColumnKind.CONTINUOUS)])
+    return Table.from_columns(schema, {"g": groups, "a": a, "value": value})
+
+
+def cluster_problem(table: Table) -> ScorpionQuery:
+    return ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
+                         outliers=["g0", "g1"], holdouts=["g2", "g3"],
+                         error_vectors=+1.0, c=0.5)
+
+
+class TestTableIdentity:
+    def test_reused_scorpion_never_answers_from_a_freed_table(self):
+        # Signatures key the table by id(), and CPython hands a freed
+        # object's memory to a later one.  Free the first table, then
+        # allocate tables until one takes its id (none can while the
+        # cache entry holds the table) and fill that one with the
+        # cluster moved: the reused Scorpion must answer it as a fresh
+        # Scorpion does.
+        scorpion = Scorpion(algorithm="dt")
+        first = cluster_problem(cluster_table(20.0))
+        scorpion.explain(first)
+        freed_id = id(first.raw_table)
+        columns = [cluster_table(70.0).column(name)
+                   for name in ("g", "a", "value")]
+        del first
+        gc.collect()
+        spares = []
+        table = Table.__new__(Table)
+        while id(table) != freed_id and len(spares) < 100_000:
+            spares.append(table)
+            table = Table.__new__(Table)
+        table.__init__(columns)
+        problem = cluster_problem(table)
+        reused = scorpion.explain(problem)
+        fresh = Scorpion(algorithm="dt").explain(problem)
+        assert [(e.predicate, e.influence) for e in reused.explanations] == \
+            [(e.predicate, e.influence) for e in fresh.explanations]

@@ -308,13 +308,15 @@ class TestServe:
         health = responses[1]["health"]
         assert health["ok"] is True
         assert health["cache_entries"] == 1
-        assert health["degraded"] is False
-        assert health["pools"] \
-            and health["pools"][0]["state"] in ("serial", "parallel")
-        for key in ("pool_starts", "pool_failures", "pool_restarts",
-                    "pool_retries", "degraded_batches", "oom_retries",
-                    "pinned_entries", "cache_capacity_bytes"):
+        for key in ("oom_retries", "pinned_entries", "cache_capacity_bytes",
+                    "cached_bytes"):
             assert key in health, key
+        # Shards run on the request's own threads: there is no pool
+        # state to report.
+        for key in ("pools", "degraded", "pool_starts", "pool_failures",
+                    "pool_restarts", "pool_retries", "degraded_batches"):
+            assert key not in health, key
+        assert "degraded" not in responses[0]
 
     def test_overloaded_code_under_backpressure(self, planted_csv):
         from repro.faults import fault_injection

@@ -1,18 +1,18 @@
-"""The worker pool's shard-size rule
-(:func:`repro.parallel.executor.choose_shard_size`): a batch too small
-to feed every worker is cut finer only when one shard's estimated
-mask-kernel work clears the pool's dispatch cost."""
+"""The parallel shard-size rule
+(:func:`repro.parallel.choose_shard_size`): a batch too small
+to feed every thread is cut finer only when one shard's estimated
+mask-kernel work clears the dispatch cost."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.executor import choose_shard_size
+from repro.parallel import choose_shard_size
 
 
 class TestChooseShardSize:
     """The parallel shard size is deterministic pure arithmetic with
-    sane bounds — the parallel executor's serial-equality proof leans
-    on every process computing the same answer."""
+    sane bounds, so shard boundaries depend only on the batch's
+    shape."""
 
     def test_degenerate_shapes_decline(self):
         assert choose_shard_size(0, 10_000, 4, 8) == 8

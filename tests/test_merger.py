@@ -381,7 +381,7 @@ class TestApproximation:
         candidates = [
             CandidatePredicate(
                 Predicate([RangeClause("x", 0, 10), RangeClause("y", 0, 10)]),
-                score=1.0, group_stats=stats, volume=0.01),
+                score=1.0, group_stats=stats),
         ]
         index = approx_index(candidates, problem.domain, scorer)
         contained = Predicate([RangeClause("x", 0, 20), RangeClause("y", 0, 20)])
@@ -399,7 +399,7 @@ class TestApproximation:
         candidates = [
             CandidatePredicate(
                 Predicate([SetClause("state", ["TX", "CA"])]),
-                score=1.0, group_stats=stats, volume=0.5),
+                score=1.0, group_stats=stats),
         ]
         index = approx_index(candidates, sum_problem.domain, scorer)
         one = Predicate([SetClause("state", ["TX"])])

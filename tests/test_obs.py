@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.scorpion import Scorpion
 from repro.obs import (
-    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -389,13 +388,3 @@ class TestServiceMetrics:
         assert stats["service_requests"] == 0
         assert stats["service_misses"] == 1
         assert registry.snapshot()["scorpion_request_errors_total"] == 1
-
-    def test_pool_metrics_reach_global_registry(self):
-        before = REGISTRY.get("scorpion_pool_starts_total")
-        before_value = before.value if before is not None else 0
-        result = Scorpion(algorithm="mc",
-                          workers=2).explain(make_sum_problem())
-        after = REGISTRY.get("scorpion_pool_starts_total")
-        if result.scorer_stats.get("parallel_shards", 0) > 0:
-            assert after is not None
-            assert after.value >= before_value + 1

@@ -1,35 +1,24 @@
-"""Parallel-vs-serial equivalence for the sharded scoring executor.
+"""Parallel-vs-serial equivalence for sharded ``score_batch`` execution.
 
 The contract (see :mod:`repro.parallel`): ``score_batch`` with
 ``workers=N`` returns bit-for-bit the influences of ``workers=1`` on
 every aggregate/predicate shape, merged stats counters match a serial
-run's, pool failures (crash or timeout) fall back to serial scoring
-with a warning instead of hanging, and close() terminates the pool's
-workers.
+run's, an exception raised in a shard propagates as the serial loop
+would raise it, and close() joins the shard threads.
 """
 
-import multiprocessing
 import os
-import pickle
-import signal
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.aggregates import Avg, Median, StdDev, Sum, Variance
 from repro.core.influence import InfluenceScorer
+from repro.core.kernel import BatchKernel
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import ParallelError
-from repro.obs.metrics import REGISTRY
-from repro.parallel import (
-    ParallelRecovery,
-    ShardedScoringExecutor,
-    choose_shard_size,
-    resolve_workers,
-)
-from repro.parallel.executor import _resolve_timeout
+from repro.parallel import choose_shard_size, resolve_workers
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
@@ -39,8 +28,8 @@ from tests.conftest import (
     assert_no_live_workers,
     assert_scoring_paths_agree,
     planted_sum_table,
+    shard_threads,
 )
-from tests.test_chaos_oracle import chaos_batch
 
 #: Integer counters that must be identical between a serial and a
 #: parallel run of the same batches (timing counters and the
@@ -105,7 +94,7 @@ def assert_parallel_equals_serial(problem, batch, workers: int,
                                   ignore_holdouts: bool = False,
                                   **scorer_kwargs) -> None:
     """Every oracle leg, with the parallel legs required to actually use
-    the worker pool."""
+    the thread pool."""
     assert_scoring_paths_agree(problem, batch, workers=workers,
                                batch_chunk=batch_chunk,
                                ignore_holdouts=ignore_holdouts,
@@ -168,10 +157,10 @@ class TestParallelEquivalence:
             parallel.close()
 
     def test_rebind_reaches_warm_pool_workers(self):
-        # Warm workers hold the kernel, which takes (c, c_holdout, lam)
-        # per call; a resident scorer rebound between batches must ship
-        # the live scalars with each shard or warm workers keep scoring
-        # at the stale values.
+        # The kernel takes (c, c_holdout, lam) per call; a resident
+        # scorer rebound between batches must hand the live scalars to
+        # each shard on its warm pool, or the shards keep scoring at
+        # the stale values.
         problem = make_problem(Sum(), c=0.5)
         batch = mixed_batch()
         scorer = InfluenceScorer(problem, cache_scores=False, workers=2,
@@ -247,111 +236,62 @@ class TestEndToEnd:
             assert parallel.scorer_stats[name] == serial.scorer_stats[name], name
 
 
-def _counter(name: str) -> float:
-    metric = REGISTRY.get(name)
-    return metric.value if metric is not None else 0.0
+class ShardFailure(Exception):
+    """Raised by a patched kernel inside one shard."""
 
 
-class TestSelfHealing:
-    """Pool failures retry, restart, and degrade per batch — never
-    permanently (the pre-ISSUE-9 `_disable_parallel` is gone)."""
+def fail_second_shard(monkeypatch, batch, exc) -> None:
+    """Patch the kernel to raise ``exc`` on the batch's second
+    ``batch_chunk=8`` shard (its unique predicates 8..15), whichever
+    thread scores it."""
+    second = list(dict.fromkeys(batch))[8:16]
+    real = BatchKernel.score_masked_chunk
 
-    def test_worker_crash_retries_and_recovers(self):
-        problem = make_problem(Sum())
-        batch = mixed_batch()
-        expected = InfluenceScorer(problem, cache_scores=False,
-                                   workers=1).score_batch(batch)
-        scorer = InfluenceScorer(problem, cache_scores=False, workers=2,
-                                 batch_chunk=8)
-        scorer._recovery = ParallelRecovery(retries=2, restarts=10,
-                                            backoff_base=0.0)
-        np.testing.assert_array_equal(scorer.score_batch(batch), expected)
-        retries0 = _counter("scorpion_pool_retries_total")
-        restarts0 = _counter("scorpion_pool_restarts_total")
-        pool = scorer._executor._pool
-        for process in list(pool._processes.values()):
-            os.kill(process.pid, signal.SIGKILL)
-        # The crash is absorbed by a transparent pool restart: no
-        # warning, bit-for-bit results, and the batch still ran parallel.
-        shards_before = scorer.stats.parallel_shards
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = scorer.score_batch(batch)
-        np.testing.assert_array_equal(got, expected)
-        assert scorer.uses_parallel
-        assert scorer.stats.parallel_shards > shards_before
-        assert _counter("scorpion_pool_retries_total") >= retries0 + 1
-        assert _counter("scorpion_pool_restarts_total") >= restarts0 + 1
-        scorer.close()
+    def score_masked_chunk(kernel, predicates, *args):
+        if list(predicates) == second:
+            raise exc
+        return real(kernel, predicates, *args)
 
-    def test_persistent_failure_opens_circuit_then_reprobes(
+    monkeypatch.setattr(BatchKernel, "score_masked_chunk", score_masked_chunk)
+
+
+class TestShardFailures:
+    """A shard fails as the serial loop would: its exception propagates
+    from ``score_batch`` and nothing is retried or re-run serially."""
+
+    def test_shard_exception_propagates_and_leaves_no_partial_result(
             self, monkeypatch):
         problem = make_problem(Sum())
         batch = mixed_batch()
         expected = InfluenceScorer(problem, cache_scores=False,
                                    workers=1).score_batch(batch)
-        scorer = InfluenceScorer(problem, cache_scores=False, workers=2,
-                                 batch_chunk=8)
-        clock = [0.0]
-        scorer._recovery = ParallelRecovery(
-            retries=1, restarts=2, window=1000.0, cooldown=5.0,
-            backoff_base=0.0, clock=lambda: clock[0],
-            sleep=lambda s: None)
-        real_run = ShardedScoringExecutor.run
-        monkeypatch.setattr(
-            ShardedScoringExecutor, "run",
-            lambda self, tasks: (_ for _ in ()).throw(
-                ParallelError("injected shard failure")))
-        # Batch 1: retry budget (2 attempts) exhausted → serial result.
-        degraded0 = _counter("scorpion_degraded_batches_total")
-        with pytest.warns(RuntimeWarning, match="scoring serial"):
-            np.testing.assert_array_equal(scorer.score_batch(batch),
-                                          expected)
-        assert scorer.stats.parallel_shards == 0
-        assert _counter("scorpion_degraded_batches_total") == degraded0 + 1
-        # Batch 2: first failure blows the restart budget → circuit opens.
-        with pytest.warns(RuntimeWarning, match="circuit open"):
-            np.testing.assert_array_equal(scorer.score_batch(batch),
-                                          expected)
-        assert scorer._recovery.degraded
-        assert not scorer.uses_parallel
-        # Batch 3 (inside cooldown): serial, silently, pool untouched.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            np.testing.assert_array_equal(scorer.score_batch(batch),
-                                          expected)
-        assert scorer._executor is None
-        # Cooldown elapses and the executor heals: the half-open probe
-        # succeeds, the circuit closes, and scoring is parallel again.
-        monkeypatch.setattr(ShardedScoringExecutor, "run", real_run)
-        clock[0] += 6.0
-        assert scorer.uses_parallel  # half-open: willing to probe
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            np.testing.assert_array_equal(scorer.score_batch(batch),
-                                          expected)
-        assert not scorer._recovery.degraded
-        assert scorer.stats.parallel_shards > 0
-        assert scorer.parallel_health()["state"] == "parallel"
-        scorer.close()
+        scorer = InfluenceScorer(problem, workers=2, batch_chunk=8)
+        try:
+            fail_second_shard(monkeypatch, batch, ShardFailure("shard 2"))
+            with pytest.raises(ShardFailure, match="shard 2"):
+                scorer.score_batch(batch)
+            assert scorer.stats.parallel_batches == 0
+            monkeypatch.undo()
+            # No shard of the failed batch entered the memo cache: the
+            # next batch scores every predicate afresh, and correctly.
+            np.testing.assert_array_equal(scorer.score_batch(batch), expected)
+            assert scorer.stats.cache_hits == 0
+            assert scorer.stats.parallel_batches == 1
+        finally:
+            scorer.close()
 
     def test_keyboard_interrupt_propagates_with_clean_teardown(
             self, monkeypatch):
         problem = make_problem(Sum())
         batch = mixed_batch()
-        baseline = multiprocessing.active_children()
+        baseline = shard_threads()
         scorer = InfluenceScorer(problem, cache_scores=False, workers=2,
                                  batch_chunk=8)
-        monkeypatch.setattr(
-            ShardedScoringExecutor, "run",
-            lambda self, tasks: (_ for _ in ()).throw(KeyboardInterrupt()))
+        fail_second_shard(monkeypatch, batch, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             scorer.score_batch(batch)
-        # The interrupt was not swallowed into a serial fallback, and
-        # the pool was torn down on the way out.
-        assert scorer._executor is None
-        assert_no_live_workers(baseline)
         scorer.close()
+        assert_no_live_workers(baseline)
 
 
 class TestLifecycle:
@@ -360,7 +300,7 @@ class TestLifecycle:
                                  workers=1)
         scorer.score_batch(mixed_batch())
         assert scorer.workers == 1
-        assert scorer._executor is None
+        assert scorer._pool is None
         assert scorer.stats.parallel_shards == 0
 
     def test_single_shard_batches_skip_the_pool(self):
@@ -368,93 +308,30 @@ class TestLifecycle:
                                  workers=2, batch_chunk=4096)
         try:
             scorer.score_batch(routed_batch(6))
-            assert scorer._executor is None
+            assert scorer._pool is None
             assert scorer.stats.parallel_shards == 0
         finally:
             scorer.close()
 
     def test_close_terminates_workers(self):
-        baseline = multiprocessing.active_children()
+        baseline = shard_threads()
         scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False,
                                  workers=2, batch_chunk=8)
         scorer.score_batch(mixed_batch())
-        workers = list(scorer._executor._pool._processes.values())
-        assert workers and all(process.is_alive() for process in workers)
+        threads = shard_threads() - baseline
+        assert threads and all(thread.is_alive() for thread in threads)
+        pool = scorer._pool
         scorer.close()
+        assert not any(thread.is_alive() for thread in threads)
         assert_no_live_workers(baseline)
-        assert not any(process.is_alive() for process in workers)
-        # close() is idempotent and the scorer still scores (serially or
-        # by restarting the pool).
+        # close() is idempotent, and the next parallel batch starts a
+        # new pool.
         scorer.close()
         assert len(scorer.score_batch(mixed_batch())) == len(mixed_batch())
+        assert scorer._pool is not None and scorer._pool is not pool
+        assert shard_threads() - baseline - threads
         scorer.close()
         assert_no_live_workers(baseline)
-
-class TestKernelPickles:
-    """Spawn-only platforms unpickle the kernel once per worker: a
-    round-tripped kernel must score every shape exactly like the
-    original."""
-
-    @pytest.mark.parametrize("aggregate,perturbation", [
-        (Sum, "delete"),
-        (Median, "delete"),
-        (Avg, "mean"),
-    ], ids=["sum-all-tiers", "median-black-box", "avg-mean"])
-    def test_round_trip_scores_identically(self, aggregate, perturbation):
-        problem = make_problem(aggregate(), perturbation=perturbation)
-        batch = chaos_batch()
-        scorer = InfluenceScorer(problem, cache_scores=False, workers=1)
-        expected = scorer.score_batch(batch)
-        clone = pickle.loads(pickle.dumps(scorer.kernel))
-        unique = list(dict.fromkeys(batch))
-        scalars = (problem.c, problem.c_holdout, problem.lam)
-        for ignore_holdouts in (False, True):
-            np.testing.assert_array_equal(
-                clone.score_masked_chunk(unique, ignore_holdouts, *scalars),
-                scorer.kernel.score_masked_chunk(unique, ignore_holdouts,
-                                                 *scalars))
-        # And the clone agrees with the scorer's own batch answer.
-        position = {predicate: i for i, predicate in enumerate(batch)}
-        np.testing.assert_array_equal(
-            clone.score_masked_chunk(unique, False, *scalars),
-            expected[[position[p] for p in unique]])
-
-
-class TestRecoveryKnobs:
-    """A negative recovery knob is a configuration error caught at
-    construction; it used to leave the retry loop empty, so every
-    parallel batch crashed with an UnboundLocalError."""
-
-    @pytest.mark.parametrize("knob", ["retries", "restarts", "window",
-                                      "cooldown", "backoff_base"])
-    def test_negative_argument_rejected(self, knob):
-        with pytest.raises(ParallelError, match=knob):
-            ParallelRecovery(**{knob: -1})
-
-    @pytest.mark.parametrize("env", [
-        "SCORPION_SHARD_RETRIES", "SCORPION_POOL_RESTARTS",
-        "SCORPION_POOL_WINDOW", "SCORPION_POOL_COOLDOWN",
-        "SCORPION_POOL_BACKOFF"])
-    def test_negative_environment_rejected(self, monkeypatch, env):
-        monkeypatch.setenv(env, "-1")
-        with pytest.raises(ParallelError):
-            ParallelRecovery()
-
-    def test_zero_knobs_accepted(self):
-        recovery = ParallelRecovery(retries=0, restarts=0, window=0.0,
-                                    cooldown=0.0, backoff_base=0.0)
-        assert recovery.retries == 0
-
-    def test_negative_retries_fail_at_scorer_construction(
-            self, monkeypatch):
-        monkeypatch.setenv("SCORPION_SHARD_RETRIES", "-1")
-        with pytest.raises(ParallelError, match="retries"):
-            scorer = InfluenceScorer(make_problem(Sum()), workers=2,
-                                     batch_chunk=8)
-            try:
-                scorer.score_batch(chaos_batch())
-            finally:
-                scorer.close()
 
 
 class TestResolveWorkers:
@@ -481,34 +358,11 @@ class TestResolveWorkers:
         monkeypatch.setenv("SCORPION_WORKERS", "2")
         scorer = InfluenceScorer(make_problem(Sum()))
         assert scorer.workers == 2
-        assert scorer.uses_parallel
         scorer.close()
 
 
-class TestResolveTimeout:
-    def test_legacy_env_alias_warns(self, monkeypatch):
-        monkeypatch.delenv("SCORPION_TASK_TIMEOUT", raising=False)
-        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
-        with pytest.warns(DeprecationWarning,
-                          match="SCORPION_WORKER_TIMEOUT is deprecated"):
-            assert _resolve_timeout(None) == 12.0
-
-    def test_current_env_does_not_warn(self, monkeypatch):
-        monkeypatch.setenv("SCORPION_TASK_TIMEOUT", "34")
-        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _resolve_timeout(None) == 34.0
-
-    def test_explicit_timeout_does_not_warn(self, monkeypatch):
-        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _resolve_timeout(7.5) == 7.5
-
-
 class TestStatsConsistency:
-    """Resets start a fresh counting window, and worker counters merge
+    """Resets start a fresh counting window, and shard counters merge
     back by plain addition."""
 
     def test_reset_clears_parallel_counters(self):
@@ -522,6 +376,28 @@ class TestStatsConsistency:
             assert scorer.stats.parallel_shards == 0
         finally:
             scorer.close()
+
+    def test_each_shard_counts_into_its_own_window(self, monkeypatch):
+        # Shards run concurrently, so no two may write the same
+        # ScorerStats: a += from two threads can lose an update.
+        seen = []
+        real = BatchKernel.score_masked_chunk
+
+        def score_masked_chunk(kernel, predicates, *args):
+            seen.append(kernel.stats)
+            return real(kernel, predicates, *args)
+
+        monkeypatch.setattr(BatchKernel, "score_masked_chunk",
+                            score_masked_chunk)
+        scorer = InfluenceScorer(make_problem(Sum()), cache_scores=False,
+                                 workers=2, batch_chunk=8)
+        try:
+            scorer.score_batch(mixed_batch())
+        finally:
+            scorer.close()
+        assert len(seen) == scorer.stats.parallel_shards >= 2
+        assert len({id(stats) for stats in seen}) == len(seen)
+        assert all(stats is not scorer.stats for stats in seen)
 
     def test_worker_counter_merge_arithmetic(self):
         from repro.core.influence import ScorerStats

@@ -12,6 +12,7 @@ least as good", not bit-identical (see ``tests/test_cache.py``).
 
 import asyncio
 import time
+import warnings
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.service import (
     request_key,
     table_fingerprint,
 )
+from repro.service.service import _resolve_timeout
 
 from tests.conftest import planted_sum_table
 
@@ -283,6 +285,28 @@ class TestConcurrency:
         with ExplainService(algorithm="mc") as service:
             result = asyncio.run(service.explain_async(problem, deadline=0))
         assert result.explanations
+
+
+class TestResolveTimeout:
+    def test_legacy_env_alias_warns(self, monkeypatch):
+        monkeypatch.delenv("SCORPION_TASK_TIMEOUT", raising=False)
+        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
+        with pytest.warns(DeprecationWarning,
+                          match="SCORPION_WORKER_TIMEOUT is deprecated"):
+            assert _resolve_timeout(None) == 12.0
+
+    def test_current_env_does_not_warn(self, monkeypatch):
+        monkeypatch.setenv("SCORPION_TASK_TIMEOUT", "34")
+        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _resolve_timeout(None) == 34.0
+
+    def test_explicit_timeout_does_not_warn(self, monkeypatch):
+        monkeypatch.setenv("SCORPION_WORKER_TIMEOUT", "12")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _resolve_timeout(7.5) == 7.5
 
 
 class TestReleaseRaces:

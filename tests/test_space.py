@@ -36,21 +36,6 @@ class TestDomain:
         with pytest.raises(PredicateError):
             domain()["zz"]
 
-    def test_volume_fraction_range(self):
-        p = Predicate([RangeClause("x", 0.0, 50.0)])
-        assert domain().volume_fraction(p) == pytest.approx(0.5)
-
-    def test_volume_fraction_set(self):
-        p = Predicate([SetClause("s", ["a"])])
-        assert domain().volume_fraction(p) == pytest.approx(1 / 3)
-
-    def test_volume_fraction_product(self):
-        p = Predicate([RangeClause("x", 0.0, 50.0), SetClause("s", ["a"])])
-        assert domain().volume_fraction(p) == pytest.approx(0.5 / 3)
-
-    def test_volume_fraction_true_is_one(self):
-        assert domain().volume_fraction(Predicate.true()) == 1.0
-
     def test_full_predicate_matches_all(self):
         assert domain().full_predicate().mask(TABLE).all()
 
