@@ -22,6 +22,33 @@ space so that tuples inside each partition have similar influence:
 The emitted candidates carry per-group removal statistics so the Merger
 can use the Section 6.3 cached-tuple approximation.
 
+The split search runs on presorted columns (CART's presorted attribute
+lists, as in SLIQ).  One recursion lays its groups end to end as ids
+(:class:`_Pool`); at the root each continuous attribute's ids are sorted
+once by (group, value, row), and a split partitions every list stably,
+so children stay sorted and no node sorts again.  A node scores every
+threshold of every continuous attribute in every group with one
+:func:`~repro.tree.splits.grouped_range_split_errors` call over its
+sampled ids; set splits sum influence per value with ``bincount`` over
+the column's factorized codes.  Samples are one boolean mask over the
+ids, which children inherit and top-ups extend.
+
+The search is bit-for-bit the per-group one it replaced (the oracle in
+``tests/test_dt_oracle.py`` keeps that recursion): the same leaves,
+samples, candidates and random draws.  That rests on a few orders:
+
+* within a group, the root sort restricted to a node's sample is the
+  stable ``argsort`` of that sample in row order, so prefix sums add the
+  same numbers in the same order; they restart at each group;
+* quantiles read the pooled sample group after group in row order;
+* reductions whose rounding depends on length (``np.std`` node errors,
+  ``np.sum`` in re-sampling and leaf means) stay one call per group;
+* random draws happen in depth-first stack order, group order, left
+  child before right, each from the child's unsampled rows in ascending
+  order;
+* equal errors go to the first attribute in clause order and the lowest
+  threshold; set candidates list values in order of first appearance.
+
 Leaf scoring is batched: all leaf/combined predicates are evaluated per
 group as chunked mask matrices (:meth:`ArrayMaskEvaluator.evaluate_batch`)
 and their removal statistics and sampled-influence scores come from two
@@ -36,6 +63,7 @@ when its ``workers`` knob is set, with no changes here (see
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -50,7 +78,7 @@ from repro.predicates.clause import Clause, RangeClause, SetClause
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
 from repro.tree.node import TreeNode
-from repro.tree.splits import Split, node_error, range_split_errors, split_error
+from repro.tree.splits import Split, grouped_range_split_errors, split_error
 
 
 @dataclass
@@ -74,22 +102,120 @@ class _GroupData:
         return self.context.size
 
 
-@dataclass
-class _NodeGroup:
-    """One group's rows inside one tree node."""
+def _quantiles(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, levels, axis=1).T``, bit for bit, from a sort.
 
-    rows: np.ndarray      # positions within the group (0 .. n_g-1)
-    sample: np.ndarray    # sampled subset of ``rows``
+    ``np.quantile`` (linear method) partitions each row and interpolates
+    between two order statistics; taking them from ``np.sort`` is several
+    times faster and gives the same values, except that the two may
+    place a different zero where a row holds both ``0.0`` and ``-0.0``.
+    Only a zero result can show that, so such rows take ``np.quantile``.
+    A row holding NaN gives NaN throughout, as in ``np.quantile``, but
+    not necessarily the same NaN bits; the split search drops NaN cuts.
+    """
+    n = values.shape[1]
+    virtual = (n - 1) * levels
+    lower = np.floor(virtual)
+    upper = lower + 1
+    past_end = virtual >= n - 1
+    lower[past_end] = upper[past_end] = -1
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    ordered = np.sort(values, axis=1)
+    below, above = ordered[:, lower], ordered[:, upper]
+    gamma = virtual - lower
+    step = above - below
+    out = below + step * gamma
+    np.subtract(above, step * (1 - gamma), out=out, where=gamma >= 0.5)
+    out[np.isnan(ordered[:, -1])] = np.nan
+    for row in np.flatnonzero((out == 0).any(axis=1)).tolist():
+        zeros = values[row][values[row] == 0]
+        if np.signbit(zeros).any() and not np.signbit(zeros).all():
+            out[row] = np.quantile(values[row], levels)
+    return out
+
+
+class _Pool:
+    """The input groups of one recursion laid end to end.
+
+    Row ``r`` of group ``g`` gets the id ``offsets[g] + r``, so ascending
+    ids list the groups in order, each in ascending row order: the order
+    every per-group reduction reads its rows in.
+    """
+
+    def __init__(self, table, groups: list[_GroupData],
+                 clauses: dict[str, Clause], quantiles: np.ndarray):
+        #: Quantile levels the range search takes its thresholds at.
+        self.quantiles = quantiles
+        sizes = [group.size for group in groups]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        n_ids = int(self.offsets[-1])
+        #: Table row of each id.
+        self.rows = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [np.asarray(group.context.indices, dtype=np.int64) for group in groups])
+        self.influences = np.concatenate(
+            [np.empty(0)] + [group.influences for group in groups])
+        self.range_attrs = [attribute for attribute, clause in clauses.items()
+                            if isinstance(clause, RangeClause)]
+        self.range_index = {attribute: index
+                            for index, attribute in enumerate(self.range_attrs)}
+        #: Values of the range attributes, one row each.
+        self.values = np.array([table.values(attribute)[self.rows]
+                                for attribute in self.range_attrs],
+                               dtype=np.float64).reshape(len(self.range_attrs), n_ids)
+        #: Column codes of the set attributes, and their value → code tables.
+        self.codes: dict[str, np.ndarray] = {}
+        self.code_of: dict[str, dict] = {}
+        for attribute in clauses:
+            if attribute not in self.range_index:
+                codes, code_of = table.column(attribute).codes()
+                self.codes[attribute] = codes[self.rows]
+                self.code_of[attribute] = code_of
+        self.in_sample = np.zeros(n_ids, dtype=bool)
+        #: Whether any group is sampled, so that splits re-sample.
+        self.sampled = any(group.sample_rate < 1.0 for group in groups)
+        #: Work buffer: which of a splitting node's ids go left.
+        self.goes_left = np.zeros(n_ids, dtype=bool)
+
+    def presorted(self) -> np.ndarray:
+        """Per range attribute, every id ordered by (group, value, row)."""
+        group_of = np.repeat(np.arange(len(self.offsets) - 1),
+                             np.diff(self.offsets))
+        order = np.empty(self.values.shape, dtype=np.int64)
+        for index, values in enumerate(self.values):
+            order[index] = np.lexsort((values, group_of))
+        return order
+
+
+class _NodeSample:
+    """The sampled rows of one node: their ids (ascending) and
+    influences, and per group the slice of those influences."""
+
+    def __init__(self, pool: _Pool, ids: np.ndarray):
+        self.ids = ids[pool.in_sample[ids]]
+        self.influences = pool.influences[self.ids]
+        self.bounds = np.searchsorted(self.ids, pool.offsets)
+        self.segments = [self.influences[lo:hi] for lo, hi in
+                         zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
+
+    @functools.cached_property
+    def errors(self) -> list[float | None]:
+        """Per group, the node error of its sample (None below 2 rows).
+        Influences are always finite, so
+        :func:`~repro.tree.splits.node_error` is their ``std``."""
+        return [float(influences.std()) if len(influences) >= 2 else None
+                for influences in self.segments]
 
 
 @dataclass
 class _Partition:
-    """A leaf of the synchronized tree, with per-group row sets."""
+    """A leaf of the synchronized tree: its rows and sampled rows, as
+    ascending ids of the recursion's :class:`_Pool`."""
 
     predicate: Predicate
-    node_groups: list[_NodeGroup]
+    rows: np.ndarray
+    sample: np.ndarray
     mean_influence: float = 0.0
-    total_rows: int = 0
 
 
 @dataclass
@@ -139,6 +265,8 @@ class DTPartitioner:
             raise PartitionerError("max_leaves must be >= 1")
         if params.max_depth < 0:
             raise PartitionerError("max_depth must be >= 0")
+        if params.max_split_candidates < 1:
+            raise PartitionerError("max_split_candidates must be >= 1")
         if not 0 < params.tau_min <= params.tau_max:
             raise PartitionerError("need 0 < tau_min <= tau_max")
         if not 0 < params.epsilon < 1:
@@ -228,7 +356,7 @@ class DTPartitioner:
         if group.sample_rate >= 1.0:
             return rows
         size = max(int(round(group.sample_rate * group.size)), 1)
-        return np.sort(self._rng.choice(rows, size=size, replace=False))
+        return self._rng.choice(rows, size=size, replace=False)
 
     # ------------------------------------------------------------------
     # Synchronized recursive partitioning (Sections 6.1.1 + 6.1.3)
@@ -237,58 +365,53 @@ class DTPartitioner:
         return {a.name: a.full_clause() for a in self._query.domain}
 
     def _partition(self, groups: list[_GroupData]) -> list[_Partition]:
-        root = TreeNode(
-            self._root_clauses(),
-            depth=0,
-            payload=[_NodeGroup(rows=np.arange(g.size, dtype=np.int64),
-                                sample=self._initial_sample(g))
-                     for g in groups],
-        )
+        clauses = self._root_clauses()
+        quantiles = np.linspace(0.0, 1.0, self.params.max_split_candidates + 2)[1:-1]
+        pool = _Pool(self._query.table, groups, clauses, quantiles)
+        for offset, group in zip(pool.offsets.tolist(), groups):
+            pool.in_sample[offset + self._initial_sample(group)] = True
         leaves: list[_Partition] = []
-        stack = [root]
+        # Each entry carries its node's ids (ascending) and presorted
+        # lists, so the tree itself holds no arrays.
+        stack = [(TreeNode(clauses), np.arange(len(pool.rows)), pool.presorted())]
         while stack:
-            node = stack.pop()
+            node, ids, order = stack.pop()
+            sample = _NodeSample(pool, ids)
             budget_left = self.params.max_leaves - (len(leaves) + len(stack))
-            if budget_left <= 1 or self._should_stop(node, groups):
-                leaves.append(self._to_partition(node, groups))
-                continue
-            split = self._choose_split(node, groups)
+            split = None
+            if budget_left > 1 and not self._should_stop(node, sample, groups):
+                split = self._choose_split(node, pool, order, sample)
             if split is None:
-                leaves.append(self._to_partition(node, groups))
+                leaves.append(self._to_partition(node, ids, sample))
                 continue
-            left, right = self._apply_split(node, split, groups)
-            stack.append(left)
-            stack.append(right)
+            stack.extend(self._apply_split(node, split, pool, ids, order, groups))
         return leaves
 
-    def _should_stop(self, node: TreeNode, groups: list[_GroupData]) -> bool:
+    def _should_stop(self, node: TreeNode, sample: _NodeSample,
+                     groups: list[_GroupData]) -> bool:
         if node.depth >= self.params.max_depth:
             return True
-        node_groups: list[_NodeGroup] = node.payload
-        total_sample = sum(len(ng.sample) for ng in node_groups)
-        if total_sample < self.params.min_leaf_size:
+        if len(sample.ids) < self.params.min_leaf_size:
             return True
-        if self._early_prunable(node_groups, groups):
+        if self._early_prunable(sample.segments, groups):
             return True
-        for group, ng in zip(groups, node_groups):
-            if len(ng.sample) < 2:
-                continue
-            influences = group.influences[ng.sample]
-            if node_error(influences) > self._threshold(group, influences):
+        for group, influences, error in zip(groups, sample.segments, sample.errors):
+            if error is not None and error > self._threshold(group, influences):
                 return False
         return True
 
-    def _early_prunable(self, node_groups: list[_NodeGroup],
+    def _early_prunable(self, segments: list[np.ndarray],
                         groups: list[_GroupData]) -> bool:
         """Whether the node is uninfluential in *every* group (so further
-        splitting would only model noise)."""
+        splitting would only model noise); ``segments`` holds each
+        group's sampled influences in the node."""
         fraction = self.params.early_prune_fraction
         if fraction <= 0.0:
             return False
-        for group, ng in zip(groups, node_groups):
-            if not len(ng.sample) or group.inf_hi <= 0:
+        for group, influences in zip(groups, segments):
+            if not len(influences) or group.inf_hi <= 0:
                 continue
-            if float(np.max(group.influences[ng.sample])) >= fraction * group.inf_hi:
+            if float(np.max(influences)) >= fraction * group.inf_hi:
                 return False
         return True
 
@@ -316,205 +439,230 @@ class DTPartitioner:
             omega = float(np.clip(omega, self.params.tau_min, self.params.tau_max))
         return omega * spread
 
-    def _choose_split(self, node: TreeNode, groups: list[_GroupData],
-                      ) -> Split | None:
-        node_groups: list[_NodeGroup] = node.payload
+    def _choose_split(self, node: TreeNode, pool: _Pool, order: np.ndarray,
+                      sample: _NodeSample) -> Split | None:
         min_child = max(2, self.params.min_leaf_size // 4)
-        current_error = self._combined_node_error(node, groups)
+        # ``max`` over groups of the node error (the Section 6.1.3
+        # metric combination).
+        current_error = 0.0
+        for error in sample.errors:
+            if error is not None:
+                current_error = max(current_error, error)
+        ranges = self._best_range_splits(node, pool, order, sample, min_child)
         best: tuple[Split, float] | None = None
         for attribute, clause in node.clauses.items():
             if isinstance(clause, RangeClause):
-                candidate = self._best_range_split(
-                    attribute, clause, node_groups, groups, min_child)
+                candidate = ranges.get(attribute)
             else:
                 candidate = self._best_set_split(
-                    attribute, clause, node_groups, groups, min_child)
+                    attribute, clause, pool, sample, min_child)
             if candidate is not None and (best is None or candidate[1] < best[1]):
                 best = candidate
         if best is None or best[1] >= current_error:
             return None
         return best[0]
 
-    def _best_range_split(self, attribute: str, clause: RangeClause,
-                          node_groups: list[_NodeGroup], groups: list[_GroupData],
-                          min_child: int) -> tuple[Split, float] | None:
-        pooled = [group.values[attribute][ng.sample]
-                  for group, ng in zip(groups, node_groups) if len(ng.sample)]
-        if not pooled:
-            return None
-        values = np.concatenate(pooled)
-        quantiles = np.linspace(0.0, 1.0, self.params.max_split_candidates + 2)[1:-1]
-        thresholds = np.unique(np.quantile(values, quantiles))
-        thresholds = thresholds[(thresholds > clause.lo) & (thresholds < clause.hi)]
-        lo, hi = float(np.min(values)), float(np.max(values))
-        thresholds = thresholds[(thresholds > lo) & (thresholds <= hi)]
-        if not len(thresholds):
-            return None
-        combined = np.zeros(len(thresholds))
-        total_left = np.zeros(len(thresholds), dtype=np.int64)
-        total_right = np.zeros(len(thresholds), dtype=np.int64)
-        for group, ng in zip(groups, node_groups):
-            if not len(ng.sample):
-                continue
-            errors, n_left, n_right = range_split_errors(
-                group.values[attribute][ng.sample],
-                group.influences[ng.sample],
-                thresholds,
-            )
-            combined = np.maximum(combined, errors)
-            total_left += n_left
-            total_right += n_right
-        admissible = (total_left >= min_child) & (total_right >= min_child)
-        if not np.any(admissible):
-            return None
-        combined = np.where(admissible, combined, np.inf)
-        index = int(np.argmin(combined))
-        return Split(attribute, "range", float(thresholds[index])), float(combined[index])
+    def _best_range_splits(self, node: TreeNode, pool: _Pool, order: np.ndarray,
+                           sample: _NodeSample, min_child: int,
+                           ) -> dict[str, tuple[Split, float]]:
+        """The best threshold of every range attribute, scored for all
+        attributes and groups by one :func:`grouped_range_split_errors`
+        call over the node's presorted lists."""
+        if not len(sample.ids) or not pool.range_attrs:
+            return {}
+        # The node's sample in ascending-id order: group after group,
+        # the layout the quantiles and the left counts read.
+        pooled = pool.values[:, sample.ids]
+        cuts = _quantiles(pooled, pool.quantiles)
+        # The node's presorted lists restricted to its sample; each
+        # group's first and last entries give the sample's extremes (a
+        # NaN sorts last, and then every cut is NaN anyway).
+        ranked = order[pool.in_sample[order]].reshape(len(order), -1)
+        sizes = np.diff(sample.bounds)
+        sizes = sizes[sizes > 0]
+        ends = sizes.cumsum()
+        rows = np.arange(len(order))[:, None]
+        lows = pool.values[rows, ranked[:, ends - sizes]].min(axis=1)
+        highs = pool.values[rows, ranked[:, ends - 1]].max(axis=1)
+        # ``np.unique`` per attribute: sort, keep the first of each run
+        # of equal cuts, then keep cuts strictly inside both the clause
+        # and the sampled values (NaN cuts fail every test).
+        cuts.sort(axis=1)
+        keep = np.ones(cuts.shape, dtype=bool)
+        keep[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+        bounds = np.array([(node.clauses[attribute].lo, node.clauses[attribute].hi)
+                           for attribute in pool.range_attrs])
+        keep &= (cuts > bounds[:, :1]) & (cuts < bounds[:, 1:])
+        keep &= (cuts > lows[:, None]) & (cuts <= highs[:, None])
+        counts = keep.sum(axis=1)
+        searched = np.flatnonzero(counts)
+        if not len(searched):
+            return {}
+        if len(searched) < len(counts):
+            pooled, ranked, cuts, keep, counts = (
+                pooled[searched], ranked[searched], cuts[searched],
+                keep[searched], counts[searched])
+        # Each attribute's thresholds, ascending, padded with inf.
+        thresholds = np.where(keep, cuts, np.inf)
+        thresholds.sort(axis=1)
+        sorted_targets = pool.influences[ranked]
+        del ranked
+        errors, n_left, n_right = grouped_range_split_errors(
+            pooled, sorted_targets, sizes, thresholds)
+        admissible = ((n_left.sum(axis=1) >= min_child)
+                      & (n_right.sum(axis=1) >= min_child)
+                      & (np.arange(thresholds.shape[1]) < counts[:, None]))
+        scores = np.where(admissible, errors.max(axis=1), np.inf)
+        at = scores.argmin(axis=1)
+        best: dict[str, tuple[Split, float]] = {}
+        for row in np.flatnonzero(admissible.any(axis=1)).tolist():
+            attribute = pool.range_attrs[searched[row]]
+            best[attribute] = (
+                Split(attribute, "range", float(thresholds[row, at[row]])),
+                float(scores[row, at[row]]))
+        return best
 
-    def _best_set_split(self, attribute: str, clause: SetClause,
-                        node_groups: list[_NodeGroup], groups: list[_GroupData],
-                        min_child: int) -> tuple[Split, float] | None:
-        if len(clause.values) < 2:
+    def _best_set_split(self, attribute: str, clause: SetClause, pool: _Pool,
+                        sample: _NodeSample, min_child: int,
+                        ) -> tuple[Split, float] | None:
+        if len(clause.values) < 2 or not len(sample.ids):
             return None
-        pooled_values = []
-        pooled_influences = []
-        for group, ng in zip(groups, node_groups):
-            if len(ng.sample):
-                pooled_values.append(group.values[attribute][ng.sample])
-                pooled_influences.append(group.influences[ng.sample])
-        if not pooled_values:
-            return None
-        values = np.concatenate(pooled_values)
-        influences = np.concatenate(pooled_influences)
+        codes = pool.codes[attribute][sample.ids]
+        counts = np.bincount(codes)
+        sums = np.bincount(codes, weights=sample.influences)
+        present, first = np.unique(codes, return_index=True)
+        seen = np.argsort(first)
+        present, first = present[seen], first[seen]
+        keys = self._query.table.values(attribute)[pool.rows[sample.ids[first]]]
+        node_mean = float(np.mean(sample.influences))
         # One-vs-rest candidates, ordered by how far the value's mean
         # influence sits from the node mean (regression-tree practice for
         # categorical features; frequency ordering would miss a rare but
-        # highly influential value like a single failing sensor).
-        sums: dict = {}
-        counts: dict = {}
-        for value, influence in zip(values, influences):
-            sums[value] = sums.get(value, 0.0) + influence
-            counts[value] = counts.get(value, 0) + 1
-        node_mean = float(np.mean(influences))
+        # highly influential value like a single failing sensor).  Keys
+        # are listed in first-appearance order, so ties keep it.
         ordered = sorted(
-            (v for v in counts if v in clause.values),
-            key=lambda v: (-abs(sums[v] / counts[v] - node_mean), repr(v)),
+            ((value, code) for value, code in zip(keys, present.tolist())
+             if value in clause.values),
+            key=lambda item: (-abs(sums[item[1]] / counts[item[1]] - node_mean),
+                              repr(item[0])),
         )
         best: tuple[Split, float] | None = None
-        for value in ordered[: self.params.max_split_candidates]:
-            split = Split(attribute, "set", value)
-            combined, n_left, n_right = self._combined_split_error(
-                split, node_groups, groups)
-            if n_left < min_child or n_right < min_child:
+        for value, code in ordered[: self.params.max_split_candidates]:
+            # A value unequal to itself (NaN) matches no row.
+            n_left = int(counts[code]) if value == value else 0
+            if n_left < min_child or len(codes) - n_left < min_child:
                 continue
+            combined = self._combined_split_error(codes == code, sample)
             if best is None or combined < best[1]:
-                best = (split, combined)
+                best = (Split(attribute, "set", value), combined)
         return best
 
-    def _combined_node_error(self, node: TreeNode, groups: list[_GroupData]) -> float:
-        """``max`` over groups of the node's sample-influence error
-        (the Section 6.1.3 metric combination)."""
+    def _combined_split_error(self, left: np.ndarray, sample: _NodeSample) -> float:
+        """``max`` over groups of the split error of the sampled rows
+        ``left`` marks."""
         worst = 0.0
-        for group, ng in zip(groups, node.payload):
-            if len(ng.sample) >= 2:
-                worst = max(worst, node_error(group.influences[ng.sample]))
+        for lo, hi in zip(sample.bounds[:-1].tolist(), sample.bounds[1:].tolist()):
+            if lo < hi:
+                worst = max(worst, split_error(sample.influences[lo:hi], left[lo:hi]))
         return worst
-
-    def _combined_split_error(self, split: Split, node_groups: list[_NodeGroup],
-                              groups: list[_GroupData]) -> tuple[float, int, int]:
-        worst = 0.0
-        n_left = 0
-        n_right = 0
-        for group, ng in zip(groups, node_groups):
-            if not len(ng.sample):
-                continue
-            values = group.values[split.attribute][ng.sample]
-            left = split.left_mask(values)
-            count = int(np.count_nonzero(left))
-            n_left += count
-            n_right += len(values) - count
-            worst = max(worst, split_error(group.influences[ng.sample], left))
-        return worst, n_left, n_right
 
     # ------------------------------------------------------------------
     # Applying a split (with Section 6.1.2 stratified re-sampling)
     # ------------------------------------------------------------------
-    def _apply_split(self, node: TreeNode, split: Split, groups: list[_GroupData],
-                     ) -> tuple[TreeNode, TreeNode]:
-        left_payload: list[_NodeGroup] = []
-        right_payload: list[_NodeGroup] = []
-        for group, ng in zip(groups, node.payload):
-            full_values = group.values[split.attribute][ng.rows]
-            left_mask = split.left_mask(full_values)
-            rows_left = ng.rows[left_mask]
-            rows_right = ng.rows[~left_mask]
-            sample_values = group.values[split.attribute][ng.sample]
-            sample_left_mask = split.left_mask(sample_values)
-            sample_left = ng.sample[sample_left_mask]
-            sample_right = ng.sample[~sample_left_mask]
-            new_left, new_right = self._restratify(
-                group, ng, rows_left, rows_right, sample_left, sample_right)
-            left_payload.append(_NodeGroup(rows_left, new_left))
-            right_payload.append(_NodeGroup(rows_right, new_right))
-        return node.bisect(split, left_payload, right_payload)
+    def _apply_split(self, node: TreeNode, split: Split, pool: _Pool,
+                     ids: np.ndarray, order: np.ndarray, groups: list[_GroupData],
+                     ) -> tuple[tuple, tuple]:
+        """The two children, each with its ids and presorted lists
+        (split stably, so they stay sorted)."""
+        goes_left = self._goes_left(split, pool, ids)
+        ids_left, ids_right = ids[goes_left], ids[~goes_left]
+        pool.goes_left[ids] = goes_left
+        side = pool.goes_left[order]
+        order_left = order[side].reshape(len(order), len(ids_left))
+        order_right = order[~side].reshape(len(order), len(ids_right))
+        if pool.sampled:
+            self._restratify(pool, ids_left, ids_right, groups)
+        left, right = node.bisect(split)
+        return (left, ids_left, order_left), (right, ids_right, order_right)
 
-    def _restratify(self, group: _GroupData, parent: _NodeGroup,
-                    rows_left: np.ndarray, rows_right: np.ndarray,
-                    sample_left: np.ndarray, sample_right: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _goes_left(split: Split, pool: _Pool, ids: np.ndarray) -> np.ndarray:
+        """:meth:`Split.left_mask` of the rows ``ids``."""
+        if split.kind == "range":
+            values = pool.values[pool.range_index[split.attribute], ids]
+            return values < float(split.value)  # type: ignore[arg-type]
+        if split.value != split.value:
+            return np.zeros(len(ids), dtype=bool)
+        codes = pool.codes[split.attribute][ids]
+        return codes == pool.code_of[split.attribute][split.value]
+
+    def _restratify(self, pool: _Pool, ids_left: np.ndarray, ids_right: np.ndarray,
+                    groups: list[_GroupData]) -> None:
         """Stratified sampling weighted by the children's total sampled
         influence (Section 6.1.2): children that look influential keep a
         proportionally larger sample, topped up from their unsampled rows."""
-        if not self.params.sampling or group.sample_rate >= 1.0:
-            return sample_left, sample_right
-        total_sample = len(parent.sample)
-        if total_sample == 0:
-            return sample_left, sample_right
-        inf_left = float(np.sum(np.abs(group.influences[sample_left]))) if len(sample_left) else 0.0
-        inf_right = float(np.sum(np.abs(group.influences[sample_right]))) if len(sample_right) else 0.0
-        total_inf = inf_left + inf_right
-        if total_inf <= 0:
-            share_left = len(rows_left) / max(len(rows_left) + len(rows_right), 1)
-        else:
-            share_left = inf_left / total_inf
-        target_left = int(round(share_left * total_sample))
-        target_right = total_sample - target_left
-        new_left = self._top_up(rows_left, sample_left, target_left)
-        new_right = self._top_up(rows_right, sample_right, target_right)
-        return new_left, new_right
+        # Per child: the sampled rows' |influence| and the unsampled
+        # rows (ascending ids), each with its per-group bounds.
+        sides = []
+        for ids in (ids_left, ids_right):
+            sampled = pool.in_sample[ids]
+            picked, unpicked = ids[sampled], ids[~sampled]
+            sides.append((np.abs(pool.influences[picked]),
+                          np.searchsorted(picked, pool.offsets).tolist(), unpicked,
+                          np.searchsorted(unpicked, pool.offsets).tolist()))
+        (abs_l, sampled_l, unsampled_l, free_l), \
+            (abs_r, sampled_r, unsampled_r, free_r) = sides
+        for g, group in enumerate(groups):
+            if group.sample_rate >= 1.0:
+                continue
+            n_sample_l = sampled_l[g + 1] - sampled_l[g]
+            n_sample_r = sampled_r[g + 1] - sampled_r[g]
+            total_sample = n_sample_l + n_sample_r
+            if total_sample == 0:
+                continue
+            inf_left = (float(abs_l[sampled_l[g]:sampled_l[g + 1]].sum())
+                        if n_sample_l else 0.0)
+            inf_right = (float(abs_r[sampled_r[g]:sampled_r[g + 1]].sum())
+                         if n_sample_r else 0.0)
+            total_inf = inf_left + inf_right
+            pool_l = unsampled_l[free_l[g]:free_l[g + 1]]
+            pool_r = unsampled_r[free_r[g]:free_r[g + 1]]
+            if total_inf <= 0:
+                n_rows_l = n_sample_l + len(pool_l)
+                share_left = n_rows_l / max(n_rows_l + n_sample_r + len(pool_r), 1)
+            else:
+                share_left = inf_left / total_inf
+            target_left = int(round(share_left * total_sample))
+            self._top_up(pool, pool_l, n_sample_l, target_left)
+            self._top_up(pool, pool_r, n_sample_r, total_sample - target_left)
 
-    def _top_up(self, rows: np.ndarray, sample: np.ndarray, target: int) -> np.ndarray:
-        """Grow ``sample`` toward ``target`` with fresh uniform draws from
-        the child's unsampled rows (existing samples are never dropped —
-        information only accumulates)."""
-        if target <= len(sample) or len(rows) <= len(sample):
-            return sample
-        pool = np.setdiff1d(rows, sample, assume_unique=False)
-        extra = min(target - len(sample), len(pool))
+    def _top_up(self, pool: _Pool, unsampled: np.ndarray, n_sampled: int,
+                target: int) -> None:
+        """Grow a child's sample of one group, ``n_sampled`` rows, toward
+        ``target`` with fresh uniform draws from its ``unsampled`` rows
+        (ascending ids; existing samples are never dropped — information
+        only accumulates)."""
+        extra = min(target - n_sampled, len(unsampled))
         if extra <= 0:
-            return sample
-        drawn = self._rng.choice(pool, size=extra, replace=False)
-        return np.sort(np.concatenate([sample, drawn]))
+            return
+        pool.in_sample[self._rng.choice(unsampled, size=extra, replace=False)] = True
 
     # ------------------------------------------------------------------
     # Leaf materialization and Section 6.1.4 combination
     # ------------------------------------------------------------------
-    def _to_partition(self, node: TreeNode, groups: list[_GroupData]) -> _Partition:
-        node_groups: list[_NodeGroup] = node.payload
+    @staticmethod
+    def _to_partition(node: TreeNode, ids: np.ndarray,
+                      sample: _NodeSample) -> _Partition:
         influence_sum = 0.0
-        influence_n = 0
-        total_rows = 0
-        for group, ng in zip(groups, node_groups):
-            total_rows += len(ng.rows)
-            if len(ng.sample):
-                influence_sum += float(np.sum(group.influences[ng.sample]))
-                influence_n += len(ng.sample)
-        mean_influence = influence_sum / influence_n if influence_n else 0.0
+        for influences in sample.segments:
+            if len(influences):
+                influence_sum += float(influences.sum())
+        n_sampled = len(sample.ids)
         return _Partition(
             predicate=node.predicate(),
-            node_groups=node_groups,
-            mean_influence=mean_influence,
-            total_rows=total_rows,
+            rows=ids,
+            sample=sample.ids,
+            mean_influence=influence_sum / n_sampled if n_sampled else 0.0,
         )
 
     def _combine(self, partitions_o: list[_Partition], partitions_h: list[_Partition],
@@ -550,7 +698,7 @@ class DTPartitioner:
     def _influential_holdout_boxes(self, partitions_h: list[_Partition],
                                    ) -> list[Predicate]:
         scored = [(abs(p.mean_influence), p.predicate)
-                  for p in partitions_h if p.total_rows > 0]
+                  for p in partitions_h if len(p.rows)]
         if not scored:
             return []
         scored.sort(key=lambda item: item[0], reverse=True)

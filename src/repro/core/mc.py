@@ -132,6 +132,9 @@ class MCPartitioner:
                  require_check: bool = True):
         if n_bins < 1:
             raise PartitionerError(f"n_bins must be >= 1, got {n_bins}")
+        if max_predicates_per_level < 1:
+            raise PartitionerError(
+                f"max_predicates_per_level must be >= 1, got {max_predicates_per_level}")
         self.n_bins = n_bins
         self.max_iterations = max_iterations
         self.max_predicates_per_level = max_predicates_per_level

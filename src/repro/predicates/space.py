@@ -42,10 +42,6 @@ class AttributeDomain:
         return self.kind is ColumnKind.CONTINUOUS
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def cardinality(self) -> int:
         return len(self.values)
 
@@ -54,21 +50,6 @@ class AttributeDomain:
         if self.is_continuous:
             return RangeClause(self.name, self.lo, self.hi, include_hi=True)
         return SetClause(self.name, self.values)
-
-    def clause_fraction(self, clause: Clause) -> float:
-        """Fraction of this domain the clause covers (volume term)."""
-        if self.is_continuous:
-            if not isinstance(clause, RangeClause):
-                raise PredicateError(f"range domain {self.name!r} vs clause {clause!r}")
-            if self.width == 0:
-                return 1.0
-            overlap = min(clause.hi, self.hi) - max(clause.lo, self.lo)
-            return max(overlap, 0.0) / self.width
-        if not isinstance(clause, SetClause):
-            raise PredicateError(f"set domain {self.name!r} vs clause {clause!r}")
-        if not self.values:
-            return 1.0
-        return len(clause.values & set(self.values)) / len(self.values)
 
 
 class Domain:

@@ -126,6 +126,19 @@ class Column:
             return (self._values >= lo) & (self._values <= hi)
         return (self._values >= lo) & (self._values < hi)
 
+    def codes(self) -> tuple[np.ndarray, dict]:
+        """Integer codes of the rows and the value → code table.
+
+        Codes follow first appearance, and two rows share a code exactly
+        when their values are the same ``dict`` key: equal values do,
+        and so does a NaN object with itself, but not with another NaN.
+        Built on first use and cached.
+        """
+        if self._codes is None:
+            self._factorize()
+        assert self._code_of is not None and self._codes is not None
+        return self._codes, self._code_of
+
     def _factorize(self) -> None:
         """Build the integer-code view used for fast membership masks."""
         code_of: dict = {}
@@ -167,13 +180,11 @@ class Column:
         """
         if not self._spec.is_discrete:
             raise SchemaError(f"membership mask on continuous column {self.name!r}")
-        if self._codes is None:
-            self._factorize()
-        assert self._code_of is not None and self._codes is not None
-        allowed_codes = [self._code_of[v] for v in allowed if v in self._code_of]
+        codes, code_of = self.codes()
+        allowed_codes = [code_of[v] for v in allowed if v in code_of]
         if not allowed_codes:
             return np.zeros(len(self._values), dtype=bool)
-        return np.isin(self._codes, np.asarray(allowed_codes, dtype=np.int64))
+        return np.isin(codes, np.asarray(allowed_codes, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Statistics

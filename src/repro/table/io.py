@@ -4,7 +4,7 @@ The paper's datasets (Intel sensor trace, FEC expenses) ship as CSV files;
 these helpers let users load their own data into the reproduction.  The
 reader either receives an explicit schema or infers one: a column whose
 every non-empty cell parses as a float is continuous, anything else is
-discrete.
+discrete.  Empty cells of a continuous column load as NaN.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def read_csv(path: str | Path, schema: Schema | None = None) -> Table:
         for spec, cell in zip(schema, row):
             if spec.is_continuous:
                 try:
-                    out.append(float(cell))
+                    out.append(float(cell) if cell != "" else float("nan"))
                 except ValueError:
                     raise SchemaError(
                         f"{path}: cell {cell!r} in continuous column {spec.name!r}"

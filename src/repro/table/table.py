@@ -171,9 +171,13 @@ class Table:
 
         Returns a dict mapping each distinct group key (always a tuple,
         even for a single group-by column) to the sorted array of row
-        indices belonging to that group.  This is the provenance primitive:
-        the input group ``g_αi`` of an aggregate result is exactly one of
-        these index arrays.
+        indices belonging to that group, in order of first appearance.
+        This is the provenance primitive: the input group ``g_αi`` of an
+        aggregate result is exactly one of these index arrays.
+
+        Null keys group together, as in SQL: every ``None`` of a column
+        is one key, and so is every NaN (the first NaN seen stands for
+        them in the key).
         """
         if isinstance(by, str):
             by = [by]
@@ -185,9 +189,20 @@ class Table:
         for i in range(self._length):
             key = tuple(col[i] for col in key_columns)
             groups.setdefault(key, []).append(i)
+        # NaN != NaN, so each NaN-keyed row opened its own group above;
+        # merge them over the distinct keys.
+        merged: dict[tuple, list] = {}
+        for key, indices in groups.items():
+            canonical = tuple(_NAN_KEY if _is_nan(item) else item for item in key)
+            entry = merged.get(canonical)
+            if entry is None:
+                merged[canonical] = [key, [indices]]
+            else:
+                entry[1].append(indices)
         return {
-            key: np.asarray(indices, dtype=np.int64)
-            for key, indices in groups.items()
+            key: (np.asarray(parts[0], dtype=np.int64) if len(parts) == 1
+                  else np.sort(np.concatenate(parts)).astype(np.int64))
+            for key, parts in merged.values()
         }
 
     # ------------------------------------------------------------------
@@ -210,6 +225,14 @@ class Table:
         if shown < self._length:
             lines.append(f"... ({self._length - shown} more rows)")
         return "\n".join(lines)
+
+
+#: Stands for every NaN of a key column when grouping.
+_NAN_KEY = object()
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, (float, np.floating)) and value != value
 
 
 def _format_cell(value) -> str:

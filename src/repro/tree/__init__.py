@@ -8,12 +8,19 @@ box).
 
 The DT partitioner reuses the split primitives and node structure but
 runs its own synchronized multi-group recursion with the influence-aware
-stopping threshold (Sections 6.1.1–6.1.3).
+stopping threshold (Sections 6.1.1–6.1.3).  It scores range splits for
+all attributes and groups of a node with
+:func:`~repro.tree.splits.grouped_range_split_errors` and applies set
+splits through factorized codes; it no longer calls
+:func:`~repro.tree.splits.range_split_errors` or
+:meth:`~repro.tree.splits.Split.left_mask`, which stay as the
+definitions the tests compare it against.
 """
 
 from repro.tree.node import TreeNode
 from repro.tree.splits import (
     Split,
+    grouped_range_split_errors,
     node_error,
     range_split_errors,
 )
@@ -21,6 +28,7 @@ from repro.tree.splits import (
 __all__ = [
     "Split",
     "TreeNode",
+    "grouped_range_split_errors",
     "node_error",
     "range_split_errors",
 ]

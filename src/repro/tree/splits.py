@@ -10,7 +10,10 @@ paper's Section 6.1.1 "best (attribute, value) pair to bisect the node":
 
 The node error metric is the standard deviation of the target values
 (tuple influences, for DT); split quality is the size-weighted mean of
-the child errors, to be minimized.
+the child errors, to be minimized.  :func:`range_split_errors` scores
+all thresholds of one segment; :func:`grouped_range_split_errors`
+scores many segments at once, bit for bit the same, and is what DT
+calls.
 """
 
 from __future__ import annotations
@@ -95,15 +98,26 @@ def split_error(targets: np.ndarray, left_mask: np.ndarray) -> float:
     return (len(left) * node_error(left) + len(right) * node_error(right)) / total
 
 
+def _segment_std(total: np.ndarray, total_sq: np.ndarray,
+                 count: np.ndarray) -> np.ndarray:
+    """Standard deviations of segments from their sums, sums of squares
+    and sizes (0 below two rows)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = total / count
+        variance = np.maximum(total_sq / count - mean * mean, 0.0)
+        std = np.sqrt(variance)
+    return np.where(count >= 2, std, 0.0)
+
+
 def range_split_errors(values: np.ndarray, targets: np.ndarray,
                        thresholds: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Size-weighted child errors for *all* thresholds at once.
 
     Sorting once and using prefix sums of the targets makes evaluating
-    ``k`` candidate thresholds O(n log n + k) instead of O(n·k) — the
-    DT partitioner's split search calls this per (node, attribute,
-    group).
+    ``k`` candidate thresholds O(n log n + k) instead of O(n·k).  This is
+    the one-segment reference for :func:`grouped_range_split_errors`,
+    which the DT partitioner calls instead.
 
     Returns ``(errors, n_left, n_right)`` arrays aligned with
     ``thresholds``; the left child is ``value < threshold``.
@@ -119,15 +133,6 @@ def range_split_errors(values: np.ndarray, targets: np.ndarray,
     prefix_sq = np.concatenate([[0.0], np.cumsum(sorted_targets * sorted_targets)])
     n_left = np.searchsorted(sorted_values, thresholds, side="left")
     n_right = n - n_left
-
-    def _segment_std(total: np.ndarray, total_sq: np.ndarray,
-                     count: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = total / count
-            variance = np.maximum(total_sq / count - mean * mean, 0.0)
-            std = np.sqrt(variance)
-        return np.where(count >= 2, std, 0.0)
-
     left_std = _segment_std(prefix[n_left], prefix_sq[n_left], n_left)
     right_std = _segment_std(prefix[n] - prefix[n_left],
                              prefix_sq[n] - prefix_sq[n_left], n_right)
@@ -137,3 +142,72 @@ def range_split_errors(values: np.ndarray, targets: np.ndarray,
         errors = (n_left * left_std + n_right * right_std) / n
     return errors, n_left, n_right
 
+
+def grouped_range_split_errors(values: np.ndarray, sorted_targets: np.ndarray,
+                               sizes: np.ndarray, thresholds: np.ndarray,
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`range_split_errors` for every (row, group) segment at once.
+
+    Row ``a`` of ``values`` (shape ``(A, S)``) holds ``G`` segments back
+    to back, ``sizes[g] >= 1`` entries each, in any order within a
+    segment.  ``sorted_targets`` has the same layout, but each segment
+    lists its targets in ascending order of the segment's values, ties in
+    their original order (the order a stable ``argsort`` gives).  Row
+    ``a`` of ``thresholds`` (shape ``(A, K)``) is strictly ascending; pad
+    a shorter row with ``inf`` and ignore its results at the pads.
+
+    Returns ``(errors, n_left, n_right)`` of shape ``(A, G, K)``: entry
+    ``[a, g]`` is bit-for-bit what :func:`range_split_errors` returns for
+    segment ``g`` of row ``a`` and ``thresholds[a]``.  Prefix sums
+    restart at each segment and add in sorted order, which keeps them
+    exact; left counts come from a (segment, threshold-bucket) histogram.
+    Memory is O(A·G·max(sizes)), which is O(A·S) for segments of similar
+    size.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    sorted_targets = np.asarray(sorted_targets, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n_rows, n_entries = values.shape
+    n_groups, n_thresholds = len(sizes), thresholds.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    segment = np.repeat(np.arange(n_groups), sizes)
+    # A value is left of threshold k iff fewer than k + 1 thresholds are
+    # <= it, so cumulating each segment's bucket histogram gives the
+    # left counts.
+    cells = segment * (n_thresholds + 1)
+    n_left = np.empty((n_rows, n_groups, n_thresholds), dtype=np.int64)
+    for row in range(n_rows):
+        buckets = np.searchsorted(thresholds[row], values[row], side="right")
+        histogram = np.bincount(buckets + cells,
+                                minlength=n_groups * (n_thresholds + 1))
+        n_left[row] = np.cumsum(histogram.reshape(n_groups, n_thresholds + 1),
+                                axis=1)[:, :n_thresholds]
+    n_right = sizes[:, None] - n_left
+    # Prefix sums in a padded layout: segment g of a row owns slots
+    # [g * width, (g + 1) * width), a leading zero and then its entries.
+    # One buffer serves the sums, then the sums of squares.
+    width = int(sizes.max(initial=0)) + 1
+    slot = segment * width + np.arange(1, n_entries + 1) - starts[segment]
+    first_slot = np.arange(n_rows * n_groups).reshape(n_rows, n_groups, 1) * width
+    left_slots = first_slot + n_left
+    end_slots = first_slot + sizes[:, None]
+    prefix = np.empty((n_rows, n_groups * width))
+    flat = prefix.reshape(-1)
+    sums = []
+    for squared in (False, True):
+        prefix.fill(0.0)
+        prefix[:, slot] = sorted_targets
+        if squared:
+            np.multiply(prefix, prefix, out=prefix)
+        padded = prefix.reshape(n_rows * n_groups, width)
+        np.cumsum(padded, axis=1, out=padded)
+        sums.append((flat[end_slots], flat[left_slots]))
+    del prefix, flat, padded
+    (total, left), (total_sq, left_sq) = sums
+    # Both children's deviations in one pass: [left, right].
+    counts = np.stack([n_left, n_right])
+    std = _segment_std(np.stack([left, total - left]),
+                       np.stack([left_sq, total_sq - left_sq]), counts)
+    errors = (n_left * std[0] + n_right * std[1]) / sizes[:, None]
+    return errors, n_left, n_right

@@ -66,10 +66,11 @@ class TestValidation:
         assert dt.params is not params
 
     @pytest.mark.parametrize("override", [
-        {"max_leaves": 0}, {"max_leaves": -1}, {"max_depth": -1}])
+        {"max_leaves": 0}, {"max_leaves": -1}, {"max_depth": -1},
+        {"max_split_candidates": 0}, {"max_split_candidates": -1}])
     def test_degenerate_tree_caps_rejected(self, override):
-        # Either cap would silently collapse DT to one whole-domain
-        # candidate.
+        # Each cap would silently collapse DT to one whole-domain
+        # candidate (no threshold or value would ever be searched).
         (name,) = override
         with pytest.raises(PartitionerError, match=name):
             DTPartitioner(**override)
@@ -183,11 +184,14 @@ class TestPartitioning:
         partitions = dt._partition(groups)
         assert len(partitions) > 1
         # Hot and cold tuples should not share the influential partitions.
+        # Leaves hold pooled ids: row r of group g is offsets[g] + r.
+        offsets = np.cumsum([0] + [group.size for group in groups])
         spreads = []
         for partition in partitions:
-            for group, ng in zip(groups, partition.node_groups):
-                if len(ng.rows) >= 2:
-                    spreads.append(np.ptp(group.influences[ng.rows]))
+            for group, lo, hi in zip(groups, offsets[:-1], offsets[1:]):
+                rows = partition.rows[(partition.rows >= lo) & (partition.rows < hi)] - lo
+                if len(rows) >= 2:
+                    spreads.append(np.ptp(group.influences[rows]))
         global_spread = max(g.inf_hi - g.inf_lo for g in groups)
         assert min(spreads) < global_spread / 4
 

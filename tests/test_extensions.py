@@ -142,14 +142,14 @@ class TestEarlyPruning:
         # A node whose best sampled influence sits below the fraction of
         # the group's max (in every group) is prunable; a node holding a
         # near-max tuple is not.
-        from repro.core.dt import _GroupData, _NodeGroup
+        from repro.core.dt import _GroupData
         influences = np.asarray([0.0, 1.0, 2.0, 10.0])
         group = _GroupData(context=None, values={}, influences=influences)
         group.inf_lo, group.inf_hi = 0.0, 10.0
         dt = DTPartitioner(early_prune_fraction=0.5)
-        cold = [_NodeGroup(rows=np.asarray([0, 1, 2]),
-                           sample=np.asarray([0, 1, 2]))]
-        hot = [_NodeGroup(rows=np.asarray([2, 3]), sample=np.asarray([2, 3]))]
+        # Each node passes its sampled influences, one array per group.
+        cold = [influences[[0, 1, 2]]]
+        hot = [influences[[2, 3]]]
         assert dt._early_prunable(cold, [group])
         assert not dt._early_prunable(hot, [group])
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.table.io (CSV round-trips and inference)."""
 
+import math
+
 import pytest
 
 from repro.errors import SchemaError
@@ -61,3 +63,15 @@ def test_bad_continuous_cell_rejected(tmp_path):
     path.write_text("name,value\na,oops\n")
     with pytest.raises(SchemaError):
         read_csv(path, SCHEMA)
+
+
+def test_empty_continuous_cells_load_as_nan(tmp_path):
+    # The column is inferred continuous from its non-empty cells; its
+    # empty cells are missing values, not a schema error.
+    path = tmp_path / "t.csv"
+    path.write_text("name,value\na,1.5\nb,\nc,2\n")
+    for schema in (None, SCHEMA):
+        table = read_csv(path, schema)
+        assert table.schema["value"].is_continuous
+        values = table.values("value").tolist()
+        assert values[0] == 1.5 and math.isnan(values[1]) and values[2] == 2.0

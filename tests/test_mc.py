@@ -52,6 +52,13 @@ class TestValidation:
         with pytest.raises(PartitionerError, match="check failed"):
             MCPartitioner().run(paper_problem)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_degenerate_level_cap_rejected(self, cap):
+        # 0 would keep no predicate (no explanation at all) and -1 would
+        # silently drop the lowest-bound cell every round.
+        with pytest.raises(PartitionerError, match="max_predicates_per_level"):
+            MCPartitioner(max_predicates_per_level=cap)
+
     def test_bad_n_bins_rejected(self):
         with pytest.raises(PartitionerError):
             MCPartitioner(n_bins=0)

@@ -120,11 +120,9 @@ class TestDTPartitionInvariants:
         groups = [dt._prepare_group(scorer, ctx)
                   for ctx in scorer.outlier_contexts]
         partitions = dt._partition(groups)
-        for g_index, group in enumerate(groups):
-            covered = np.concatenate([
-                partition.node_groups[g_index].rows
-                for partition in partitions])
-            assert sorted(covered.tolist()) == list(range(group.size))
+        # Leaves hold pooled ids: row r of group g is offset_g + r.
+        covered = np.concatenate([partition.rows for partition in partitions])
+        assert sorted(covered.tolist()) == list(range(sum(g.size for g in groups)))
 
 
 class TestMetricBounds:

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import PredicateError
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
-from repro.predicates.space import AttributeDomain, Domain, PredicateEnumerator
+from repro.predicates.space import Domain, PredicateEnumerator
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 TABLE = Table.from_columns(
@@ -52,10 +52,6 @@ class TestDomain:
     def test_simplify_keeps_foreign_attributes(self):
         p = Predicate([RangeClause("other", 0, 1)])
         assert domain().simplify(p) == p
-
-    def test_degenerate_width_fraction(self):
-        d = AttributeDomain("w", ColumnKind.CONTINUOUS, lo=5.0, hi=5.0)
-        assert d.clause_fraction(RangeClause("w", 5.0, 5.0)) == 1.0
 
 
 class TestEnumerator:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
@@ -131,6 +133,45 @@ class TestGrouping:
     def test_group_indices_empty_by_rejected(self):
         with pytest.raises(SchemaError):
             small().group_indices([])
+
+    def test_nan_keys_form_one_group(self):
+        # NaN != NaN, yet all NaN keys of a column are one group, as all
+        # None keys are: a continuous NaN and distinct NaN objects in a
+        # discrete column alike.
+        schema = Schema([ColumnSpec("d", ColumnKind.DISCRETE),
+                         ColumnSpec("c", ColumnKind.CONTINUOUS)])
+        nan_a, nan_b = float("nan"), float("nan")
+        table = Table.from_rows(schema, [(nan_a, 1.0), ("x", np.nan), (nan_b, np.nan),
+                                         (None, 2.0), ("x", np.nan), (None, 1.0)])
+        by_discrete = table.group_indices("d")
+        assert [ix.tolist() for ix in by_discrete.values()] == [[0, 2], [1, 4], [3, 5]]
+        assert list(by_discrete)[0][0] is nan_a
+        by_continuous = table.group_indices("c")
+        assert [ix.tolist() for ix in by_continuous.values()] == [[0, 5], [1, 2, 4], [3]]
+        both = table.group_indices(["d", "c"])
+        assert [ix.tolist() for ix in both.values()] == [[0], [1, 4], [2], [3], [5]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.tuples(
+        st.one_of(st.integers(-2, 2), st.sampled_from(["a", "b"]), st.none()),
+        st.sampled_from([0.0, 1.5, -2.0])), min_size=1, max_size=40))
+    def test_nan_free_keys_group_as_before(self, keys):
+        # Without NaN keys, group order, key objects and index arrays are
+        # those of the plain first-appearance loop.
+        schema = Schema([ColumnSpec("d", ColumnKind.DISCRETE),
+                         ColumnSpec("c", ColumnKind.CONTINUOUS)])
+        table = Table.from_rows(schema, keys)
+        for by in (["d"], ["c"], ["d", "c"], ["c", "d"]):
+            columns = [table.values(name) for name in by]
+            expected: dict = {}
+            for i in range(len(table)):
+                expected.setdefault(tuple(col[i] for col in columns), []).append(i)
+            actual = table.group_indices(by)
+            assert list(actual) == list(expected)
+            for (got_key, got), (want_key, want) in zip(actual.items(), expected.items()):
+                assert all(a is b or (type(a) is type(b) and a == b)
+                           for a, b in zip(got_key, want_key))
+                assert got.dtype == np.int64 and got.tolist() == want
 
 
 class TestDisplay:
