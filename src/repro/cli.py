@@ -15,29 +15,24 @@ of solving a single instance and prints the predicate ladder.
 
 ``--serve`` starts the resident service instead: one JSON object per
 stdin line describes a request (``{"outliers": [...], "holdouts":
-[...], "c": 0.3, ...}``), one JSON line per request comes back, and the
-expensive problem build is cached across requests behind a content key
-(see :mod:`repro.service`).
+[...], "c": 0.3, ...}``), one JSON line per request comes back in
+request order, and the expensive problem build is cached across
+requests behind a content key (see :mod:`repro.service`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.core.explore import CExplorer
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import QueryError, ResourceExhausted, ScorpionError
-from repro.faults import fault_point
 from repro.obs.logs import JsonLogger, new_trace_id
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import render_profile
@@ -45,11 +40,6 @@ from repro.query.sql import parse_query
 from repro.service.service import ExplainService
 from repro.table.io import read_csv
 from repro.table.table import Table
-
-#: Concurrent in-flight explain requests --serve accepts before
-#: answering ``overloaded`` (override via ``SCORPION_INFLIGHT_LIMIT``
-#: or ``--inflight-limit``).
-DEFAULT_INFLIGHT_LIMIT = 8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resident cache capacity in bytes for --serve "
                              "(default: SCORPION_CACHE_BYTES env var or "
                              "512 MiB)")
-    parser.add_argument("--inflight-limit", type=int, default=None,
-                        help="concurrent in-flight explain requests --serve "
-                             "accepts before answering a structured "
-                             "'overloaded' error (default: "
-                             "SCORPION_INFLIGHT_LIMIT env var or 8)")
     parser.add_argument("--trace", action="store_true",
                         help="record a per-explain span tree (also "
                              "SCORPION_TRACE=1); results are bit-for-bit "
@@ -198,25 +183,14 @@ def _explain_op(service: ExplainService, request: dict, args, table: Table,
     return payload
 
 
-def _resolve_inflight(limit: int | None) -> int:
-    if limit is None:
-        raw = os.environ.get("SCORPION_INFLIGHT_LIMIT", "").strip()
-        limit = int(raw) if raw else DEFAULT_INFLIGHT_LIMIT
-    limit = int(limit)
-    if limit < 1:
-        raise ScorpionError(f"inflight limit must be >= 1, got {limit}")
-    return limit
-
-
 def _guarded_explain(service: ExplainService, request: dict, args,
                      table: Table, query) -> dict:
-    """One explain on a dispatch thread, mapped to a structured payload.
+    """One explain, mapped to a structured payload.
 
     Never raises: every failure becomes an ``"ok": false`` payload with
     an error ``code`` (``oom_retry`` for memory exhaustion even after
     cache shedding, ``bad_request`` for caller mistakes, ``internal``
-    for anything else — injected faults included), so no request can
-    kill the serve loop.
+    for anything else), so no request can kill the serve loop.
     """
     try:
         payload = _explain_op(service, request, args, table, query)
@@ -236,6 +210,25 @@ class _ShutdownSignal(BaseException):
     swallow it."""
 
 
+def _answer(service: ExplainService, request, op: str, args,
+            table: Table, query) -> dict:
+    """The response payload for one decoded request line."""
+    if not isinstance(request, dict):
+        return {"ok": False, "error": "request must be a JSON object",
+                "code": "bad_request"}
+    if op == "explain":
+        return _guarded_explain(service, request, args, table, query)
+    if op == "stats":
+        return {"ok": True, "op": "stats", "stats": service.stats()}
+    if op == "metrics":
+        return {"ok": True, "op": "metrics",
+                "metrics": REGISTRY.render_prometheus()}
+    if op == "health":
+        return {"ok": True, "op": "health", "health": service.health()}
+    return {"ok": False, "error": f"unknown op {op!r}",
+            "code": "unknown_op"}
+
+
 def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     """JSON-lines request loop over a resident :class:`ExplainService`.
 
@@ -252,65 +245,31 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     line with an error ``code`` (``bad_json`` / ``bad_request`` /
     ``unknown_op``) instead of ending the loop.
 
-    **Concurrency and backpressure.**  Explains run on a dispatch
-    thread pool sized by ``--inflight-limit`` /
-    ``SCORPION_INFLIGHT_LIMIT`` and their responses are written in
-    submission order; control ops drain in-flight explains first, so a
-    ``stats`` line always reflects every request before it.  The one
-    out-of-order response is backpressure itself: a request arriving
-    with the pipeline full is answered immediately with code
-    ``overloaded`` rather than queued unboundedly.
+    Requests are answered one at a time, in order: a line is read,
+    answered on this thread and its response written before the next
+    line is read, so a control answer reflects every request before it.
 
-    **Shutdown.**  SIGINT/SIGTERM (and EOF) drain in-flight requests,
-    write their responses, log one ``serve_shutdown`` event with the
-    reason, release the service (its scorers' threads), and exit 0 —
-    a deployed explainer is restartable without losing accepted work.
+    **Shutdown.**  SIGINT/SIGTERM, EOF and a stdin read error end the
+    loop.  A signal breaks a blocked read at once; one arriving
+    mid-request lets that request finish and write its response first.
+    The loop then logs one ``serve_shutdown`` event with the reason,
+    releases the service (its scorers' threads), and exits 0 — a
+    deployed explainer is restartable without losing accepted work.
     """
     logger = JsonLogger(stream=log)
-    inflight_limit = _resolve_inflight(args.inflight_limit)
     service = ExplainService(
         cache_bytes=args.cache_bytes, algorithm=args.algorithm,
         top_k=args.top_k,
         batch_chunk=args.batch_chunk, workers=args.workers, logger=logger,
         trace=True if args.trace else None)
-    #: (trace_id, op, perf_counter at read, Future[payload]) per
-    #: in-flight explain, in submission order.
-    pending: deque = deque()
     shutdown_reason: str | None = None
-    in_read = threading.Event()
+    in_read = False
 
     def _handle_signal(signum, frame) -> None:
         nonlocal shutdown_reason
         shutdown_reason = signal.Signals(signum).name
-        if in_read.is_set():
+        if in_read:
             raise _ShutdownSignal()
-
-    def _emit(payload: dict, trace_id: str, op: str,
-              started: float) -> None:
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        if payload.get("ok"):
-            finish_fields = {"op": op, "elapsed_ms": round(elapsed_ms, 3)}
-            if "cache_hit" in payload:
-                finish_fields["cache_hit"] = payload["cache_hit"]
-            logger.log("request_finish", trace_id=trace_id, **finish_fields)
-        else:
-            logger.log("request_error", trace_id=trace_id,
-                       code=payload.get("code", "bad_request"),
-                       error=payload.get("error"))
-        print(json.dumps(payload), file=out, flush=True)
-        _dump_metrics(args.metrics_file)
-
-    def _flush(block: bool) -> None:
-        """Write completed in-flight responses in submission order
-        (``block`` waits for all of them — the drain barrier)."""
-        while pending:
-            trace_id, op, started, future = pending[0]
-            if not block and not future.done():
-                return
-            payload = future.result()  # _guarded_explain never raises
-            pending.popleft()
-            payload["trace_id"] = trace_id
-            _emit(payload, trace_id, op, started)
 
     installed: list[tuple] = []
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -318,24 +277,24 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
             installed.append((sig, signal.signal(sig, _handle_signal)))
         except ValueError:  # not the main thread (tests, embedding)
             pass
-    pool = ThreadPoolExecutor(max_workers=inflight_limit,
-                              thread_name_prefix="serve")
     try:
         with service:
-            while shutdown_reason is None:
+            while True:
                 try:
-                    in_read.set()
-                    try:
-                        fault_point("serve.read")
-                        line = stdin.readline()
-                    finally:
-                        in_read.clear()
+                    in_read = True
+                    # A signal that arrived mid-request stops the loop
+                    # here; one arriving from now on breaks the read.
+                    if shutdown_reason is not None:
+                        break
+                    line = stdin.readline()
                 except _ShutdownSignal:
                     break
                 except OSError as exc:
                     logger.log("read_error", error=str(exc))
                     shutdown_reason = "read_error"
                     break
+                finally:
+                    in_read = False
                 if line == "":
                     shutdown_reason = "eof"
                     break
@@ -347,66 +306,35 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
                 try:
                     request = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    _flush(block=True)
-                    logger.log("request_start", trace_id=trace_id,
-                               op="explain")
-                    _emit({"ok": False, "error": str(exc),
-                           "code": "bad_json", "trace_id": trace_id},
-                          trace_id, "explain", started)
-                    continue
-                op = (request.get("op", "explain")
-                      if isinstance(request, dict) else "explain")
-                logger.log("request_start", trace_id=trace_id, op=op)
-                if isinstance(request, dict) and op == "explain":
-                    _flush(block=False)
-                    if len(pending) >= inflight_limit:
-                        REGISTRY.counter(
-                            "scorpion_overloaded_total",
-                            "Requests rejected by the in-flight "
-                            "limit").inc()
-                        _emit({"ok": False,
-                               "error": f"in-flight limit {inflight_limit} "
-                                        "reached",
-                               "code": "overloaded", "trace_id": trace_id},
-                              trace_id, op, started)
-                        continue
-                    pending.append((trace_id, op, started, pool.submit(
-                        _guarded_explain, service, request, args, table,
-                        query)))
-                    _flush(block=False)
-                    continue
-                # Control ops (and malformed requests) see the service
-                # *after* everything already accepted: drain first.
-                _flush(block=True)
-                if not isinstance(request, dict):
-                    payload = {"ok": False,
-                               "error": "request must be a JSON object",
-                               "code": "bad_request", "trace_id": trace_id}
-                elif op == "stats":
-                    payload = {"ok": True, "op": "stats",
-                               "trace_id": trace_id,
-                               "stats": service.stats()}
-                elif op == "metrics":
-                    payload = {"ok": True, "op": "metrics",
-                               "trace_id": trace_id,
-                               "metrics": REGISTRY.render_prometheus()}
-                elif op == "health":
-                    payload = {"ok": True, "op": "health",
-                               "trace_id": trace_id,
-                               "health": service.health()}
+                    op = "explain"
+                    logger.log("request_start", trace_id=trace_id, op=op)
+                    payload = {"ok": False, "error": str(exc),
+                               "code": "bad_json"}
                 else:
-                    payload = {"ok": False, "error": f"unknown op {op!r}",
-                               "code": "unknown_op", "trace_id": trace_id}
-                _emit(payload, trace_id, op, started)
-            # Graceful shutdown: drain accepted work, then release.
-            _flush(block=True)
-            logger.log("serve_shutdown",
-                       reason=shutdown_reason or "signal",
+                    op = (request.get("op", "explain")
+                          if isinstance(request, dict) else "explain")
+                    logger.log("request_start", trace_id=trace_id, op=op)
+                    payload = _answer(service, request, op, args, table,
+                                      query)
+                payload["trace_id"] = trace_id
+                if payload["ok"]:
+                    elapsed_ms = (time.perf_counter() - started) * 1e3
+                    finish_fields = {"op": op,
+                                     "elapsed_ms": round(elapsed_ms, 3)}
+                    if "cache_hit" in payload:
+                        finish_fields["cache_hit"] = payload["cache_hit"]
+                    logger.log("request_finish", trace_id=trace_id,
+                               **finish_fields)
+                else:
+                    logger.log("request_error", trace_id=trace_id,
+                               code=payload["code"], error=payload["error"])
+                print(json.dumps(payload), file=out, flush=True)
+                _dump_metrics(args.metrics_file)
+            logger.log("serve_shutdown", reason=shutdown_reason,
                        requests=int(REGISTRY.counter(
                            "scorpion_requests_total",
                            "Explain requests completed").value))
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
         for sig, previous in installed:
             signal.signal(sig, previous)
     _dump_metrics(args.metrics_file)

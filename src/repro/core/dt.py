@@ -288,31 +288,35 @@ class DTPartitioner:
         self._rng = np.random.default_rng(self.params.seed)
         self._query = query
         self._scorer = scorer
+        try:
+            with span("partition_outliers") as osp:
+                outlier_groups = [self._prepare_group(scorer, ctx)
+                                  for ctx in scorer.outlier_contexts]
+                partitions_o = self._partition(outlier_groups)
+                if osp:
+                    osp.annotate(groups=len(outlier_groups),
+                                 partitions=len(partitions_o))
+            if scorer.holdout_contexts:
+                with span("partition_holdouts") as hsp:
+                    holdout_groups = [self._prepare_group(scorer, ctx)
+                                      for ctx in scorer.holdout_contexts]
+                    partitions_h = self._partition(holdout_groups)
+                    if hsp:
+                        hsp.annotate(groups=len(holdout_groups),
+                                     partitions=len(partitions_h))
+                with span("combine"):
+                    predicates = self._combine(partitions_o, partitions_h)
+            else:
+                predicates = [p.predicate for p in partitions_o]
 
-        with span("partition_outliers") as osp:
-            outlier_groups = [self._prepare_group(scorer, ctx)
-                              for ctx in scorer.outlier_contexts]
-            partitions_o = self._partition(outlier_groups)
-            if osp:
-                osp.annotate(groups=len(outlier_groups),
-                             partitions=len(partitions_o))
-        if scorer.holdout_contexts:
-            with span("partition_holdouts") as hsp:
-                holdout_groups = [self._prepare_group(scorer, ctx)
-                                  for ctx in scorer.holdout_contexts]
-                partitions_h = self._partition(holdout_groups)
-                if hsp:
-                    hsp.annotate(groups=len(holdout_groups),
-                                 partitions=len(partitions_h))
-            with span("combine"):
-                predicates = self._combine(partitions_o, partitions_h)
-        else:
-            predicates = [p.predicate for p in partitions_o]
-
-        with span("build_candidates") as csp:
-            candidates = self._build_candidates(predicates, outlier_groups)
-            if csp:
-                csp.annotate(candidates=len(candidates))
+            with span("build_candidates") as csp:
+                candidates = self._build_candidates(predicates, outlier_groups)
+                if csp:
+                    csp.annotate(candidates=len(candidates))
+        finally:
+            # The problem and scorer are per-run state: a partitioner the
+            # caller keeps must not keep the last table and scorer alive.
+            self._query = self._scorer = None
         candidates.sort(key=lambda c: c.score, reverse=True)
         return PartitionerResult(
             candidates=candidates,

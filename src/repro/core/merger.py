@@ -62,8 +62,8 @@ start for its neighbours, then estimates.  When the approximation is
 *off* (the MC partitioner's default merger configuration), every active
 start's merges go through one :meth:`InfluenceScorer.score_batch` call
 per round, which chunks, dedupes repeated merges and shards across
-worker processes when the scorer's ``workers`` knob is set.  With the
-approximation on, each start keeps its own estimate pass of at most
+the scorer's shard threads when its ``workers`` knob is above 1.  With
+the approximation on, each start keeps its own estimate pass of at most
 ``max_neighbors`` rows: one pass for a whole round would hold every
 start's (merges × candidates × groups) share and state arrays at once,
 multiplying the Merger's transient memory for no measured time gain,

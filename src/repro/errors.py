@@ -66,7 +66,5 @@ class ResourceExhausted(ScorpionError):
 
     Raised when a problem build hits :class:`MemoryError` even after
     the cache shed every unpinned entry and the build was retried once
-    (serve mode maps it to the structured ``oom_retry`` error code),
-    and by the serve loop's backpressure path for requests beyond the
-    in-flight limit (structured code ``overloaded``).
+    (serve mode maps it to the structured ``oom_retry`` error code).
     """

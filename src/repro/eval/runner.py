@@ -73,8 +73,8 @@ class RunRecord:
 
     @property
     def parallel_shards(self) -> int:
-        """Predicate shards the run executed on worker processes (0 for
-        serial runs)."""
+        """Predicate shards the run scored on the scorer's shard threads
+        (0 for serial runs)."""
         return int(self.scorer_stats.get("parallel_shards", 0))
 
     @property

@@ -58,7 +58,6 @@ from typing import Callable, Iterable, Mapping
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion, ScorpionResult
 from repro.errors import ResourceExhausted, ScorpionError
-from repro.faults import fault_point
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import Tracer, current_tracer, span, tracing_enabled
 from repro.query.groupby import GroupByQuery
@@ -447,7 +446,6 @@ class ExplainService:
         hit/miss decision happens here, atomically under the service
         lock — concurrent same-key requests see one miss and N-1 hits
         regardless of how their builds interleave."""
-        fault_point("service.checkout")
         with self._lock:
             if self._closed:
                 raise ScorpionError("ExplainService is closed")
@@ -483,7 +481,6 @@ class ExplainService:
         """Populate a shell entry (entry lock held): one Scorpion with
         its own bounded DT cache, plus the narrowed problem and scorer
         from the build half of the pipeline."""
-        fault_point("service.build")
         scorpion = Scorpion(**self._scorpion_kwargs)
         narrowed, scorer = scorpion.build_scorer(problem)
         entry.problem = narrowed

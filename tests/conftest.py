@@ -3,6 +3,7 @@ cross-path differential scoring oracle."""
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -147,6 +148,25 @@ def assert_no_live_workers(baseline=frozenset(),
             raise AssertionError(
                 f"shard threads outlived close(): {sorted(map(str, alive))}")
         time.sleep(0.02)
+
+
+def replace_calls(monkeypatch, owner, name, effect, calls=(1,)) -> None:
+    """Make the listed calls of ``owner.name`` (1-based, counted from
+    now) run ``effect`` instead: an exception instance is raised, any
+    other callable is called and its result returned.  Every other call
+    goes through to the original, so a test can make one real call fail
+    and watch the code around it recover."""
+    original = getattr(owner, name)
+    counter = itertools.count(1)
+
+    def replaced(*args, **kwargs):
+        if next(counter) not in calls:
+            return original(*args, **kwargs)
+        if isinstance(effect, BaseException):
+            raise effect
+        return effect()
+
+    monkeypatch.setattr(owner, name, replaced)
 
 
 @pytest.fixture

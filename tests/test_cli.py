@@ -1,13 +1,14 @@
 """Unit tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import build_parser, run
 from repro.table import write_csv
 
-from tests.conftest import SENSOR_ROWS, SENSOR_SCHEMA
+from tests.conftest import SENSOR_ROWS, SENSOR_SCHEMA, replace_calls
 from repro.table.table import Table
 
 
@@ -157,12 +158,17 @@ class TestServe:
         write_csv(Table.from_rows(schema, rows), path)
         return str(path)
 
-    def _serve(self, csv_path, requests, extra_args=(), log=None):
-        import json
-        out = io.StringIO()
-        stdin = io.StringIO(
+    @staticmethod
+    def _stdin(requests):
+        return io.StringIO(
             "\n".join(json.dumps(r) if isinstance(r, dict) else r
                       for r in requests) + "\n")
+
+    def _serve(self, csv_path, requests, extra_args=(), log=None):
+        """Serve ``requests`` (a list of lines, or a ready stdin)."""
+        out = io.StringIO()
+        stdin = (requests if hasattr(requests, "readline")
+                 else self._stdin(requests))
         code = run([
             "--csv", csv_path,
             "--query", "SELECT avg(v) FROM t GROUP BY g",
@@ -196,23 +202,19 @@ class TestServe:
         assert all("error" in r for r in responses[:2])
 
     def test_cache_bytes_flag(self, planted_csv):
-        # The stats op between the explains is a drain barrier: without
-        # it the two same-key requests may coalesce in flight (one
-        # build, shared entry) — here we want to observe residency
-        # *between* completed requests.
+        # Requests are answered one at a time, so the second same-key
+        # request starts only after the first has unpinned its entry.
         code, responses = self._serve(planted_csv, [
             {"outliers": ["a"], "holdouts": ["c"]},
-            {"op": "stats"},
             {"outliers": ["a"], "holdouts": ["c"]},
         ], extra_args=("--cache-bytes", "0"))
         assert code == 0
         # Zero capacity: nothing stays resident between requests.
-        assert [r["cache_hit"] for r in (responses[0], responses[2])] \
-            == [False, False]
+        assert [r["cache_hit"] for r in responses] == [False, False]
         # Each response snapshots the counters while its own entry is
         # still pinned, so it sees only the *previous* request's
         # eviction.
-        assert responses[2]["stats"]["service_evictions"] == 1
+        assert responses[1]["stats"]["service_evictions"] == 1
 
     def test_stats_op_reconciles_with_requests(self, planted_csv):
         code, responses = self._serve(planted_csv, [
@@ -262,7 +264,6 @@ class TestServe:
         assert all("trace_id" in r for r in responses)
 
     def test_structured_log_lines_join_on_trace_id(self, planted_csv):
-        import json
         log = io.StringIO()
         code, responses = self._serve(planted_csv, [
             {"outliers": ["a"], "holdouts": ["c"]},
@@ -318,116 +319,138 @@ class TestServe:
             assert key not in health, key
         assert "degraded" not in responses[0]
 
-    def test_overloaded_code_under_backpressure(self, planted_csv):
-        from repro.faults import fault_injection
-
-        # Hang the first request's build so the second arrives while
-        # the single in-flight slot is occupied.
-        with fault_injection("service.build:hang=0.7@1"):
-            code, responses = self._serve(planted_csv, [
-                {"outliers": ["a"], "holdouts": ["c"]},
-                {"outliers": ["b"], "holdouts": ["d"]},
-            ], extra_args=("--inflight-limit", "1"))
+    def test_piped_requests_answered_in_order(self, planted_csv):
+        # Twenty requests arrive at once over ten content keys; each is
+        # answered before the next line is read.
+        problems = [(outliers, holdouts)
+                    for outliers in (["a"], ["b"], ["a", "b"])
+                    for holdouts in ([], ["c"], ["d"], ["c", "d"])][:10]
+        requests = [{"outliers": outliers, "holdouts": holdouts, "c": c}
+                    for c in (0.5, 0.2) for outliers, holdouts in problems]
+        log = io.StringIO()
+        code, responses = self._serve(planted_csv, requests, log=log)
         assert code == 0
-        codes = [r.get("code") for r in responses]
-        assert "overloaded" in codes
-        overloaded = responses[codes.index("overloaded")]
-        assert overloaded["ok"] is False
-        assert "in-flight limit 1" in overloaded["error"]
-        # The accepted request still drained to a real answer.
-        ok = [r for r in responses if r["ok"]]
-        assert len(ok) == 1 and ok[0]["explanations"]
+        assert len(responses) == 20
+        assert all(r["ok"] for r in responses)
+        # Response i saw exactly the i + 1 checkouts before it: misses
+        # for the first pass over the keys, hits for the second.
+        assert [r["cache_hit"] for r in responses] == \
+            [False] * 10 + [True] * 10
+        assert [r["stats"]["service_hits"] + r["stats"]["service_misses"]
+                for r in responses] == list(range(1, 21))
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [r["event"] for r in records] == \
+            ["request_start", "request_finish"] * 20 + ["serve_shutdown"]
+        for i, response in enumerate(responses):
+            start, finish = records[2 * i], records[2 * i + 1]
+            assert start["trace_id"] == finish["trace_id"] \
+                == response["trace_id"]
 
-    def test_oom_retry_code_and_loop_survival(self, planted_csv):
-        from repro.faults import fault_injection
+    def test_oom_retry_code_and_loop_survival(self, planted_csv, monkeypatch):
+        from repro.core.scorpion import Scorpion
 
         # Both build attempts (initial + post-shed retry) hit
         # MemoryError: structured oom_retry, not a crash; the next
-        # request (fault expired) succeeds on the same loop.
-        with fault_injection("service.build:memerror@1..2"):
-            code, responses = self._serve(planted_csv, [
-                {"outliers": ["a"], "holdouts": ["c"]},
-                {"outliers": ["a"], "holdouts": ["c"]},
-            ])
+        # request (builds work again) succeeds on the same loop.
+        replace_calls(monkeypatch, Scorpion, "build_scorer",
+                      MemoryError("build out of memory"), calls=(1, 2))
+        code, responses = self._serve(planted_csv, [
+            {"outliers": ["a"], "holdouts": ["c"]},
+            {"outliers": ["a"], "holdouts": ["c"]},
+        ])
         assert code == 0
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "oom_retry"
         assert "out of memory" in responses[0]["error"]
         assert responses[1]["ok"] is True
 
-    def test_internal_error_code_and_loop_survival(self, planted_csv):
-        from repro.faults import fault_injection
+    def test_internal_error_code_and_loop_survival(self, planted_csv,
+                                                   monkeypatch):
+        from repro.service import ExplainService
 
-        with fault_injection("service.checkout:oserror@1"):
-            code, responses = self._serve(planted_csv, [
-                {"outliers": ["a"], "holdouts": ["c"]},
-                {"outliers": ["a"], "holdouts": ["c"]},
-            ])
+        replace_calls(monkeypatch, ExplainService, "_acquire",
+                      OSError("checkout failed"))
+        code, responses = self._serve(planted_csv, [
+            {"outliers": ["a"], "holdouts": ["c"]},
+            {"outliers": ["a"], "holdouts": ["c"]},
+        ])
         assert code == 0
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "internal"
         assert "OSError" in responses[0]["error"]
         assert responses[1]["ok"] is True
 
-    def test_read_fault_is_graceful_shutdown(self, planted_csv):
-        import json
-        from repro.faults import fault_injection
-
+    def test_read_fault_is_graceful_shutdown(self, planted_csv, monkeypatch):
         log = io.StringIO()
-        with fault_injection("serve.read:oserror@2"):
-            code, responses = self._serve(planted_csv, [
-                {"outliers": ["a"], "holdouts": ["c"]},
-                {"outliers": ["a"], "holdouts": ["c"]},  # never read
-            ], log=log)
+        stdin = self._stdin([
+            {"outliers": ["a"], "holdouts": ["c"]},
+            {"outliers": ["a"], "holdouts": ["c"]},  # never read
+        ])
+        replace_calls(monkeypatch, stdin, "readline",
+                      OSError("stdin went away"), calls=(2,))
+        code, responses = self._serve(planted_csv, stdin, log=log)
         assert code == 0
-        # The accepted request drained before shutdown.
+        # The request read before the failure was answered.
         assert len(responses) == 1 and responses[0]["ok"] is True
         records = [json.loads(line) for line in log.getvalue().splitlines()]
-        assert [r["event"] for r in records if r["event"] != "request_start"
-                and r["event"] != "request_finish"] == \
-            ["read_error", "serve_shutdown"]
+        assert [r["event"] for r in records] == \
+            ["request_start", "request_finish", "read_error",
+             "serve_shutdown"]
         assert records[-1]["reason"] == "read_error"
 
-    def test_sigint_drains_inflight_and_shuts_down(self, planted_csv):
-        import json
+    def test_sigint_drains_inflight_and_shuts_down(self, planted_csv,
+                                                   monkeypatch):
         import signal
         import threading
-        from repro.faults import fault_injection
+        import time
+
+        main = threading.main_thread().ident
+
+        def blocked_read():
+            # The second read blocks (as a deployed readline does) until
+            # SIGINT reaches the main thread and breaks it.
+            threading.Timer(
+                0.2, signal.pthread_kill, (main, signal.SIGINT)).start()
+            time.sleep(60)
+            return ""
 
         log = io.StringIO()
-        timer = threading.Timer(
-            0.3, lambda: signal.raise_signal(signal.SIGINT))
-        timer.start()
-        try:
-            # The second read hangs (a blocked readline, as deployed);
-            # SIGINT must break it, drain request 1, and exit 0.
-            with fault_injection("serve.read:hang=30@2"):
-                code, responses = self._serve(planted_csv, [
-                    {"outliers": ["a"], "holdouts": ["c"]},
-                ], log=log)
-        finally:
-            timer.cancel()
+        stdin = self._stdin([{"outliers": ["a"], "holdouts": ["c"]}])
+        replace_calls(monkeypatch, stdin, "readline", blocked_read,
+                      calls=(2,))
+        started = time.monotonic()
+        code, responses = self._serve(planted_csv, stdin, log=log)
+        assert time.monotonic() - started < 30, "SIGINT did not break the read"
         assert code == 0
-        assert responses and responses[0]["ok"] is True
+        assert len(responses) == 1 and responses[0]["ok"] is True
         records = [json.loads(line) for line in log.getvalue().splitlines()]
         assert records[-1]["event"] == "serve_shutdown"
         assert records[-1]["reason"] == "SIGINT"
 
-    def test_inflight_limit_validation(self, planted_csv, capsys):
+    def test_sigint_mid_request_answers_it_then_stops(self, planted_csv,
+                                                      monkeypatch):
+        import signal
+
+        from repro.core.scorpion import Scorpion
+
+        build = Scorpion.build_scorer
+
+        def interrupted_build(scorpion, problem):
+            signal.raise_signal(signal.SIGINT)
+            return build(scorpion, problem)
+
+        monkeypatch.setattr(Scorpion, "build_scorer", interrupted_build)
+        log = io.StringIO()
         code, responses = self._serve(planted_csv, [
             {"outliers": ["a"], "holdouts": ["c"]},
-        ], extra_args=("--inflight-limit", "0"))
-        assert code == 2
-        assert not responses
-        assert "inflight" in capsys.readouterr().err.lower()
-
-    def test_inflight_limit_env(self, planted_csv, monkeypatch):
-        from repro.cli import _resolve_inflight
-        monkeypatch.setenv("SCORPION_INFLIGHT_LIMIT", "3")
-        assert _resolve_inflight(None) == 3
-        assert _resolve_inflight(5) == 5
-        monkeypatch.delenv("SCORPION_INFLIGHT_LIMIT")
-        assert _resolve_inflight(None) == 8
+            {"outliers": ["b"], "holdouts": ["d"]},  # never read
+        ], log=log)
+        assert code == 0
+        assert len(responses) == 1 and responses[0]["ok"] is True
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [r["event"] for r in records] == \
+            ["request_start", "request_finish", "serve_shutdown"]
+        assert records[-1]["reason"] == "SIGINT"
 
     def test_metrics_file_dump(self, planted_csv, tmp_path):
         path = tmp_path / "metrics.prom"

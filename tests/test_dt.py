@@ -222,6 +222,24 @@ class TestPartitioning:
 
 
 class TestEndToEnd:
+    def test_kept_partitioner_releases_the_problem(self):
+        # A caller that keeps the partitioner (and its Scorpion) must not
+        # keep the last problem's table or scorer alive.  No DT cache:
+        # it holds its table on purpose.
+        import gc
+        import weakref
+
+        from repro.core.scorpion import Scorpion
+
+        dt = DTPartitioner(seed=0)
+        scorpion = Scorpion(partitioner=dt, use_cache=False)
+        problem = avg_problem(n_per_group=100)
+        table = weakref.ref(problem.raw_table)
+        assert scorpion.explain(problem).explanations
+        del problem
+        gc.collect()
+        assert table() is None
+
     def test_paper_example_with_tiny_params(self, paper_problem):
         result = DTPartitioner(min_leaf_size=2, seed=0).run(paper_problem)
         assert result.candidates
