@@ -21,13 +21,11 @@ from benchmarks.conftest import emit_report, run_once, synth_dataset
 
 
 class _UnprunedMC(MCPartitioner):
-    """MC with the pruning rule disabled (cap retained as a safety net)."""
+    """MC with the pruning rule disabled (cap retained as a safety net):
+    every level is pruned as if there were no incumbent yet."""
 
-    def _prune(self, cells, index, best_influence):
-        if len(cells) > self.max_predicates_per_level:
-            cells = sorted(cells, key=index.refinement_bound,
-                           reverse=True)[: self.max_predicates_per_level]
-        return list(cells)
+    def _prune(self, level, index, best_influence):
+        return super()._prune(level, index, float("-inf"))
 
 
 def _experiment():

@@ -1,10 +1,24 @@
-"""Legacy setup shim.
+"""Packaging for the ``repro`` library (a ``src`` layout).
 
-Kept so ``pip install -e .`` works in offline environments where the
-``wheel`` package (required by PEP 660 editable builds) is unavailable.
-All project metadata lives in pyproject.toml.
+All project metadata lives here; there is no ``pyproject.toml``.  A
+plain ``setup.py`` also keeps ``pip install -e .`` working offline,
+where the ``wheel`` package that PEP 660 editable builds need is
+missing.  The version is read from ``src/repro/__init__.py``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Scorpion: explaining away outliers in aggregate queries",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

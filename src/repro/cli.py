@@ -27,6 +27,7 @@ import json
 import signal
 import sys
 import time
+import traceback
 from typing import Sequence
 
 from repro.core.explore import CExplorer
@@ -190,7 +191,9 @@ def _guarded_explain(service: ExplainService, request: dict, args,
     Never raises: every failure becomes an ``"ok": false`` payload with
     an error ``code`` (``oom_retry`` for memory exhaustion even after
     cache shedding, ``bad_request`` for caller mistakes, ``internal``
-    for anything else), so no request can kill the serve loop.
+    for anything else), so no request can kill the serve loop.  An
+    ``internal`` payload also carries the formatted ``traceback``,
+    which the serve loop moves into its ``request_error`` log record.
     """
     try:
         payload = _explain_op(service, request, args, table, query)
@@ -200,7 +203,7 @@ def _guarded_explain(service: ExplainService, request: dict, args,
         return {"ok": False, "error": str(exc), "code": "bad_request"}
     except Exception as exc:  # noqa: BLE001 - the serve loop must survive
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-                "code": "internal"}
+                "code": "internal", "traceback": traceback.format_exc()}
     return payload
 
 
@@ -316,6 +319,9 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
                     logger.log("request_start", trace_id=trace_id, op=op)
                     payload = _answer(service, request, op, args, table,
                                       query)
+                # Tracebacks are for the operator's log, not the client.
+                error_fields = {"traceback": payload.pop("traceback")} \
+                    if "traceback" in payload else {}
                 payload["trace_id"] = trace_id
                 if payload["ok"]:
                     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -327,7 +333,8 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
                                **finish_fields)
                 else:
                     logger.log("request_error", trace_id=trace_id,
-                               code=payload["code"], error=payload["error"])
+                               code=payload["code"], error=payload["error"],
+                               **error_fields)
                 print(json.dumps(payload), file=out, flush=True)
                 _dump_metrics(args.metrics_file)
             logger.log("serve_shutdown", reason=shutdown_reason,

@@ -38,7 +38,7 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, dict]:
     """Integer codes plus a value → code table for a discrete column.
 
     Uses ``np.unique(return_inverse=True)`` (one vectorized pass) when the
-    values are sortable; mixed-type object columns fall back to a
+    values are sortable; other object columns fall back to a
     first-appearance dict loop.  Only the *mapping* matters — callers
     translate clause values through the table and never compare codes
     across columns — so the two paths are interchangeable.
@@ -47,18 +47,30 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, dict]:
         uniques, codes = np.unique(values, return_inverse=True)
     except TypeError:
         # Unorderable mixed types (e.g. ints and strings in one object
-        # column): assign codes in order of first appearance.
-        code_of: dict = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, item in enumerate(values):
-            code = code_of.get(item)
-            if code is None:
-                code = len(code_of)
-                code_of[item] = code
-            codes[i] = code
-        return codes, code_of
+        # column).
+        return _factorize_by_appearance(values)
     code_of = {value: code for code, value in enumerate(uniques.tolist())}
+    if len(code_of) != len(uniques):
+        # NaN objects among numbers: no order holds NaN, so the sort can
+        # leave equal values apart, and ``!=`` splits a NaN object from
+        # itself.  ``uniques`` then repeats a dict key, and the table
+        # would miss codes the rows carry.
+        return _factorize_by_appearance(values)
     return codes.astype(np.int64, copy=False).ravel(), code_of
+
+
+def _factorize_by_appearance(values: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Codes in order of first appearance: two rows share a code exactly
+    when their values are the same ``dict`` key."""
+    code_of: dict = {}
+    codes = np.empty(len(values), dtype=np.int64)
+    for i, item in enumerate(values):
+        code = code_of.get(item)
+        if code is None:
+            code = len(code_of)
+            code_of[item] = code
+        codes[i] = code
+    return codes, code_of
 
 
 class ArrayMaskEvaluator:

@@ -74,9 +74,14 @@ class Domain:
             if spec.is_continuous:
                 if len(column) == 0:
                     raise PredicateError(f"cannot derive domain of empty column {name!r}")
+                # Missing values are skipped.  An attribute missing every
+                # value keeps a NaN domain: predicates over it still score
+                # (they match no row), and gridding it fails naming it.
+                present = bool(column.notnull_mask().any())
                 domains.append(AttributeDomain(
                     name=name, kind=ColumnKind.CONTINUOUS,
-                    lo=column.min(), hi=column.max(),
+                    lo=column.min() if present else float("nan"),
+                    hi=column.max() if present else float("nan"),
                 ))
             else:
                 domains.append(AttributeDomain(

@@ -199,18 +199,28 @@ class Column:
             return sorted(set(self._values), key=repr)
 
     def min(self) -> float:
-        if not self._spec.is_continuous:
-            raise SchemaError(f"min() on discrete column {self.name!r}")
-        if len(self._values) == 0:
-            raise SchemaError(f"min() on empty column {self.name!r}")
-        return float(np.min(self._values))
+        """Smallest value, ignoring missing (NaN) ones."""
+        return self._extreme(np.min, np.fmin, "min")
 
     def max(self) -> float:
+        """Largest value, ignoring missing (NaN) ones."""
+        return self._extreme(np.max, np.fmax, "max")
+
+    def _extreme(self, reduce, skip_nan: np.ufunc, op: str) -> float:
         if not self._spec.is_continuous:
-            raise SchemaError(f"max() on discrete column {self.name!r}")
+            raise SchemaError(f"{op}() on discrete column {self.name!r}")
         if len(self._values) == 0:
-            raise SchemaError(f"max() on empty column {self.name!r}")
-        return float(np.max(self._values))
+            raise SchemaError(f"{op}() on empty column {self.name!r}")
+        value = float(reduce(self._values))
+        if np.isnan(value):
+            # A value is missing: ``fmin`` / ``fmax`` let any number win
+            # over NaN.  NaN-free columns keep ``np.min`` / ``np.max``,
+            # whose pick between 0.0 and -0.0 can differ from theirs.
+            value = float(skip_nan.reduce(self._values))
+            if np.isnan(value):
+                raise SchemaError(
+                    f"{op}() on column {self.name!r}: every value is missing")
+        return value
 
     def cardinality(self) -> int:
         """Number of distinct values."""

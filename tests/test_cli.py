@@ -137,6 +137,32 @@ class TestRun:
         assert code == 0
         assert "algorithm: dt" in output
 
+    @pytest.mark.parametrize("algorithm", ["mc", "naive", "dt"])
+    def test_missing_continuous_value_is_explained(self, tmp_path, algorithm):
+        # One empty x cell loads as NaN.  It used to make x's domain
+        # [nan, nan], and then every explain failed.
+        import numpy as np
+        rng = np.random.default_rng(3)
+        lines = ["g,x,v"]
+        for i in range(80):
+            g = "abcd"[i % 4]
+            x = rng.uniform(0, 100)
+            value = 51.0 if g in "ab" and x >= 50 else 1.0
+            lines.append(f"{g},{'' if i == 5 else round(x, 3)},{value}")
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, output = _run([
+            "--csv", str(path),
+            "--query", "SELECT sum(v) FROM t GROUP BY g",
+            "--outliers", "a,b",
+            "--holdouts", "c,d",
+            "--algorithm", algorithm,
+        ])
+        assert code == 0
+        assert f"algorithm: {algorithm}" in output
+        if algorithm != "dt":  # DT's cuts still go NaN on that row
+            assert "1. x in [51.9874, 97.346]" in output
+
 
 class TestServe:
     """JSON-lines resident-service mode (--serve)."""
@@ -370,15 +396,25 @@ class TestServe:
 
         replace_calls(monkeypatch, ExplainService, "_acquire",
                       OSError("checkout failed"))
+        log = io.StringIO()
         code, responses = self._serve(planted_csv, [
             {"outliers": ["a"], "holdouts": ["c"]},
             {"outliers": ["a"], "holdouts": ["c"]},
-        ])
+        ], log=log)
         assert code == 0
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "internal"
         assert "OSError" in responses[0]["error"]
         assert responses[1]["ok"] is True
+        # The traceback is in the log record, and not in the response.
+        assert "traceback" not in responses[0]
+        assert "Traceback" not in json.dumps(responses[0])
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        errors = [r for r in records if r["event"] == "request_error"]
+        assert len(errors) == 1
+        assert errors[0]["trace_id"] == responses[0]["trace_id"]
+        assert "OSError: checkout failed" in errors[0]["traceback"]
+        assert "_acquire" in errors[0]["traceback"]
 
     def test_read_fault_is_graceful_shutdown(self, planted_csv, monkeypatch):
         log = io.StringIO()

@@ -128,5 +128,15 @@ class TestStatistics:
         with pytest.raises(SchemaError):
             Column(DISC, ["a"]).min()
 
+    def test_min_max_ignore_missing_values(self):
+        col = Column(CONT, [np.nan, 5.0, -1.0, np.nan])
+        assert col.min() == -1.0
+        assert col.max() == 5.0
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_all_missing_rejected_naming_the_column(self, op):
+        with pytest.raises(SchemaError, match="'x'.*every value is missing"):
+            getattr(Column(CONT, [np.nan, np.nan]), op)()
+
     def test_cardinality(self):
         assert Column(DISC, ["a", "b", "a"]).cardinality() == 2

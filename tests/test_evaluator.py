@@ -96,6 +96,24 @@ def test_mixed_type_discrete_column_falls_back():
     assert not ev.clause_mask(SetClause("k", ["zzz"])).any()
 
 
+def test_nan_objects_among_numbers_keep_dict_semantics():
+    # np.unique sorts these without error, but NaN leaves the sort
+    # without an order: the two 1.0 rows end up apart, and one NaN
+    # object compares unequal to itself.
+    nan, other_nan = float("nan"), float("nan")
+    values = np.empty(6, dtype=object)
+    values[:] = [1.0, nan, 1, nan, True, other_nan]
+    ev = ArrayMaskEvaluator({"k": values})
+    assert ev.clause_mask(SetClause("k", [1])).tolist() == [
+        True, False, True, False, True, False]
+    assert ev.clause_mask(SetClause("k", [nan])).tolist() == [
+        False, True, False, True, False, False]
+    matrix = ev.evaluate_batch([Predicate([SetClause("k", [other_nan])]),
+                                Predicate([SetClause("k", [1.0, nan])])])
+    assert matrix.tolist() == [[False, False, False, False, False, True],
+                               [True, True, True, True, True, False]]
+
+
 BATCH = [
     Predicate.true(),
     Predicate([RangeClause("x", 1.0, 3.0)]),

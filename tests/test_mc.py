@@ -64,71 +64,90 @@ class TestValidation:
             MCPartitioner(n_bins=0)
 
 
+def _unit_level(problem, n_bins):
+    """The scorer, the partitioner and its units on ``problem``."""
+    scorer = InfluenceScorer(problem)
+    mc = MCPartitioner(n_bins=n_bins)
+    return scorer, mc, mc._initial_units(problem, scorer)
+
+
+def _cells_of(level, attribute):
+    """Positions in ``level`` of the cells constraining ``attribute``."""
+    return np.asarray([i for i, p in enumerate(level.predicates())
+                       if p.attributes[0] == attribute], dtype=np.int64)
+
+
 class TestUnits:
     def test_units_restricted_to_outlier_support(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        mc = MCPartitioner(n_bins=10)
-        cells = mc._initial_units(sum_problem, scorer)
-        assert all(cell.support for cell in cells)
-        attrs = {cell.predicate.attributes[0] for cell in cells}
+        _, _, units = _unit_level(sum_problem, 10)
+        assert units.supports.any(axis=1).all()
+        attrs = {p.attributes[0] for p in units.predicates()}
         assert attrs == {"a1", "state"}
 
     def test_unit_supports_partition_outlier_rows(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        mc = MCPartitioner(n_bins=10)
-        cells = mc._initial_units(sum_problem, scorer)
+        scorer, _, units = _unit_level(sum_problem, 10)
         n_outlier_rows = sum(ctx.size for ctx in scorer.outlier_contexts)
         for attribute in ("a1", "state"):
-            positions = [p for cell in cells
-                         if cell.predicate.attributes[0] == attribute
-                         for p in cell.support]
+            positions = [p for row in units.supports[_cells_of(units, attribute)]
+                         for p in np.flatnonzero(row)]
             assert sorted(positions) == list(range(n_outlier_rows))
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_unit_supports_are_the_rows_their_predicates_match(self, missing):
+        table, outliers, holdouts = planted_sum_table(n_per_group=50)
+        if missing:
+            columns = {name: table.values(name) for name in table.schema.names}
+            columns["a1"] = columns["a1"].copy()
+            columns["a1"][[0, 7, 60]] = np.nan  # rows of both outlier groups
+            table = Table.from_columns(table.schema, columns)
+        problem = ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
+                                outliers=outliers, holdouts=holdouts)
+        scorer, _, units = _unit_level(problem, 7)
+        rows = np.concatenate([ctx.indices for ctx in scorer.outlier_contexts])
+        for predicate, support in zip(units.predicates(), units.supports):
+            matched = predicate.mask(problem.table)[rows]
+            assert np.array_equal(support, matched), predicate
+        a1_rows = units.supports[_cells_of(units, "a1")].any(axis=0)
+        assert np.count_nonzero(~a1_rows) == (3 if missing else 0)
 
 
 class TestIntersect:
     def test_intersect_joins_across_attributes(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        mc = MCPartitioner(n_bins=5)
-        cells = mc._initial_units(sum_problem, scorer)
-        refined = mc._intersect(cells)
-        assert refined
-        for cell in refined:
-            assert cell.predicate.num_clauses == 2
-            assert cell.support
+        _, mc, units = _unit_level(sum_problem, 5)
+        refined = mc._intersect(units)
+        assert len(refined)
+        for predicate, support in zip(refined.predicates(), refined.supports):
+            assert predicate.num_clauses == 2
+            assert support.any()
 
     def test_intersect_support_is_set_intersection(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        mc = MCPartitioner(n_bins=5)
-        cells = mc._initial_units(sum_problem, scorer)
-        by_attr = {}
-        for cell in cells:
-            by_attr.setdefault(cell.predicate.attributes[0], []).append(cell)
-        a_cell = by_attr["a1"][0]
-        for s_cell in by_attr["state"]:
-            expected = a_cell.support & s_cell.support
-            joined = [c for c in mc._intersect([a_cell, s_cell])]
-            if expected:
+        _, mc, units = _unit_level(sum_problem, 5)
+        a_cell = _cells_of(units, "a1")[0]
+        for s_cell in _cells_of(units, "state"):
+            expected = units.supports[a_cell] & units.supports[s_cell]
+            joined = mc._intersect(units.take(np.array([a_cell, s_cell])))
+            if expected.any():
                 assert len(joined) == 1
-                assert joined[0].support == expected
+                assert np.array_equal(joined.supports[0], expected)
             else:
-                assert not joined
+                assert not len(joined)
 
     def test_same_attribute_cells_never_join(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        mc = MCPartitioner(n_bins=5)
-        cells = [c for c in mc._initial_units(sum_problem, scorer)
-                 if c.predicate.attributes[0] == "a1"]
-        assert mc._intersect(cells) == []
+        _, mc, units = _unit_level(sum_problem, 5)
+        assert not len(mc._intersect(units.take(_cells_of(units, "a1"))))
 
 
 class TestOutlierIndex:
     def test_refinement_bound_matches_scorer(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
+        scorer, mc, units = _unit_level(sum_problem, 10)
         index = _OutlierIndex(scorer)
-        mc = MCPartitioner(n_bins=10)
-        for cell in mc._initial_units(sum_problem, scorer)[:20]:
-            expected = scorer.refinement_bound(cell.predicate)
-            assert index.refinement_bound(cell) == pytest.approx(expected)
+        levels = [units, mc._intersect(units)]
+        assert len(levels[1])
+        for level in levels:
+            for predicate, bound in zip(level.predicates(),
+                                        index.bounds(level.supports)):
+                expected = scorer.refinement_bound(predicate)
+                assert float(bound).hex() == float(expected).hex(), predicate
 
 
 class TestSearch:
@@ -174,33 +193,29 @@ class TestSearch:
 
 class TestPruning:
     def test_prune_keeps_everything_without_incumbent(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
-        index = _OutlierIndex(scorer)
-        mc = MCPartitioner(n_bins=6)
-        cells = mc._initial_units(sum_problem, scorer)
-        assert mc._prune(cells, index, float("-inf")) == cells
+        scorer, mc, units = _unit_level(sum_problem, 6)
+        kept, predicates = mc._prune(units, _OutlierIndex(scorer), float("-inf"))
+        assert np.array_equal(kept.units, units.units)
+        assert np.array_equal(kept.supports, units.supports)
+        assert predicates == units.predicates()
 
     def test_prune_drops_hopeless_cells(self, sum_problem):
-        scorer = InfluenceScorer(sum_problem)
+        scorer, mc, units = _unit_level(sum_problem, 6)
         index = _OutlierIndex(scorer)
-        mc = MCPartitioner(n_bins=6)
-        cells = mc._initial_units(sum_problem, scorer)
-        huge = max(index.refinement_bound(c) for c in cells) + 1.0
-        assert mc._prune(cells, index, huge) == []
+        huge = max(index.bounds(units.supports)) + 1.0
+        kept, predicates = mc._prune(units, index, huge)
+        assert not len(kept) and predicates == []
 
     def test_prune_never_drops_the_optimum_region(self):
         table, outliers, holdouts = planted_sum_table(n_per_group=200)
         problem = ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
                                 outliers=outliers, holdouts=holdouts,
                                 error_vectors=+1.0, c=1.0)
-        scorer = InfluenceScorer(problem)
-        index = _OutlierIndex(scorer)
-        mc = MCPartitioner(n_bins=10)
-        cells = mc._initial_units(problem, scorer)
+        scorer, mc, units = _unit_level(problem, 10)
         optimum = Predicate([RangeClause("a1", 40, 60), SetClause("state", ["TX"])])
         incumbent = scorer.score(optimum)
-        kept = mc._prune(cells, index, incumbent)
-        tx_kept = [c for c in kept
-                   if c.predicate.clause_for("state") is not None
-                   and "TX" in c.predicate.clause_for("state").values]
+        _, predicates = mc._prune(units, _OutlierIndex(scorer), incumbent)
+        tx_kept = [p for p in predicates
+                   if p.clause_for("state") is not None
+                   and "TX" in p.clause_for("state").values]
         assert tx_kept, "the TX unit must survive pruning at the optimum"

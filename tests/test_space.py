@@ -1,11 +1,13 @@
 """Unit tests for attribute domains and the NAIVE enumerator."""
 
 import itertools
+import math
 
 import pytest
 
 from repro.errors import PredicateError
 from repro.predicates.clause import RangeClause, SetClause
+from repro.predicates.discretizer import EquiWidthDiscretizer
 from repro.predicates.predicate import Predicate
 from repro.predicates.space import Domain, PredicateEnumerator
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
@@ -31,6 +33,19 @@ class TestDomain:
         d = domain()
         assert d["x"].lo == 0.0 and d["x"].hi == 100.0
         assert set(d["s"].values) == {"a", "b", "c"}
+
+    def test_from_table_bounds_skip_missing_values(self):
+        table = Table.from_columns(
+            Schema([ColumnSpec("x", ColumnKind.CONTINUOUS),
+                    ColumnSpec("y", ColumnKind.CONTINUOUS)]),
+            {"x": [float("nan"), 2.0, -1.0], "y": [float("nan")] * 3})
+        d = Domain.from_table(table, ["x", "y"])
+        assert d["x"].lo == -1.0 and d["x"].hi == 2.0
+        # No value at all: the domain stays NaN, and a grid over it names
+        # the attribute.
+        assert math.isnan(d["y"].lo) and math.isnan(d["y"].hi)
+        with pytest.raises(PredicateError, match="'y'"):
+            EquiWidthDiscretizer("y", d["y"].lo, d["y"].hi, 4)
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(PredicateError):
