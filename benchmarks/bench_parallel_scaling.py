@@ -4,7 +4,7 @@ Scores one large predicate batch through ``InfluenceScorer.score_batch``
 at increasing ``workers`` settings, on two shard shapes:
 
 * *mask kernel* — 2-clause range conjunctions, so every shard is an
-  ``evaluate_batch`` + scatter-add pass on a shard thread;
+  ``evaluate_batch`` + count-and-``bincount`` pass on a shard thread;
 * *few predicates* — a batch far smaller than ``workers ×
   batch_chunk`` over a many-group problem, so ``batch_chunk``-sized
   shards alone cannot keep the pool busy and the automatic split

@@ -1,7 +1,7 @@
 """Scalar vs batched influence scoring (the batch-engine tentpole).
 
 ``InfluenceScorer.score_batch`` evaluates a predicate set as one mask
-matrix and one scatter-add pass over the labeled rows instead of a
+matrix and one counting-and-summing pass over its set bits instead of a
 Scorer round-trip per predicate.  This bench scores the same predicate
 batches both ways across batch sizes and group sizes; the two result
 vectors must match exactly (the scalar/batch equivalence contract).

@@ -80,7 +80,8 @@ class GridUnit:
 def grid_units(table: Table, attributes: list[str], n_bins: int = 10,
                ) -> tuple[list[GridUnit], dict[str, EquiWidthDiscretizer]]:
     """The 1-dimensional units of every attribute, plus the discretizers
-    used for the continuous ones."""
+    used for the continuous ones.  A row missing a continuous value (NaN)
+    belongs to no unit of that attribute, as in MC's unit builder."""
     if not attributes:
         raise PartitionerError("grid_units needs at least one attribute")
     units: list[GridUnit] = []
@@ -94,7 +95,13 @@ def grid_units(table: Table, attributes: list[str], n_bins: int = 10,
             grid = EquiWidthDiscretizer(name, column.min(), column.max(), n_bins)
             discretizers[name] = grid
             for i, value in enumerate(values):
-                positions.setdefault(grid.bin_index(float(value)), []).append(i)
+                value = float(value)
+                if value != value:
+                    # A missing value lies in no cell: ``bin_index``
+                    # would clamp NaN into the last one, whose range
+                    # predicate does not match it.
+                    continue
+                positions.setdefault(grid.bin_index(value), []).append(i)
         else:
             for i, value in enumerate(values):
                 positions.setdefault(value, []).append(i)

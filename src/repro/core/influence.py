@@ -29,24 +29,31 @@ Batched scoring
 
 :meth:`InfluenceScorer.score_batch` evaluates a whole predicate *set* in
 one vectorized pass: the labeled-row evaluator builds an
-``(n_predicates, n_rows)`` boolean mask matrix ``M`` (see
-:meth:`repro.predicates.evaluator.ArrayMaskEvaluator.evaluate_batch`),
-and on the incrementally-removable path every predicate's per-group
-removed state — conceptually the matrix product ``M_g @ tuple_states_g``
-— is realized as a scatter-add over the matrix's non-zeros, followed by
-one ``recover_batch`` over every matched (predicate, group) pair
-(:meth:`~repro.core.kernel.BatchKernel.fold`).  Black-box aggregates
-fall back to a per-predicate recompute loop inside the same
+``(n_predicates, n_rows)`` boolean mask matrix ``M``, one comparison per
+distinct clause (see
+:meth:`repro.predicates.evaluator.ArrayMaskEvaluator.evaluate_batch`).
+On the incrementally-removable path every predicate's per-group removed
+state — conceptually the matrix product ``M_g @ tuple_states_g`` — is
+then summed from the set bits
+(:meth:`~repro.core.kernel.BatchKernel._score_mask_matrix`): one
+``reduceat`` over ``M`` gives each (predicate, group) matched count,
+and one weighted ``bincount`` per state component, keyed by those
+counts, gives the removed state.  A count component that is 1.0 for
+every tuple is the matched count itself and needs no ``bincount``.
+One ``recover_batch`` over every matched (predicate, group) pair
+follows (:meth:`~repro.core.kernel.BatchKernel.fold`).  Black-box
+aggregates fall back to a per-predicate recompute loop inside the same
 bookkeeping.
 
 **Equivalence contract**: ``score_batch(preds)[i] == score(preds[i])``
 for every predicate, bit for bit.  The scalar path reduces a matched
-row's states with a masked sum and the batch path with a row-major
-``bincount`` scatter-add — both accumulate the per-tuple states in
+row's states with a masked sum and the batch path with a ``bincount``
+over the row-major set bits — both accumulate the per-tuple states in
 ascending row order, so the removed states (and all downstream
 elementwise arithmetic, which the two paths share op-for-op) are
-identical floats.  BLAS ``matmul`` is deliberately avoided here: its
-blocked reductions are not row-deterministic across batch shapes.  (One
+identical floats.  The matched counts are integers, exact in any
+order.  BLAS ``matmul`` is deliberately avoided here: its blocked
+reductions are not row-deterministic across batch shapes.  (One
 caveat: a single-component state vector is reduced pairwise by the
 scalar path's contiguous sum; of the built-ins only COUNT has
 ``state_size == 1`` and its integer states make any summation order
@@ -65,7 +72,7 @@ Shards are ``batch_chunk``-sized, except that a batch too small to fill
 the per-shard work clears the dispatch cost
 (:func:`~repro.parallel.choose_shard_size`).  Every thread runs *the
 same kernel method on the same arrays* as the serial loop — the
-kernel's large NumPy operations release the GIL — and shards are
+threads overlap where its NumPy calls release the GIL — and shards are
 reassembled in submission order, so influences are bit-for-bit
 identical to serial execution at any worker count.  Each shard counts
 into its own :class:`ScorerStats` window, merged back in submission

@@ -2,12 +2,13 @@
 
 :class:`BatchKernel` owns the mask-matrix kernel behind
 :meth:`~repro.core.influence.InfluenceScorer.score_batch` — build a
-chunk's mask matrix, scatter-add its set bits into per-(predicate,
-group) matched counts and removed states — with its back half (the
+chunk's mask matrix, count its set bits per (predicate, group) and sum
+their per-tuple states into removed states — with its back half (the
 per-group influence arithmetic and the delete/mean perturbation rules)
 and every array it reads: the group contexts in labeled order
-(outliers first) with their column spans, each labeled row's context
-id, the stacked per-tuple aggregate states and the labeled evaluator.
+(outliers first) with their column spans, the per-tuple aggregate
+states as one contiguous column per component and the labeled
+evaluator.
 
 On the incremental path the back half is one fold,
 :meth:`BatchKernel.fold`: it turns all matched (predicate, group) pairs
@@ -144,19 +145,27 @@ class BatchKernel:
             offset += context.size
         self.n_labeled = offset
         self.n_outliers = sum(ctx.is_outlier for ctx in self.contexts)
-        # Which context each labeled row belongs to, and all per-tuple
-        # state rows stacked in labeled-row order.
-        self._context_ids = np.concatenate([
-            np.full(ctx.size, ci, dtype=np.int64)
-            for ci, ctx in enumerate(self.contexts)
-        ]) if offset else np.empty(0, dtype=np.int64)
+        # ``np.add.reduceat`` returns the next column's value, not 0, for
+        # an empty segment; group-by groups always hold a row.
+        assert all(ctx.size for ctx in self.contexts), "empty group context"
+        #: Each context's first column: the segment starts of the
+        #: per-(predicate, group) count reduction.
+        self._starts = np.asarray([start for _, start, _ in self.slices],
+                                  dtype=np.intp)
         #: Columns [0, _outlier_cols) are exactly the outlier rows.
         self._outlier_cols = sum(ctx.size for ctx in self.contexts
                                  if ctx.is_outlier)
-        self._stacked_states = (
-            np.vstack([ctx.tuple_states for ctx in self.contexts])
-            if incremental and offset else None
-        )
+        stacked = (np.vstack([ctx.tuple_states for ctx in self.contexts])
+                   if incremental and offset else None)
+        #: The per-tuple states as one contiguous row per state
+        #: component, in labeled-row order: the kernel's weight gathers.
+        self._state_columns = (None if stacked is None
+                               else np.ascontiguousarray(stacked.T))
+        #: Whether every tuple's last (count) state component is exactly
+        #: 1.0.  A removed count is then the matched count itself, which
+        #: ``bincount`` over those 1.0s would reproduce exactly.
+        self._unit_counts = bool(stacked is not None
+                                 and np.all(stacked[:, -1] == 1.0))
         # What the fold reads per context, stacked in context order.
         self._total_values = np.asarray(
             [ctx.total_value for ctx in self.contexts], dtype=np.float64)
@@ -189,8 +198,8 @@ class BatchKernel:
 
     def resident_bytes(self) -> int:
         """Bytes of numpy array data held: per-context indices,
-        aggregate values and states, the stacked state matrix, the
-        context ids and the evaluator's comparison arrays."""
+        aggregate values and states, the state columns and the
+        evaluator's comparison arrays."""
         total = 0
         for context in self.contexts:
             total += context.indices.nbytes + context.agg_values.nbytes
@@ -198,9 +207,8 @@ class BatchKernel:
                 total += context.tuple_states.nbytes
             if context.total_state is not None:
                 total += context.total_state.nbytes
-        if self._stacked_states is not None:
-            total += self._stacked_states.nbytes
-        total += self._context_ids.nbytes
+        if self._state_columns is not None:
+            total += self._state_columns.nbytes
         total += self.evaluator.resident_bytes()
         return int(total)
 
@@ -278,8 +286,8 @@ class BatchKernel:
         matrix = self.evaluator.evaluate_batch(predicates)
         if ignore_holdouts and self.has_holdouts:
             # Hold-out contexts are skipped entirely downstream; dropping
-            # their columns up front keeps the scatter-add kernel from
-            # scanning and bucketing their set bits.
+            # their columns up front keeps the kernel from counting and
+            # summing their set bits.
             matrix = matrix[:, :self._outlier_cols]
         return self._score_mask_matrix(matrix, ignore_holdouts,
                                        c, c_holdout, lam)
@@ -287,44 +295,70 @@ class BatchKernel:
     def _score_mask_matrix(self, matrix: np.ndarray, ignore_holdouts: bool,
                            c: float, c_holdout: float,
                            lam: float) -> np.ndarray:
-        """The metric for every row of an ``(m, n_labeled)`` mask matrix.
+        """The metric for every row of an ``(m, n)`` mask matrix whose
+        columns are the labeled rows of the contexts scoring reads.
 
-        Vector counterpart of the scorer's scalar path.  One row-major
-        scan of the matrix produces, via composite ``(predicate,
-        context)`` bincount keys, every predicate's per-context matched
-        count and summed removed state; :meth:`fold` (or, for black-box
-        aggregates, :meth:`_recompute_influences`) then applies the
-        scalar path's elementwise arithmetic in its group order, so each
-        row matches the scalar result.
+        Vector counterpart of the scorer's scalar path, in three steps:
 
-        The scatter-add kernel is O(set bits) rather than the dense
-        O(m·n) of a matrix product, and — because ``np.flatnonzero`` is
-        row-major and ``bincount`` accumulates in input order — each
-        predicate's states are summed in ascending row order,
-        bit-identical to the scalar path's masked sum.  (BLAS ``matmul``
-        is deliberately avoided: its blocked reductions are not
-        row-deterministic.)  The per-set-bit arrays dominate an
-        explain's peak memory, so keys are built in place and states
-        are gathered one column at a time."""
-        m = matrix.shape[0]
-        n_ctx = len(self.slices)
-        keys, labeled_cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
-        keys *= n_ctx
-        keys += self._context_ids[labeled_cols]
-        counts = np.bincount(keys, minlength=m * n_ctx).reshape(m, n_ctx)
+        * one ``np.add.reduceat`` over the matrix's ``uint8`` view at
+          the group starts gives every (predicate, group) matched count,
+          exactly (integers; ``reduceat`` sums float segments pairwise,
+          so it is used for counts only);
+        * on the incremental path, one weighted ``np.bincount`` per
+          state component sums each pair's removed state.  Its keys are
+          the pair ids ``np.repeat``-ed by the counts; its weights are
+          the component's contiguous column gathered at the set bits'
+          columns, which ``np.flatnonzero``'s flat indices become in
+          place.  When every tuple's count component is exactly 1.0
+          (:attr:`_unit_counts`), the count column is filled from the
+          counts instead: a ``bincount`` over 1.0s would give the same;
+        * :meth:`fold` (or, for black-box aggregates,
+          :meth:`_recompute_influences`) applies the scalar path's
+          elementwise arithmetic in its group order.
+
+        ``np.flatnonzero`` is row-major and a row's groups are
+        contiguous column spans in context order, so the repeated keys
+        line up with the set bits and ``bincount`` adds each pair's
+        states in ascending row order: bit-identical to the scalar
+        path's masked sum.  (BLAS ``matmul`` is deliberately avoided:
+        its blocked reductions are not row-deterministic.)  The
+        per-set-bit arrays dominate an explain's peak memory, so at
+        most three are alive at once: the columns, the keys and one
+        gathered component.  The keys are built after the first gather
+        and the columns dropped after the last, so a single weighted
+        component (SUM, AVG) needs only two at a time."""
+        m, n_cols = matrix.shape
+        n_ctx = self.active_contexts(ignore_holdouts)
+        # A group holds fewer than 2**31 rows, and an int32 accumulator
+        # is several times faster here than an int64 one.
+        counts = np.add.reduceat(matrix.view(np.uint8), self._starts[:n_ctx],
+                                 axis=1, dtype=np.int32).astype(np.int64)
         if not self.incremental:
             return self._recompute_influences(counts, matrix, ignore_holdouts,
                                               c, c_holdout, lam)
         # A chunk matching no rows has no removed states (and the fold
         # reads none: no pair is matched).
         removed = None
-        if self._stacked_states is not None and len(keys):
-            states = self._stacked_states
-            removed = np.empty((m * n_ctx, states.shape[1]), dtype=np.float64)
-            for j in range(states.shape[1]):
-                removed[:, j] = np.bincount(
-                    keys, weights=states[labeled_cols, j], minlength=m * n_ctx)
-            removed = removed.reshape(m, n_ctx, -1)
+        if self._state_columns is not None and counts.any():
+            n_states = len(self._state_columns)
+            weighted = n_states - 1 if self._unit_counts else n_states
+            removed = np.empty((m * n_ctx, n_states), dtype=np.float64)
+            if weighted:
+                columns = np.flatnonzero(matrix)
+                columns -= np.repeat(np.arange(0, m * n_cols, n_cols),
+                                     counts.sum(axis=1))
+                for j in range(weighted):
+                    weights = self._state_columns[j][columns]
+                    if j == weighted - 1:
+                        del columns  # after the last gather
+                    if j == 0:  # after the first gather
+                        keys = np.repeat(np.arange(m * n_ctx), counts.ravel())
+                    removed[:, j] = np.bincount(keys, weights=weights,
+                                                minlength=m * n_ctx)
+                    del weights
+            if self._unit_counts:
+                removed[:, -1] = counts.ravel()
+            removed = removed.reshape(m, n_ctx, n_states)
         return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
     # ------------------------------------------------------------------

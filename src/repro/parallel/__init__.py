@@ -7,8 +7,9 @@ kernel is row-deterministic, so sharding can never change a result.
 With ``workers > 1`` the scorer maps its shards over a thread pool it
 owns, each thread calling the same
 :meth:`~repro.core.kernel.BatchKernel.score_masked_chunk` the serial
-loop calls; the kernel's large NumPy operations release the GIL, so the
-threads overlap.
+loop calls.  The threads overlap where the kernel's NumPy calls
+release the GIL, which is only in part (README, "Parallel sharded
+execution", gives measured speed-ups).
 
 This module resolves the ``workers`` knob (constructor argument, the
 ``SCORPION_WORKERS`` environment variable, ``Scorpion(workers=...)``,
@@ -28,10 +29,11 @@ from repro.errors import ParallelError
 __all__ = ["DISPATCH_NS", "choose_shard_size", "resolve_workers"]
 
 #: Estimated per-shard dispatch overhead in nanoseconds; shards smaller
-#: than a couple of these are not worth cutting.  Measured for the
-#: process pool this module used to drive (pickle, queue, result IPC)
-#: and kept as is for the thread pool, without re-measuring.
-DISPATCH_NS = 200_000.0
+#: than a couple of these are not worth cutting.  It is the wall time
+#: one more shard adds to a batch on the thread pool: the kernel's fixed
+#: cost per chunk plus the hand-off, 85-115 µs per shard on a 2-vCPU
+#: x86-64 machine (2-16 shards of tiny batches).
+DISPATCH_NS = 100_000.0
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -62,18 +64,20 @@ def choose_shard_size(n_predicates: int, n_rows: int, workers: int,
     workers`` chunks of it; then the batch is cut into ``2 × workers``
     shards so every worker gets a share — provided one such shard's
     estimated mask-kernel work clears a couple of dispatch costs
-    (:data:`DISPATCH_NS`).  One predicate is priced at 3.3 ns per
-    labeled row (build and scan its mask row), 50 ns per matched row
-    (scatter-add, a quarter of the rows assumed matched) and 2 µs
-    fixed.  Deterministic pure arithmetic, and chunking never changes a
-    result.
+    (:data:`DISPATCH_NS`).  One predicate is priced at 1.5 ns per
+    labeled row (build, count and scan its mask row), 11 ns per matched
+    row (gather and ``bincount`` one state component, a quarter of the
+    rows assumed matched) and 4 µs fixed: a least-squares fit, by
+    relative error, of SUM batches of 128 two-clause predicates over
+    1,000-100,000 labeled rows on a 2-vCPU x86-64 machine.
+    Deterministic pure arithmetic, and chunking never changes a result.
     """
     shards = 2 * workers
     if (n_predicates <= 0 or workers <= 1
             or -(-n_predicates // batch_chunk) >= shards):
         return batch_chunk
     size = -(-n_predicates // shards)
-    per_predicate_ns = 3.3 * n_rows + 50.0 * (n_rows / 4) + 2000.0
+    per_predicate_ns = 1.5 * n_rows + 11.0 * (n_rows / 4) + 4000.0
     if size * per_predicate_ns < 2.0 * DISPATCH_NS:
         return batch_chunk
     return size

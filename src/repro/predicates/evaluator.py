@@ -14,8 +14,8 @@ clause semantics:
 * :meth:`ArrayMaskEvaluator.mask` — one predicate → one boolean row;
 * :meth:`ArrayMaskEvaluator.evaluate_batch` — a predicate *set* → an
   ``(n_predicates, n_rows)`` boolean matrix, built attribute-by-attribute
-  with broadcast comparisons (ranges) and code-lookup tables (sets)
-  rather than a per-predicate Python loop.
+  with one broadcast comparison (ranges) or code-lookup row (sets) per
+  distinct clause, rather than a per-predicate Python loop.
 
 The batch path is the foundation of the batched influence-scoring engine
 (see :mod:`repro.core.influence`): each row of the matrix is exactly the
@@ -163,22 +163,26 @@ class ArrayMaskEvaluator:
         """``(n_predicates, n_rows)`` boolean matrix of conjunction masks.
 
         Row ``i`` equals ``self.mask(predicates[i])`` exactly.  Instead of
-        looping predicates, clauses are grouped by attribute and each
-        group is evaluated in one vectorized operation:
+        looping predicates, clauses are grouped by attribute, and each
+        *distinct* clause of an attribute gets one mask row, however many
+        predicates repeat it:
 
-        * range clauses over one attribute become a broadcast
-          ``(k, 1) × (n_rows,)`` bound comparison;
-        * set clauses become a ``(k, n_codes)`` boolean lookup table
-          indexed by the column's factorized codes.
+        * distinct range clauses become one broadcast ``(u, 1) ×
+          (n_rows,)`` bound comparison;
+        * distinct set clauses become a ``(u, n_codes)`` boolean lookup
+          table indexed by the column's factorized codes.
 
-        Unconstrained attributes (and ``TRUE`` predicates) leave their
-        rows all-True.  Raises :class:`PredicateError` on attributes this
-        evaluator does not hold, exactly like :meth:`clause_mask`.
+        Each predicate's row then gathers its clause's mask and ANDs it
+        in.  Unconstrained attributes (and ``TRUE`` predicates) leave
+        their rows all-True.  Raises :class:`PredicateError` on
+        attributes this evaluator does not hold, exactly like
+        :meth:`clause_mask`.
         """
         predicates = list(predicates)
-        out = np.ones((len(predicates), self.n_rows), dtype=bool)
-        range_groups: dict[str, list[tuple[int, RangeClause]]] = {}
-        set_groups: dict[str, list[tuple[int, SetClause]]] = {}
+        m = len(predicates)
+        # attribute -> (predicate rows, distinct clause key -> mask row,
+        # each predicate row's mask row)
+        by_attribute: dict[str, tuple[list[int], dict, list[int]]] = {}
         for i, predicate in enumerate(predicates):
             for clause in predicate:
                 if isinstance(clause, RangeClause):
@@ -186,44 +190,61 @@ class ArrayMaskEvaluator:
                         raise PredicateError(
                             f"no continuous attribute {clause.attribute!r} in evaluator"
                         )
-                    range_groups.setdefault(clause.attribute, []).append((i, clause))
+                    key = (clause.lo, clause.hi, clause.include_hi)
                 elif isinstance(clause, SetClause):
                     if clause.attribute not in self._codes:
                         raise PredicateError(
                             f"no discrete attribute {clause.attribute!r} in evaluator"
                         )
-                    set_groups.setdefault(clause.attribute, []).append((i, clause))
+                    key = clause.values
                 else:
                     raise PredicateError(
                         f"unknown clause kind {type(clause).__name__}")
+                entry = by_attribute.get(clause.attribute)
+                if entry is None:
+                    entry = by_attribute[clause.attribute] = ([], {}, [])
+                rows, distinct, which = entry
+                rows.append(i)
+                which.append(distinct.setdefault(key, len(distinct)))
 
-        for attribute, items in range_groups.items():
+        out = None
+        for attribute, (rows, distinct, which) in by_attribute.items():
+            masks = self._distinct_masks(attribute, list(distinct))
+            if len(distinct) < len(rows):
+                # Mask rows are numbered by first use, so with no repeat
+                # ``which`` is already 0, 1, 2, ...
+                masks = masks[which]
+            # One clause per attribute per predicate → ``rows`` is unique
+            # and ascending, and covers every predicate when it is full.
+            if len(rows) < m:
+                if out is None:
+                    out = np.ones((m, self.n_rows), dtype=bool)
+                out[rows] &= masks
+            elif out is None:
+                out = masks
+            else:
+                out &= masks
+        return np.ones((m, self.n_rows), dtype=bool) if out is None else out
+
+    def _distinct_masks(self, attribute: str, keys: list) -> np.ndarray:
+        """One mask row per distinct clause key of ``attribute``:
+        ``(lo, hi, include_hi)`` for a range, the value set for a set."""
+        if attribute in self._continuous:
             values = self._continuous[attribute]
-            rows = np.fromiter((i for i, _ in items), dtype=np.int64,
-                               count=len(items))
-            los = np.array([clause.lo for _, clause in items])[:, np.newaxis]
-            his = np.array([clause.hi for _, clause in items])[:, np.newaxis]
-            closed = np.array([clause.include_hi for _, clause in items],
+            los = np.array([lo for lo, _, _ in keys])[:, np.newaxis]
+            his = np.array([hi for _, hi, _ in keys])[:, np.newaxis]
+            closed = np.array([include_hi for _, _, include_hi in keys],
                               dtype=bool)[:, np.newaxis]
             if closed.all():
-                below = values <= his
+                masks = values <= his
             elif not closed.any():
-                below = values < his
+                masks = values < his
             else:
-                below = np.where(closed, values <= his, values < his)
-            # One clause per attribute per predicate → ``rows`` is unique,
-            # so in-place fancy-indexed AND touches each row once.
-            out[rows] &= (values >= los) & below
-
-        for attribute, items in set_groups.items():
-            codes = self._codes[attribute]
-            code_of = self._code_of[attribute]
-            rows = np.fromiter((i for i, _ in items), dtype=np.int64,
-                               count=len(items))
-            lookup = np.zeros((len(items), len(code_of)), dtype=bool)
-            for j, (_, clause) in enumerate(items):
-                wanted = [code_of[v] for v in clause.values if v in code_of]
-                lookup[j, wanted] = True
-            out[rows] &= lookup[:, codes]
-
-        return out
+                masks = np.where(closed, values <= his, values < his)
+            masks &= values >= los
+            return masks
+        code_of = self._code_of[attribute]
+        lookup = np.zeros((len(keys), len(code_of)), dtype=bool)
+        for j, values in enumerate(keys):
+            lookup[j, [code_of[v] for v in values if v in code_of]] = True
+        return lookup[:, self._codes[attribute]]

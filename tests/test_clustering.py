@@ -36,6 +36,19 @@ class TestGridUnits:
         units, _ = grid_units(table, ["s"])
         assert {u.keys[0][1] for u in units} == {"in", "out"}
 
+    def test_missing_value_lies_in_no_unit(self):
+        table = Table.from_columns(
+            Schema([ColumnSpec("x", ColumnKind.CONTINUOUS)]),
+            {"x": np.array([1.0, 5.0, np.nan, 9.0])})
+        units, grids = grid_units(table, ["x"], n_bins=4)
+        by_key = {unit.keys: unit.support for unit in units}
+        assert by_key[(("x", 3),)] == frozenset({3})
+        assert all(2 not in unit.support for unit in units)
+        for unit in units:
+            matched = np.flatnonzero(unit_predicate(unit, table, grids)
+                                     .mask(table))
+            assert frozenset(matched.tolist()) == unit.support
+
     def test_join_shares_all_but_one(self):
         a = GridUnit((("x", 1),), frozenset({0, 1, 2}))
         b = GridUnit((("y", 4),), frozenset({1, 2, 3}))

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import Avg, Median, Sum
+from repro.aggregates import (Avg, Count, LinearStateAggregate, Median,
+                              Sum, Variance)
 from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
 from repro.core.problem import ScorpionQuery
+from repro.errors import AggregateError
 from repro.predicates.clause import RangeClause, SetClause
 from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
@@ -245,6 +247,127 @@ class TestFoldEdgeCases:
             problem, FOLD_EDGE_PREDICATES, ignore_holdouts=True)
         # The hold-out term, priced at c_holdout, moves some scores.
         assert np.any(with_holdouts != outliers_only)
+
+
+class NegativesCountDouble(LinearStateAggregate):
+    """A weighted AVG whose negative readings count twice: its count
+    component is 2.0 for those tuples, not 1.0, so the kernel must sum
+    that column like any other."""
+
+    name = "negatives_count_double"
+    is_independent = True
+
+    def tuple_states(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        weights = np.where(values < 0, 2.0, 1.0)
+        return np.column_stack([values * weights, weights])
+
+    def recover(self, state: np.ndarray) -> float:
+        if state[1] <= 0:
+            raise AggregateError("undefined on empty input")
+        return float(state[0] / state[1])
+
+
+#: (aggregate, perturbation): state sizes 1 (COUNT), 2 and 3 (VARIANCE),
+#: and a count component that is not 1.0 per tuple.
+KERNEL_AGGREGATES = [(Sum(), "delete"), (Count(), "delete"),
+                     (Avg(), "mean"), (Variance(), "delete"),
+                     (NegativesCountDouble(), "delete")]
+
+KERNEL_SCHEMA = Schema([ColumnSpec("g", ColumnKind.DISCRETE),
+                        ColumnSpec("x", ColumnKind.CONTINUOUS),
+                        ColumnSpec("k", ColumnKind.DISCRETE),
+                        ColumnSpec("v", ColumnKind.CONTINUOUS)])
+
+#: Aggregate values, -0.0 among them.
+KERNEL_VALUES = [-0.0, 0.0, 1.5, -2.25, 3.0, 7.125, -0.5]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small random problem, a batch for it and ``ignore_holdouts``.
+
+    Groups hold 1-5 rows, so one-row groups and predicates matching no
+    row of some group are common.  A predicate constrains ``x``, ``k``,
+    both or neither.  The batch is a single predicate, one ``x`` clause
+    repeated across every predicate, or random clauses."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    n_outliers = draw(st.integers(1, len(sizes) - 1))
+    n = sum(sizes)
+    table = Table.from_columns(KERNEL_SCHEMA, {
+        "g": np.repeat([f"g{i}" for i in range(len(sizes))], sizes),
+        "x": np.asarray(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                      min_size=n, max_size=n))),
+        "k": np.asarray(draw(st.lists(st.sampled_from("abc"),
+                                      min_size=n, max_size=n))),
+        "v": np.asarray(draw(st.lists(st.sampled_from(KERNEL_VALUES),
+                                      min_size=n, max_size=n))),
+    })
+    aggregate, perturbation = draw(st.sampled_from(KERNEL_AGGREGATES))
+    problem = ScorpionQuery(
+        table, GroupByQuery("g", aggregate, "v"),
+        outliers=[f"g{i}" for i in range(n_outliers)],
+        holdouts=[f"g{i}" for i in range(n_outliers, len(sizes))],
+        error_vectors=draw(st.sampled_from([1.0, -1.0])),
+        c=draw(st.sampled_from([0.0, 0.5, 1.0])), perturbation=perturbation)
+
+    def x_clause():
+        lo = draw(st.sampled_from([0.0, 1.0, 2.0]))
+        return RangeClause("x", lo, lo + draw(st.sampled_from([0.0, 1.0])),
+                           include_hi=True)
+
+    def k_clause():
+        return SetClause("k", draw(st.sets(st.sampled_from("abcz"),
+                                           min_size=1, max_size=2)))
+
+    def predicate(x=None):
+        clauses = []
+        if x is not None or draw(st.booleans()):
+            clauses.append(x if x is not None else x_clause())
+        if draw(st.booleans()):
+            clauses.append(k_clause())
+        return Predicate(clauses)
+
+    shape = draw(st.sampled_from(["single", "repeated", "random"]))
+    if shape == "single":
+        predicates = [predicate()]
+    elif shape == "repeated":
+        shared = x_clause()
+        predicates = [predicate(shared) for _ in range(draw(st.integers(2, 9)))]
+    else:
+        predicates = [predicate() for _ in range(draw(st.integers(0, 9)))]
+    return problem, predicates, draw(st.booleans())
+
+
+class TestMaskKernelOracle:
+    """The mask kernel's branches — per-group counts, repeated bincount
+    keys, the count column taken from the counts — through the
+    differential oracle, with two shard threads."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=kernel_cases())
+    def test_random_problems(self, case):
+        problem, predicates, ignore_holdouts = case
+        assert_scoring_paths_agree(problem, predicates, workers=2,
+                                   ignore_holdouts=ignore_holdouts)
+
+    def test_count_component_is_checked_on_every_tuple(self):
+        # The first tuple's count component is 1.0 and the later ones'
+        # are 2.0: a check of one tuple would wrongly fill the count
+        # column from the matched counts.
+        table = Table.from_columns(KERNEL_SCHEMA, {
+            "g": np.repeat(["g0", "g1"], 4),
+            "x": np.tile([0.0, 1.0, 2.0, 3.0], 2),
+            "k": np.tile(["a", "b"], 4),
+            "v": np.asarray([1.0, -2.0, -3.0, 4.0, 5.0, -6.0, 7.0, -8.0]),
+        })
+        problem = ScorpionQuery(
+            table, GroupByQuery("g", NegativesCountDouble(), "v"),
+            outliers=["g0"], holdouts=["g1"], c=0.5)
+        predicates = [Predicate([RangeClause("x", 0.0, hi)])
+                      for hi in (1.0, 2.0, 3.0)]
+        predicates.append(Predicate([SetClause("k", ["b"])]))
+        assert_scoring_paths_agree(problem, predicates, workers=2)
 
 
 class TestCacheCoherence:
