@@ -17,9 +17,9 @@ Legs:
   ``workers=1``.  The speedup is *pure* artifact reuse — no DT-cache
   shortcuts are allowed to blur the equality contract.
 * **full resident** — the realistic configuration (DT cache on), where
-  warm requests additionally reuse partitions and warm-start merges;
-  throughput only reported (warm-started merges are "at least as
-  good", not bit-identical — see ``tests/test_cache.py``).
+  warm requests additionally reuse DT's partitions; each warm result is
+  asserted bit-for-bit equal to its rebuild-per-call twin too, and
+  throughput is reported.
 * **concurrent asyncio** — the same request mix through
   :meth:`~repro.service.ExplainService.explain_async` under
   ``asyncio.gather``, asserting one miss, N−1 hits, and result
@@ -135,7 +135,7 @@ def _experiment():
                                 c=C_REQUESTS[0])
         warm_results, warm_full_s = _warm_sweep(service, table, query)
     for cold, warm in zip(cold_results, warm_results):
-        assert warm.best.influence >= cold.best.influence - 1e-9
+        assert _explanation_image(cold) == _explanation_image(warm)
     rows["resident"] = (cold_full_s, warm_full_s)
 
     # Leg 3: concurrent requests through the asyncio front end.
@@ -179,11 +179,11 @@ def test_service_throughput(benchmark):
         }
     emit_report("service_throughput", format_table(
         "Resident service — explains/sec, rebuild-per-call vs warm cache "
-        "(workers=1; equality leg asserted bit-for-bit)",
+        "(workers=1; both legs asserted bit-for-bit)",
         ["leg", "cold rps", "warm rps", "speedup"], table_rows))
     emit_bench_json("service_throughput", {
         "description": "ExplainService warm vs rebuild-per-call explain "
-                       "throughput (equality leg: bit-for-bit asserted; "
+                       "throughput (bit-for-bit asserted on both legs; "
                        "resident leg: DT cache on)",
         "legs": json_rows,
         "concurrent_seconds": round(concurrent_s, 4),

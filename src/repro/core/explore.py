@@ -3,11 +3,12 @@ and 8.3.3).
 
 "The user or system may want to try different values of c (e.g., via a
 slider in the UI or automatically)."  :class:`CExplorer` does exactly
-that: it sweeps ``c`` from coarse (0) to selective (1), shares one
-:class:`~repro.core.cache.DTCache` so each step after the first is
-nearly free for DT, and reports the *predicate ladder* — the distinct
-explanations the knob walks through, with the ``c`` interval over which
-each one rules.
+that: it sweeps ``c`` from selective (1) to coarse (0), shares one
+:class:`~repro.core.cache.DTCache` so DT partitions only once, and
+reports the *predicate ladder* — the distinct explanations the knob
+walks through, with the ``c`` interval over which each one rules.
+Every step still merges from scratch, so each rung is the answer a
+one-off explain at that ``c`` gives.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class CExplorer:
         Optional pre-configured facade (shared cache and all); defaults
         to ``Scorpion(use_cache=True)``.
     c_values:
-        The sweep grid, high to low by default — warm starts flow from
-        higher ``c`` to lower (Section 8.3.3).
+        The sweep grid; swept high to low whatever the given order.
+        The order changes no answer.
     """
 
     DEFAULT_SWEEP = (1.0, 0.75, 0.5, 0.35, 0.2, 0.1, 0.05, 0.0)

@@ -127,9 +127,10 @@ class _Boxes:
 
     Built once per :meth:`Merger.run`.  :meth:`pack` packs any predicate
     over the same domain the same way; one no candidate resembles (a
-    warm-start seed) gets fresh signature and value-set ids, which match
-    no candidate's.  Predicates are interned too, so member exclusion
-    matches by equality, as the scalar loop's ``other in members`` did.
+    merge whose attribute set or value set no candidate has) gets fresh
+    signature and value-set ids, which match no candidate's.  Predicates
+    are interned too, so member exclusion matches by equality, as the
+    scalar loop's ``other in members`` did.
     """
 
     def __init__(self, candidates: list[CandidatePredicate], domain: Domain):
@@ -449,28 +450,19 @@ class Merger:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(self, candidates: list[CandidatePredicate],
-            seeds: list[Predicate] | None = None) -> list[ScoredPredicate]:
-        """Expand candidates and return deduped results, best first.
-
-        ``seeds`` optionally overrides the expansion starting points
-        (the Section 8.3.3 warm start: resume from a previous, higher-``c``
-        merge result instead of from raw partitions).
-        """
+    def run(self, candidates: list[CandidatePredicate]) -> list[ScoredPredicate]:
+        """Expand candidates and return deduped results, best first."""
         start = time.perf_counter()
         self.report = MergerReport()
-        if not candidates and not seeds:
+        if not candidates:
             return []
         ranked = sorted(candidates, key=lambda c: c.score, reverse=True)
         boxes = _Boxes(ranked, self.domain)
         self._index = None
         if self._approx_ready and any(c.group_stats for c in ranked):
             self._index = _ApproxIndex(boxes, self.scorer)
-        if seeds is None:
-            n_expand = max(1, int(np.ceil(len(ranked) * self.params.expand_fraction)))
-            expansion_starts = [c.predicate for c in ranked[:n_expand]]
-        else:
-            expansion_starts = list(seeds)
+        n_expand = max(1, int(np.ceil(len(ranked) * self.params.expand_fraction)))
+        expansion_starts = [c.predicate for c in ranked[:n_expand]]
         # _expand_lockstep opens by batch-scoring every start (and every
         # adoption downstream), so with caching on the scalar record()
         # calls below are all cache hits — no separate warm-up needed.

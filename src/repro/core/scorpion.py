@@ -9,8 +9,10 @@ aggregate's declared properties unless forced:
 * independent only → ``DT``;
 * black box → ``NAIVE``.
 
-A shared :class:`~repro.core.cache.DTCache` makes repeated ``explain``
-calls that differ only in ``c`` cheap (Section 8.3.3).
+A shared :class:`~repro.core.cache.DTCache` lets repeated ``explain``
+calls that differ only in ``c`` reuse DT's partitions (Section 8.3.3).
+Every call merges from those partitions afresh, so an answer never
+depends on the calls before it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class Scorpion:
         Overrides for the DT-path Merger (MC runs its own internal
         merger; NAIVE needs none).
     use_cache:
-        Reuse DT partitions and warm-start merges across ``c`` values.
+        Reuse DT partitions across calls that differ only in ``c``.
+        Answers are the same either way; only the scorer counters of a
+        partition hit differ, because DT's scoring is skipped.
     top_k:
         Number of explanations to return.
     auto_select_attributes:
@@ -293,30 +297,24 @@ class Scorpion:
 
     def _run_dt(self, query: ScorpionQuery, partitioner: DTPartitioner,
                 scorer: InfluenceScorer):
-        merge_start: float
         with span("partition") as psp:
             if self.use_cache:
                 candidates, partition_elapsed = self.cache.candidates(
                     query, partitioner, scorer)
-                seeds = self.cache.merger_seeds(query)
             else:
                 result = partitioner.run(query, scorer)
                 candidates = result.candidates
-                seeds = None
                 partition_elapsed = result.elapsed
             if psp:
                 psp.annotate(algorithm="dt", candidates=len(candidates),
-                             cached=self.use_cache and partition_elapsed == 0.0,
-                             seeds=len(seeds) if seeds else 0)
+                             cached=self.use_cache and partition_elapsed == 0.0)
         merger = Merger(scorer, query.domain, params=self.merger_params)
         merge_start = time.perf_counter()
         with span("merge") as msp:
-            merged = merger.run(candidates, seeds=seeds)
+            merged = merger.run(candidates)
             if msp:
                 msp.annotate(merged=len(merged))
         merge_elapsed = time.perf_counter() - merge_start
-        if self.use_cache:
-            self.cache.store_merged(query, merged)
         return merged, partition_elapsed, merge_elapsed, len(candidates)
 
     # ------------------------------------------------------------------

@@ -2,15 +2,15 @@
 
 ``run_algorithm`` executes one (algorithm, problem) pair and records the
 best predicate, its influence, accuracy against a ground truth, and the
-wall-clock cost; ``sweep_c`` repeats that across the Section 7 knob the
-experiments vary.
+wall-clock cost.  Each run builds its own
+:class:`~repro.core.scorpion.Scorpion`, so a record never depends on the
+runs before it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.errors import PartitionerError
 from repro.eval.metrics import AccuracyStats, score_predicate
 from repro.obs.trace import phase_totals
 from repro.predicates.predicate import Predicate
-from repro.service.service import ExplainService
 from repro.table.table import Table
 
 
@@ -101,36 +100,19 @@ def make_partitioner(name: str, **kwargs):
 def run_algorithm(name: str, problem: ScorpionQuery, table: Table | None = None,
                   truth_mask: np.ndarray | None = None,
                   outlier_rows: np.ndarray | None = None,
-                  scorpion: Scorpion | None = None,
                   workers: int | None = None,
-                  service: ExplainService | None = None,
-                  c: float | None = None,
                   **partitioner_kwargs) -> RunRecord:
     """Run one algorithm on ``problem`` and score its best predicate.
 
     ``table``/``truth_mask``/``outlier_rows`` enable accuracy scoring;
-    omit them to record influence and runtime only.  A pre-built
-    ``scorpion`` may be passed to share its cross-``c`` cache (its own
-    ``workers`` setting then applies); otherwise ``workers`` selects the
-    scorer's sharded-execution process count — influences and counters
-    are identical at any setting, so benches can sweep it freely.
-
-    A resident ``service`` routes the run through its content-keyed
-    cache instead (the service's own algorithm/partitioner
-    configuration applies — bake ``partitioner_kwargs`` into it);
-    ``c`` then rebinds the knob against the cached problem image
-    rather than rebuilding via ``with_c``.
+    omit them to record influence and runtime only.  ``workers`` selects
+    the scorer's shard threads — influences and counters are identical
+    at any setting, so benches can sweep it freely.
     """
     started = time.perf_counter()
-    if service is not None:
-        result = service.explain(problem, c=c)
-    else:
-        partitioner = make_partitioner(name, **partitioner_kwargs)
-        scorpion = scorpion or Scorpion(use_cache=False, workers=workers)
-        scorpion.partitioner = partitioner
-        if c is not None:
-            problem = problem.with_c(c)
-        result = scorpion.explain(problem)
+    scorpion = Scorpion(partitioner=make_partitioner(name, **partitioner_kwargs),
+                        use_cache=False, workers=workers)
+    result = scorpion.explain(problem)
     runtime = time.perf_counter() - started
     best = result.best
     stats = None
@@ -142,7 +124,7 @@ def run_algorithm(name: str, problem: ScorpionQuery, table: Table | None = None,
         phase_seconds.update(phase_totals(result.trace))
     return RunRecord(
         algorithm=name,
-        c=problem.c if c is None else float(c),
+        c=problem.c,
         predicate=best.predicate if best else None,
         influence=best.influence if best else float("nan"),
         runtime=runtime,
@@ -152,43 +134,3 @@ def run_algorithm(name: str, problem: ScorpionQuery, table: Table | None = None,
         phase_seconds=phase_seconds,
         trace=result.trace,
     )
-
-
-def sweep_c(name: str, problem: ScorpionQuery, c_values: Sequence[float],
-            table: Table | None = None, truth_mask: np.ndarray | None = None,
-            outlier_rows: np.ndarray | None = None,
-            share_cache: bool = False, workers: int | None = None,
-            use_service: bool = False,
-            **partitioner_kwargs) -> list[RunRecord]:
-    """Run one algorithm across a ``c`` sweep (the axis of Figures 9–13).
-
-    With ``share_cache`` the runs share a Scorpion instance so DT reuses
-    partitions and merger warm starts (the Section 8.3.3 experiment).
-    With ``use_service`` the sweep runs through a resident
-    :class:`~repro.service.ExplainService` instead: the problem image,
-    batch kernel and worker pool are built once and every ``c`` after
-    the first rebinds against them (no per-``c`` ``with_c`` rebuild),
-    on top of the same DT partition/merge reuse ``share_cache`` gives.
-    ``workers`` applies to every run (see :func:`run_algorithm`).
-    """
-    if use_service:
-        with ExplainService(
-                partitioner=make_partitioner(name, **partitioner_kwargs),
-                workers=workers) as service:
-            return [run_algorithm(
-                name, problem, table=table, truth_mask=truth_mask,
-                outlier_rows=outlier_rows, service=service, c=c)
-                for c in c_values]
-    scorpion = Scorpion(use_cache=True, workers=workers) if share_cache else None
-    records = []
-    for c in c_values:
-        records.append(run_algorithm(
-            name, problem.with_c(c), table=table, truth_mask=truth_mask,
-            outlier_rows=outlier_rows, scorpion=scorpion, workers=workers,
-            **partitioner_kwargs))
-    return records
-
-
-def best_f_by_c(records: Iterable[RunRecord]) -> dict[float, float]:
-    """Convenience: map each swept ``c`` to the F-score achieved."""
-    return {record.c: record.f_score for record in records}

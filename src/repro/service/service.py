@@ -27,7 +27,9 @@ was *not* rebuilt) and wall-clock timings.  The service enforces this by
 resetting scorer statistics and dropping the predicate-score memo at
 every checkout, so warm scoring replays the cold call's operations; the
 per-tuple delta memo is kept because tuple deltas are independent of
-every knob the key excludes.
+every knob the key excludes.  With DT's partition cache on (the
+default), a request whose partitions are reused skips DT's scoring, so
+its scorer counters differ from a cold call's; its explanations do not.
 
 **Memory accounting.**  Every entry is billed its scorer's resident
 bytes when it is built — context index/state arrays, the stacked state
@@ -83,7 +85,7 @@ CACHE_STAT_KEYS = frozenset({
     "service_cache_hit", "service_hits", "service_misses",
     "service_evictions", "service_entries", "service_cached_bytes",
     "dtcache_partition_hits", "dtcache_partition_misses",
-    "dtcache_entry_evictions", "dtcache_c_evictions", "dtcache_entries",
+    "dtcache_entry_evictions", "dtcache_entries",
     "batch_seconds", "batch_throughput",
 })
 
@@ -98,8 +100,6 @@ _PUBLISHED_COUNTERS = (
      "DT partitionings actually run"),
     ("dtcache_entry_evictions", "scorpion_dtcache_entry_evictions_total",
      "DT-cache signature entries evicted"),
-    ("dtcache_c_evictions", "scorpion_dtcache_c_evictions_total",
-     "DT-cache per-c merge results evicted"),
     ("masked_predicates", "scorpion_masked_predicates_total",
      "Predicates scored through the mask-matrix kernel"),
     ("parallel_shards", "scorpion_parallel_shards_total",

@@ -1,24 +1,28 @@
-"""Unit tests for cross-c caching (paper Section 8.3.3)."""
+"""Unit tests for DT partition caching across ``c`` (paper Section
+8.3.3).
 
+A cached DT explain must equal an uncached one, whatever the cache has
+served before: only partitions are reused, and only for the same
+problem and the same partitioner parameters.
+"""
+
+import copy
 import gc
 
 import numpy as np
-import pytest
 
 from repro.aggregates import Sum
-from repro.core.cache import DEFAULT_MAX_ENTRIES, DTCache, query_signature
-from repro.errors import PartitionerError
+from repro.core import cache as cache_module
+from repro.core.cache import DTCache, query_signature
 from repro.core.dt import DTPartitioner
 from repro.core.influence import InfluenceScorer
-from repro.core.partition import ScoredPredicate
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
-from repro.predicates.clause import SetClause
-from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 from tests.test_dt import avg_problem
+from tests.test_service import explanation_image
 
 
 class TestSignature:
@@ -28,8 +32,13 @@ class TestSignature:
 
     def test_signature_sees_lambda(self):
         problem = avg_problem(n_per_group=60)
-        other = avg_problem(n_per_group=60)
-        other.lam = 0.9
+        assert query_signature(problem) != \
+            query_signature(problem.with_params(lam=0.9))
+
+    def test_signature_sees_perturbation(self):
+        problem = avg_problem(n_per_group=60)
+        other = copy.copy(problem)
+        other.perturbation = "mean"
         assert query_signature(problem) != query_signature(other)
 
 
@@ -49,28 +58,6 @@ class TestDTCache:
         assert cold_elapsed > 0.0
         assert warm_elapsed == 0.0
 
-    def test_merger_seeds_use_nearest_higher_c(self):
-        problem = avg_problem(n_per_group=60, c=1.0)
-        cache = DTCache()
-        cache.candidates(problem, DTPartitioner(seed=0), InfluenceScorer(problem))
-        p_high = Predicate([SetClause("g", ["g0"])])
-        p_mid = Predicate([SetClause("g", ["g1"])])
-        cache.store_merged(problem.with_c(1.0), [ScoredPredicate(p_high, 1.0)])
-        cache.store_merged(problem.with_c(0.5), [ScoredPredicate(p_mid, 2.0)])
-        seeds = cache.merger_seeds(problem.with_c(0.2))
-        assert seeds == [p_mid]
-
-    def test_no_seeds_for_higher_c(self):
-        problem = avg_problem(n_per_group=60, c=0.2)
-        cache = DTCache()
-        cache.candidates(problem, DTPartitioner(seed=0), InfluenceScorer(problem))
-        cache.store_merged(problem, [])
-        assert cache.merger_seeds(problem.with_c(0.5)) is None
-
-    def test_unknown_query_has_no_seeds(self):
-        cache = DTCache()
-        assert cache.merger_seeds(avg_problem(n_per_group=60)) is None
-
     def test_clear(self):
         problem = avg_problem(n_per_group=60)
         cache = DTCache()
@@ -82,8 +69,8 @@ class TestDTCache:
 
 
 class TestDTCacheBounds:
-    """The cache is LRU-bounded on signatures and per-entry on stored
-    ``c`` results (a resident service would otherwise grow it forever)."""
+    """The cache is an LRU of :data:`~repro.core.cache.MAX_ENTRIES` keys
+    (a resident service would otherwise grow it forever)."""
 
     def _fill(self, cache, n):
         """Insert ``n`` distinct-signature entries (distinct tables →
@@ -94,8 +81,9 @@ class TestDTCacheBounds:
                              InfluenceScorer(problem))
         return problems
 
-    def test_entry_lru_eviction(self):
-        cache = DTCache(max_entries=2)
+    def test_entry_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = DTCache()
         first, second, third = self._fill(cache, 3)
         assert len(cache) == 2
         assert cache.entry_evictions == 1
@@ -108,8 +96,9 @@ class TestDTCacheBounds:
                          InfluenceScorer(third))
         assert cache.partition_hits == 1
 
-    def test_hit_refreshes_lru_position(self):
-        cache = DTCache(max_entries=2)
+    def test_hit_refreshes_lru_position(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = DTCache()
         first, second = self._fill(cache, 2)
         cache.candidates(first, DTPartitioner(seed=0),
                          InfluenceScorer(first))  # first is now MRU
@@ -121,34 +110,9 @@ class TestDTCacheBounds:
                          InfluenceScorer(second))
         assert cache.partition_misses == 4
 
-    def test_per_entry_c_results_bounded(self):
-        problem = avg_problem(n_per_group=60, c=1.0)
-        cache = DTCache(max_c_results=2)
-        cache.candidates(problem, DTPartitioner(seed=0),
-                         InfluenceScorer(problem))
-        p = Predicate([SetClause("g", ["g0"])])
-        for c in (1.0, 0.8, 0.6):
-            cache.store_merged(problem.with_c(c),
-                               [ScoredPredicate(p, c)])
-        assert cache.c_evictions == 1
-        # c=1.0 (oldest stored) was dropped: nothing higher than 0.9
-        # remains except 1.0, so a 0.9 query falls back to nothing...
-        assert cache.merger_seeds(problem.with_c(0.9)) is None
-        # ...while 0.5 still seeds from the surviving 0.6 result.
-        assert cache.merger_seeds(problem.with_c(0.5)) == [p]
-
-    def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv("SCORPION_DTCACHE_ENTRIES", "3")
-        assert DTCache().max_entries == 3
-        monkeypatch.delenv("SCORPION_DTCACHE_ENTRIES")
-        assert DTCache().max_entries == DEFAULT_MAX_ENTRIES
-        with pytest.raises(PartitionerError):
-            DTCache(max_entries=0)
-        with pytest.raises(PartitionerError):
-            DTCache(max_c_results=0)
-
-    def test_window_stats_report_deltas(self):
-        cache = DTCache(max_entries=1)
+    def test_window_stats_report_deltas(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 1)
+        cache = DTCache()
         snapshot = cache.counter_snapshot()
         first, second = self._fill(cache, 2)
         window = cache.window_stats(snapshot)
@@ -173,9 +137,9 @@ class TestScorpionCaching:
         for c in (0.5, 0.2, 0.0):
             with_cache = cached.explain(problem.with_c(c))
             without = uncached.explain(problem.with_c(c))
-            assert with_cache.best is not None and without.best is not None
-            # The warm-started search must be at least as good.
-            assert with_cache.best.influence >= without.best.influence - 1e-9
+            assert with_cache.best is not None
+            assert explanation_image(with_cache) == explanation_image(without)
+        assert cached.cache.partition_hits == 2
 
     def test_cached_sweep_reuses_partitions(self):
         problem = avg_problem(n_per_group=120)
@@ -185,6 +149,59 @@ class TestScorpionCaching:
         assert scorpion.cache.partition_hits == 1
         assert scorpion.cache.partition_misses == 1
 
+
+def noisy_box_problem() -> ScorpionQuery:
+    """SUM over six groups of 400 rows with noisy values and a box
+    ``x in [40, 60] & y in [20, 50]`` planted in the outlier groups
+    g0/g1, so the perturbation shapes DT's partitions."""
+    rng = np.random.default_rng(2)
+    groups = np.repeat([f"g{i}" for i in range(6)], 400)
+    x = rng.uniform(0.0, 100.0, groups.size)
+    y = rng.uniform(0.0, 100.0, groups.size)
+    value = rng.normal(10.0, 1.0, groups.size)
+    value[np.isin(groups, ["g0", "g1"]) & (x >= 40) & (x <= 60)
+          & (y >= 20) & (y <= 50)] += 80.0
+    schema = Schema([ColumnSpec("g", ColumnKind.DISCRETE),
+                     ColumnSpec("x", ColumnKind.CONTINUOUS),
+                     ColumnSpec("y", ColumnKind.CONTINUOUS),
+                     ColumnSpec("v", ColumnKind.CONTINUOUS)])
+    table = Table.from_columns(schema, {"g": groups, "x": x, "y": y,
+                                        "v": value})
+    return ScorpionQuery(table, GroupByQuery("g", Sum(), "v"),
+                         outliers=["g0", "g1"],
+                         holdouts=[f"g{i}" for i in range(2, 6)],
+                         error_vectors=+1.0, c=0.5)
+
+
+class TestCacheKey:
+    """A reused Scorpion answers as a fresh one does when the problem's
+    perturbation or the partitioner's parameters change."""
+
+    def test_reused_scorpion_repartitions_for_another_perturbation(self):
+        delete = noisy_box_problem()
+        # The same table, so only the perturbation tells them apart.
+        mean = ScorpionQuery(delete.raw_table, delete.query,
+                             delete.outlier_keys, delete.holdout_keys,
+                             +1.0, c=0.5, perturbation="mean")
+        scorpion = Scorpion(algorithm="dt")
+        scorpion.explain(delete)
+        reused = scorpion.explain(mean)
+        fresh = Scorpion(algorithm="dt").explain(mean)
+        assert explanation_image(reused) == explanation_image(fresh)
+        assert reused.n_candidates == fresh.n_candidates
+        assert reused.scorer_stats["dtcache_partition_hits"] == 0
+
+    def test_reused_scorpion_repartitions_for_another_partitioner(self):
+        problem = noisy_box_problem()
+        scorpion = Scorpion(algorithm="dt")
+        scorpion.explain(problem)
+        scorpion.partitioner = DTPartitioner(max_leaves=4)
+        reused = scorpion.explain(problem)
+        fresh = Scorpion(partitioner=DTPartitioner(max_leaves=4)).explain(
+            problem)
+        assert explanation_image(reused) == explanation_image(fresh)
+        assert reused.n_candidates == fresh.n_candidates
+        assert reused.scorer_stats["dtcache_partition_hits"] == 0
 
 
 def cluster_table(lo: float) -> Table:

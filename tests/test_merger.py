@@ -570,7 +570,7 @@ class TestBatchedEstimator:
                 assert bits(shuffled[position]) == bits(batch[i])
                 assert bits(index.estimate([merges[i]])) == bits(batch[i])
 
-    @pytest.mark.parametrize("case", ["avg", "sum_discrete", "exact", "seeds"])
+    @pytest.mark.parametrize("case", ["avg", "sum_discrete", "exact"])
     def test_run_matches_reference_estimator(self, case, sum_problem,
                                              monkeypatch):
         # The box-space loop against the per-start reference loop, and
@@ -583,10 +583,8 @@ class TestBatchedEstimator:
         def run(merger_class=Merger):
             scorer = InfluenceScorer(problem)
             candidates = dt_candidates(problem, scorer)
-            seeds = (warm_start_seeds(scorer, problem, candidates)
-                     if case == "seeds" else None)
             merger = merger_class(scorer, problem.domain, params=params)
-            merged = merger.run(candidates, seeds=seeds)
+            merged = merger.run(candidates)
             assert (merger._index is None) == (case == "exact")
             counters = {name: getattr(scorer.stats, name)
                         for name in CONTRACT_COUNTERS}
@@ -616,22 +614,6 @@ class TestBatchedEstimator:
 #: Scorer counters a Merger run must reproduce exactly whatever the
 #: batching of its score_batch calls.
 CONTRACT_COUNTERS = ("incremental_deltas", "masked_predicates")
-
-
-def warm_start_seeds(scorer, problem, candidates):
-    """Expansion starts as a warm start hands them over: the best
-    results of an earlier merge pass (mostly not candidates), plus one
-    holding a set value that no candidate has."""
-    earlier = Merger(scorer, problem.domain).run(candidates)
-    seeds = [sp.predicate for sp in earlier[:3]]
-    with_set = next(c.predicate for c in candidates
-                    if any(isinstance(clause, SetClause)
-                           for clause in c.predicate.clauses))
-    seeds.append(Predicate([
-        SetClause(clause.attribute, clause.values | {"ZZ"})
-        if isinstance(clause, SetClause) else clause
-        for clause in with_set.clauses]))
-    return seeds
 
 
 #: Bounds on a coarse grid, so ranges share faces, coincide and collapse
@@ -692,7 +674,7 @@ class TestBoxSpaceNeighbours:
            data=st.data(), limit=st.integers(0, 6) | st.just(64))
     def test_matches_reference_scan(self, candidates, data, limit):
         # Starts are candidates, merges of two candidates (ranges and
-        # sets no candidate has) or foreign seeds; the member set holds
+        # sets no candidate has) or foreign boxes; the member set holds
         # the start and some candidates.
         choice = data.draw(st.sampled_from(["candidate", "merge", "seed"])
                            if candidates else st.just("seed"))
@@ -870,15 +852,3 @@ class TestAdoptionVerification:
                 [sp.influence for sp in parallel]
         finally:
             parallel_scorer.close()
-
-
-class TestSeeds:
-    def test_seeded_run_expands_seeds(self):
-        problem = avg_problem(n_per_group=200)
-        scorer = InfluenceScorer(problem)
-        candidates = dt_candidates(problem, scorer)
-        seed = [candidates[0].predicate]
-        merger = Merger(scorer, problem.domain)
-        merged = merger.run(candidates, seeds=seed)
-        assert merger.report.n_expanded == 1
-        assert merged

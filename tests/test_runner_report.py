@@ -5,9 +5,7 @@ import pytest
 
 from repro.errors import PartitionerError
 from repro.eval.report import format_series, format_table
-from repro.eval.runner import best_f_by_c, make_partitioner, run_algorithm, sweep_c
-
-from tests.conftest import planted_sum_table
+from repro.eval.runner import make_partitioner, run_algorithm
 
 
 class TestMakePartitioner:
@@ -57,30 +55,6 @@ class TestRunAlgorithm:
         unrestricted = run_algorithm("mc", sum_problem, table=table,
                                      truth_mask=truth)
         assert restricted.precision >= unrestricted.precision - 1e-9
-
-
-class TestSweep:
-    def test_sweep_c_runs_each_value(self, sum_problem):
-        records = sweep_c("mc", sum_problem, [1.0, 0.5])
-        assert [r.c for r in records] == [1.0, 0.5]
-
-    def test_best_f_by_c(self, sum_problem):
-        table = sum_problem.table
-        truth = table.values("value") > 10.0
-        records = sweep_c("mc", sum_problem, [1.0, 0.0], table=table,
-                          truth_mask=truth)
-        mapping = best_f_by_c(records)
-        assert set(mapping) == {1.0, 0.0}
-
-    def test_shared_cache_sweep(self):
-        table, outliers, holdouts = planted_sum_table(n_per_group=80)
-        from repro.aggregates import Avg
-        from repro.core.problem import ScorpionQuery
-        from repro.query.groupby import GroupByQuery
-        problem = ScorpionQuery(table, GroupByQuery("g", Avg(), "value"),
-                                outliers=outliers, holdouts=holdouts, c=0.5)
-        records = sweep_c("dt", problem, [0.5, 0.1], share_cache=True)
-        assert all(r.predicate is not None for r in records)
 
 
 class TestReport:

@@ -4,24 +4,25 @@ The load-bearing contract: a warm (cache-hit) ``ExplainService.explain``
 returns a result bit-for-bit equal to a cold one-shot
 ``Scorpion.explain`` of the same problem — explanations, influences,
 matched rows, updated outputs, and every scorer counter outside
-:data:`repro.service.CACHE_STAT_KEYS`.  The oracle legs run MC and
-DT-without-cache (deterministic replay); DT *with* its cross-``c``
-cache is exercised separately because warm-started merges are "at
-least as good", not bit-identical (see ``tests/test_cache.py``).
+:data:`repro.service.CACHE_STAT_KEYS`.  The oracle legs run MC, NAIVE
+and DT without its partition cache.  DT *with* the cache returns the
+same explanations, in any request order, but a partition hit skips
+DT's scoring, so its scorer counters are checked separately.
 """
 
 import asyncio
+import random
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.errors import ScorpionError
-from repro.eval.runner import sweep_c
 from repro.query.groupby import GroupByQuery
-from repro.aggregates import Sum
+from repro.aggregates import Avg, Sum
 from repro.service import (
     CACHE_STAT_KEYS,
     ExplainService,
@@ -31,6 +32,7 @@ from repro.service import (
     table_fingerprint,
 )
 from repro.service.service import _resolve_timeout
+from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
 from tests.conftest import planted_sum_table
 
@@ -107,7 +109,7 @@ class TestDifferentialOracle:
         cold = Scorpion(algorithm="mc").explain(rebound)
         assert_warm_equals_cold(warm, cold)
 
-    def test_dt_with_cache_warm_start_at_least_as_good(self):
+    def test_dt_with_cache_returns_the_cold_answer(self):
         problem = make_sum_problem(c=0.5)
         with ExplainService(algorithm="dt") as service:
             service.explain(problem)
@@ -116,7 +118,7 @@ class TestDifferentialOracle:
                 cold = Scorpion(algorithm="dt",
                                 use_cache=False).explain(problem.with_c(c))
                 assert warm.best is not None
-                assert warm.best.influence >= cold.best.influence - 1e-9
+                assert explanation_image(warm) == explanation_image(cold)
             # Warm DT runs reuse the entry's partition cache.
             assert warm.scorer_stats["dtcache_partition_hits"] == 1
             assert warm.scorer_stats["dtcache_partition_misses"] == 0
@@ -132,6 +134,58 @@ class TestDifferentialOracle:
                 table, query, outliers, holdouts, +1.0, c=0.5)
         assert via_request.scorer_stats["service_cache_hit"]
         assert_warm_equals_cold(via_request, cold)
+
+
+def planted_avg_problem() -> ScorpionQuery:
+    """AVG over 12 groups of 400 rows whose outlier groups g0/g1 carry
+    hot values on rows with ``x`` in [40, 60]; hold-outs g2/g3."""
+    rng = np.random.default_rng(0)
+    n = 12 * 400
+    groups = np.repeat([f"g{i}" for i in range(12)], 400)
+    x = rng.uniform(0, 100, n)
+    y = rng.uniform(0, 100, n)
+    value = rng.normal(10, 1, n)
+    value[np.isin(groups, ["g0", "g1"]) & (x >= 40) & (x <= 60)] += 80.0
+    table = Table.from_columns(
+        Schema([ColumnSpec("g", ColumnKind.DISCRETE),
+                ColumnSpec("x", ColumnKind.CONTINUOUS),
+                ColumnSpec("y", ColumnKind.CONTINUOUS),
+                ColumnSpec("v", ColumnKind.CONTINUOUS)]),
+        {"g": groups, "x": x, "y": y, "v": value})
+    return ScorpionQuery(table, GroupByQuery("g", Avg(), "v"),
+                         outliers=["g0", "g1"], holdouts=["g2", "g3"],
+                         error_vectors=+1.0, c=1.0)
+
+
+SWEEP = (1.0, 0.5, 0.3, 0.1, 0.0)
+
+
+class TestRequestOrder:
+    """One request, one answer: a cached DT sweep answers every ``c`` as
+    a cold uncached run does, in any request order."""
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        problem = planted_avg_problem()
+        return problem, {
+            c: explanation_image(Scorpion(algorithm="dt", use_cache=False)
+                                 .explain(problem.with_c(c)))
+            for c in SWEEP}
+
+    @pytest.mark.parametrize("order", [
+        SWEEP, SWEEP[::-1], tuple(random.Random(0).sample(SWEEP, len(SWEEP))),
+    ], ids=["descending", "ascending", "shuffled"])
+    def test_c_sweep_answers_equal_cold_runs(self, cold, order):
+        problem, expected = cold
+        with ExplainService(algorithm="dt") as service:
+            results = [service.explain(problem, c=c) for c in order]
+        scorpion = Scorpion(algorithm="dt")
+        results += [scorpion.explain(problem.with_c(c)) for c in order]
+        for c, result in zip(order * 2, results):
+            assert explanation_image(result) == expected[c], c
+        # Every request after each leg's first reused its partitions.
+        assert sum(r.scorer_stats["dtcache_partition_hits"]
+                   for r in results) == 2 * (len(order) - 1)
 
 
 class TestContentKey:
@@ -472,21 +526,6 @@ class TestLifecycle:
         with pytest.raises(ScorpionError, match="closed"):
             service.explain(problem)
         assert len(service) == 0
-
-    def test_sweep_c_use_service_matches_plain_sweep(self):
-        table, outliers, holdouts = planted_sum_table()
-        problem = ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
-                                outliers, holdouts, +1.0, c=0.5)
-        c_values = (0.5, 0.2, 0.0)
-        plain = sweep_c("mc", problem, c_values)
-        resident = sweep_c("mc", problem, c_values, use_service=True)
-        for a, b in zip(plain, resident):
-            assert a.c == b.c
-            assert a.predicate == b.predicate
-            assert a.influence == b.influence
-        # Every run after the first hit the resident cache.
-        assert [r.scorer_stats["service_cache_hit"] for r in resident] == \
-            [False, True, True]
 
 
 class TestFingerprintInvalidation:
