@@ -3,9 +3,8 @@ rebuild-per-call (the PR 7 acceptance experiment).
 
 A rebuild-per-call client pays the full problem build on every request:
 group-by execution and provenance over the whole table, context and
-evaluator construction, and (with workers) pool startup —
-all pure function of the problem, not of the ``c`` knob the requests
-vary.  A resident :class:`~repro.service.ExplainService` pays them once.
+evaluator construction — all pure function of the problem, not of the
+``c`` knob the requests vary.  A resident :class:`~repro.service.ExplainService` pays them once.
 
 Legs:
 
@@ -13,8 +12,8 @@ Legs:
   ``use_cache=False`` so every request repartitions and remerges
   deterministically; each warm result is then asserted bit-for-bit
   equal to its rebuild-per-call twin (explanations, influences, matched
-  rows, updated outputs), and warm explains/sec must be ≥ 3× cold at
-  ``workers=1``.  The speedup is *pure* artifact reuse — no DT-cache
+  rows, updated outputs), and warm explains/sec must be ≥ 3× cold.
+  The speedup is *pure* artifact reuse — no DT-cache
   shortcuts are allowed to blur the equality contract.
 * **full resident** — the realistic configuration (DT cache on), where
   warm requests additionally reuse DT's partitions; each warm result is
@@ -97,8 +96,8 @@ def _cold_sweep(table, query, use_cache: bool):
     results, started = [], time.perf_counter()
     for c in C_REQUESTS:
         problem = ScorpionQuery(table, query, OUTLIERS, HOLDOUTS, +1.0, c=c)
-        results.append(Scorpion(algorithm="dt", use_cache=use_cache,
-                                workers=1).explain(problem))
+        results.append(Scorpion(algorithm="dt",
+                                use_cache=use_cache).explain(problem))
     return results, time.perf_counter() - started
 
 
@@ -117,8 +116,7 @@ def _experiment():
 
     # Leg 1: equality-grade (no DT cache anywhere).
     cold_results, cold_s = _cold_sweep(table, query, use_cache=False)
-    with ExplainService(algorithm="dt", use_cache=False,
-                        workers=1) as service:
+    with ExplainService(algorithm="dt", use_cache=False) as service:
         service.explain_request(table, query, OUTLIERS, HOLDOUTS, +1.0,
                                 c=C_REQUESTS[0])  # prime: the one miss
         warm_results, warm_s = _warm_sweep(service, table, query)
@@ -130,7 +128,7 @@ def _experiment():
 
     # Leg 2: full resident configuration (DT cache on in both roles).
     cold_results, cold_full_s = _cold_sweep(table, query, use_cache=True)
-    with ExplainService(algorithm="dt", workers=1) as service:
+    with ExplainService(algorithm="dt") as service:
         service.explain_request(table, query, OUTLIERS, HOLDOUTS, +1.0,
                                 c=C_REQUESTS[0])
         warm_results, warm_full_s = _warm_sweep(service, table, query)
@@ -139,8 +137,7 @@ def _experiment():
     rows["resident"] = (cold_full_s, warm_full_s)
 
     # Leg 3: concurrent requests through the asyncio front end.
-    with ExplainService(algorithm="dt", use_cache=False,
-                        workers=1) as service:
+    with ExplainService(algorithm="dt", use_cache=False) as service:
         async def fanout():
             return await asyncio.gather(*[
                 service.explain_async(
@@ -153,7 +150,7 @@ def _experiment():
         stats = service.stats()
     assert stats["service_misses"] == 1
     assert stats["service_hits"] == 3
-    reference = Scorpion(algorithm="dt", use_cache=False, workers=1).explain(
+    reference = Scorpion(algorithm="dt", use_cache=False).explain(
         ScorpionQuery(table, query, OUTLIERS, HOLDOUTS, +1.0, c=0.3))
     for result in concurrent:
         assert _explanation_image(result) == _explanation_image(reference)
@@ -179,7 +176,7 @@ def test_service_throughput(benchmark):
         }
     emit_report("service_throughput", format_table(
         "Resident service — explains/sec, rebuild-per-call vs warm cache "
-        "(workers=1; both legs asserted bit-for-bit)",
+        "(both legs asserted bit-for-bit)",
         ["leg", "cold rps", "warm rps", "speedup"], table_rows))
     emit_bench_json("service_throughput", {
         "description": "ExplainService warm vs rebuild-per-call explain "

@@ -77,17 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explore-c", action="store_true",
                         help="sweep c and print the predicate ladder "
                              "instead of solving one instance")
-    parser.add_argument("--batch-chunk", type=int, default=None,
-                        help="most predicates per vectorized scoring pass "
-                             "(default: SCORPION_BATCH_CHUNK env var or "
-                             "the built-in 1024; with --workers > 1 a "
-                             "smaller batch is cut so every thread gets a "
-                             "shard; results are unaffected)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="threads for sharded batch scoring "
-                             "(default: SCORPION_WORKERS env var or 1 = "
-                             "serial; 0 = one per CPU; results are "
-                             "bit-for-bit identical at any setting)")
     parser.add_argument("--serve", action="store_true",
                         help="resident service mode: read one JSON request "
                              "per stdin line, write one JSON response per "
@@ -256,14 +245,13 @@ def _serve(args, table: Table, query, out, stdin, log=None) -> int:
     loop.  A signal breaks a blocked read at once; one arriving
     mid-request lets that request finish and write its response first.
     The loop then logs one ``serve_shutdown`` event with the reason,
-    releases the service (its scorers' threads), and exits 0 — a
+    releases the service, and exits 0 — a
     deployed explainer is restartable without losing accepted work.
     """
     logger = JsonLogger(stream=log)
     service = ExplainService(
         cache_bytes=args.cache_bytes, algorithm=args.algorithm,
-        top_k=args.top_k,
-        batch_chunk=args.batch_chunk, workers=args.workers, logger=logger,
+        top_k=args.top_k, logger=logger,
         trace=True if args.trace else None)
     shutdown_reason: str | None = None
     in_read = False
@@ -376,8 +364,6 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout,
             ignore=_split_keys(args.ignore),
         )
         scorpion = Scorpion(algorithm=args.algorithm, top_k=args.top_k,
-                            batch_chunk=args.batch_chunk,
-                            workers=args.workers,
                             trace=(True if args.trace or args.profile
                                    else None))
         if args.explore_c:

@@ -55,10 +55,7 @@ and their removal statistics and sampled-influence scores come from two
 ``einsum`` contractions per chunk.  Exact influence scoring of the
 candidates happens downstream — the Merger batch-scores its expansion
 starts through :meth:`InfluenceScorer.score_batch`, whose mask kernel
-scores every predicate shape.  Those batches (and the Merger's
-per-round adoption verifications) shard across the scorer's threads
-when its ``workers`` knob is set, with no changes here (see
-:mod:`repro.parallel`).
+scores every predicate shape.
 """
 
 from __future__ import annotations

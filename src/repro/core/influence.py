@@ -60,38 +60,17 @@ scalar path's contiguous sum; of the built-ins only COUNT has
 exact.)  The memo cache is shared, so mixing ``score`` and
 ``score_batch`` calls never recomputes and never disagrees.
 
-Parallel sharded execution
---------------------------
-
-With ``workers > 1`` (constructor / ``SCORPION_WORKERS`` /
-``Scorpion(workers=...)`` / CLI ``--workers``; ``0`` = one thread per
-CPU), ``score_batch`` maps its predicate shards over a thread pool the
-scorer owns instead of looping them in turn (see :mod:`repro.parallel`).
-Shards are ``batch_chunk``-sized, except that a batch too small to fill
-``2 × workers`` of them is cut finer so every thread gets a share, when
-the per-shard work clears the dispatch cost
-(:func:`~repro.parallel.choose_shard_size`).  Every thread runs *the
-same kernel method on the same arrays* as the serial loop — the
-threads overlap where its NumPy calls release the GIL — and shards are
-reassembled in submission order, so influences are bit-for-bit
-identical to serial execution at any worker count.  Each shard counts
-into its own :class:`ScorerStats` window, merged back in submission
-order (:meth:`ScorerStats.merge_worker_counters`), keeping aggregate
-counters equal to a serial run's; the parallel-only
-``parallel_batches`` / ``parallel_shards`` counters record how much
-work the pool took.  An exception raised inside a shard propagates
-from ``score_batch`` as the serial loop would raise it, and nothing of
-that batch enters the memo cache.  Batches that fit in a single shard
-skip the pool entirely, and cache-hit / fallback predicates are always
-handled in the calling thread.
+Unique uncached predicates are scored ``batch_chunk`` at a time, which
+bounds the transient mask matrix; the kernel is row-deterministic, so
+the chunk size never changes a value.  Every chunk is scored before any
+result is memoized, so a batch that raises leaves nothing of itself in
+the memo cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -102,12 +81,8 @@ from repro.core.kernel import INVALID_INFLUENCE, BatchKernel, GroupContext
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError, PredicateError
 from repro.obs.trace import current_tracer
-from repro.parallel import choose_shard_size, resolve_workers
 from repro.predicates.evaluator import ArrayMaskEvaluator
 from repro.predicates.predicate import Predicate
-
-#: Name prefix of the scorer's shard threads.
-SHARD_THREAD_PREFIX = "scorpion-shard"
 
 
 @dataclass
@@ -131,18 +106,6 @@ class ScorerStats:
     #: Unique batch predicates scored by the mask-matrix kernel (cache
     #: hits and scalar fallbacks excluded).
     masked_predicates: int = 0
-    #: ``score_batch`` calls whose shards ran on the thread pool.
-    parallel_batches: int = 0
-    #: Predicate shards executed on the thread pool.
-    parallel_shards: int = 0
-
-    #: Counters incremented *inside* the batch kernel and therefore in a
-    #: shard's own stats window when scoring runs parallel;
-    #: :meth:`worker_counters` exports them from that window and
-    #: :meth:`merge_worker_counters` folds them back into the scorer's,
-    #: so aggregate totals equal a serial run's.  Everything else is
-    #: counted by the calling thread regardless of execution mode.
-    WORKER_MERGED = ("incremental_deltas", "full_recomputes")
 
     @property
     def batch_throughput(self) -> float:
@@ -156,15 +119,6 @@ class ScorerStats:
         data = vars(self).copy()
         data["batch_throughput"] = self.batch_throughput
         return data
-
-    def worker_counters(self) -> dict[str, float]:
-        """The kernel-internal counters of this (shard-side) window."""
-        return {name: getattr(self, name) for name in self.WORKER_MERGED}
-
-    def merge_worker_counters(self, counters: dict[str, float]) -> None:
-        """Fold one shard's kernel counters into this aggregate."""
-        for name in self.WORKER_MERGED:
-            setattr(self, name, getattr(self, name) + counters.get(name, 0))
 
     def reset(self) -> None:
         """Zero every counter (field defaults are the zeros): a fresh
@@ -188,28 +142,15 @@ class InfluenceScorer:
         Memoize predicate → influence (predicates are hashable and the
         Merger re-scores candidates freely).
     batch_chunk:
-        Predicate cap per vectorized ``score_batch`` pass.  Defaults to
-        the ``SCORPION_BATCH_CHUNK`` environment variable, else the
-        class default :attr:`BATCH_CHUNK`; chunking never affects
-        results (the kernel is row-deterministic), so benchmarks can
-        sweep it freely.  With ``workers > 1`` it is also the largest
-        shard the thread pool takes; a smaller batch is cut so every
-        thread gets a shard (see
-        :func:`~repro.parallel.choose_shard_size`).
-    workers:
-        Threads for sharded ``score_batch`` execution (see
-        :mod:`repro.parallel`).  Defaults to the ``SCORPION_WORKERS``
-        environment variable, else 1 (serial, no pool); ``0`` means one
-        thread per CPU.  Results are bit-for-bit identical at any
-        setting.  With ``workers > 1`` the aggregate's ``compute`` and
-        ``recover_batch`` run on several threads at once, so a
-        user-defined aggregate must not mutate shared state.
+        Predicate cap per vectorized ``score_batch`` pass (None = the
+        class default :attr:`BATCH_CHUNK`).  Chunking never affects
+        results (the kernel is row-deterministic), so tests pass small
+        values to drive batches across chunk boundaries.
     """
 
     def __init__(self, query: ScorpionQuery, use_incremental: bool = True,
                  cache_scores: bool = True,
-                 batch_chunk: int | None = None,
-                 workers: int | None = None):
+                 batch_chunk: int | None = None):
         self.query = query
         self.aggregate: AggregateFunction = query.aggregate
         self.lam = query.lam
@@ -221,17 +162,10 @@ class InfluenceScorer:
         self._incremental = bool(
             use_incremental and self.aggregate.is_incrementally_removable
         )
-        if batch_chunk is None:
-            env_chunk = os.environ.get("SCORPION_BATCH_CHUNK", "").strip()
-            if env_chunk:
-                batch_chunk = int(env_chunk)
         self.batch_chunk = int(batch_chunk) if batch_chunk is not None else self.BATCH_CHUNK
         if self.batch_chunk < 1:
             raise PredicateError(
                 f"batch_chunk must be >= 1, got {self.batch_chunk}")
-        self.workers = resolve_workers(workers)
-        #: The shard thread pool, started by the first parallel batch.
-        self._pool: ThreadPoolExecutor | None = None
         self._score_cache: dict[Predicate, float] | None = {} if cache_scores else None
         self._outlier_score_cache: dict[Predicate, float] | None = (
             {} if cache_scores else None
@@ -255,7 +189,7 @@ class InfluenceScorer:
             for attr in query.attributes
         })
         #: The batch kernel: the mask-matrix kernel plus every array it
-        #: reads, shared by the serial loop and the shard threads.
+        #: reads.
         self.kernel = BatchKernel(self.contexts, evaluator, self.aggregate,
                                   self.perturbation, self._incremental,
                                   self.stats)
@@ -370,11 +304,10 @@ class InfluenceScorer:
     # ------------------------------------------------------------------
     # Batched scoring (see module docstring for the equivalence contract)
     # ------------------------------------------------------------------
-    #: Default row cap per vectorized pass; bounds the transient mask
-    #: matrix and float temporaries without affecting results (the kernel
-    #: is row-deterministic, so chunking is invisible).  The effective
-    #: per-instance value is :attr:`batch_chunk` (constructor argument or
-    #: the ``SCORPION_BATCH_CHUNK`` environment variable).
+    #: Default predicate cap per vectorized pass; bounds the transient
+    #: mask matrix and float temporaries without affecting results (the
+    #: kernel is row-deterministic, so chunking is invisible).  The
+    #: per-instance value is :attr:`batch_chunk`.
     BATCH_CHUNK = 1024
 
     def clear_memo(self) -> None:
@@ -441,7 +374,7 @@ class InfluenceScorer:
         equal ``[self.score(p, ignore_holdouts) for p in predicates]``
         exactly; results populate the same memo cache ``score`` reads.
         Unique uncached predicates take the mask-matrix kernel in
-        ``batch_chunk``-sized shards; predicates over attributes outside
+        ``batch_chunk``-sized chunks; predicates over attributes outside
         the labeled evaluator are scored through the scalar machinery
         within the same call.
         """
@@ -453,8 +386,7 @@ class InfluenceScorer:
         # deltas so the scoring path itself is untouched (bit-for-bit
         # identical to the untraced run).
         stats = self.stats
-        base = (stats.cache_hits, stats.masked_predicates,
-                stats.parallel_shards, stats.parallel_batches)
+        base = (stats.cache_hits, stats.masked_predicates)
         with tracer.begin("score_batch") as sp:
             out = self._score_batch_impl(predicates, ignore_holdouts)
             sp.annotate(
@@ -462,8 +394,6 @@ class InfluenceScorer:
                 groups=self.kernel.active_contexts(ignore_holdouts),
                 cache_hits=stats.cache_hits - base[0],
                 masked=stats.masked_predicates - base[1],
-                shards=stats.parallel_shards - base[2],
-                parallel=stats.parallel_batches > base[3],
             )
         return out
 
@@ -492,25 +422,17 @@ class InfluenceScorer:
             else:
                 pending[predicate] = [i]
 
-        size = self.batch_chunk
-        if self.workers > 1:
-            # Cut a batch too small to feed every thread into finer
-            # shards (chunking never changes a result).
-            size = choose_shard_size(len(pending), self.kernel.n_labeled,
-                                     self.workers, size)
         unique = list(pending)
-        shards = [unique[lo:lo + size] for lo in range(0, len(unique), size)]
+        size = self.batch_chunk
+        chunks = [unique[lo:lo + size] for lo in range(0, len(unique), size)]
+        # Score every chunk before memoizing any: a chunk that raises
+        # leaves nothing of this batch in the memo cache.
+        chunk_values = [
+            self.kernel.score_masked_chunk(chunk, ignore_holdouts, self.c,
+                                           self.c_holdout, self.lam)
+            for chunk in chunks]
 
-        if self.workers > 1 and len(shards) >= 2:
-            shard_values = self._score_shards_parallel(shards, ignore_holdouts)
-        else:
-            shard_values = [
-                self.kernel.score_masked_chunk(shard, ignore_holdouts,
-                                               self.c, self.c_holdout,
-                                               self.lam)
-                for shard in shards]
-
-        for chunk, values in zip(shards, shard_values):
+        for chunk, values in zip(chunks, chunk_values):
             self.stats.mask_scores += len(chunk)
             self.stats.masked_predicates += len(chunk)
             for predicate, value in zip(chunk, values):
@@ -534,69 +456,6 @@ class InfluenceScorer:
 
         self.stats.batch_seconds += time.perf_counter() - started
         return out
-
-    # ------------------------------------------------------------------
-    # Sharded parallel execution (see repro.parallel)
-    # ------------------------------------------------------------------
-    def _score_shards_parallel(self, shards: list[list[Predicate]],
-                               ignore_holdouts: bool) -> list[np.ndarray]:
-        """Score predicate shards on the thread pool (started on first
-        use), one influence array per shard aligned with ``shards`` —
-        bit-for-bit what the serial loop computes.
-
-        Results are collected in submission order, so the first failing
-        shard's exception propagates, as in the serial loop; shards not
-        yet started are cancelled.  Each shard counts into its own
-        :class:`ScorerStats` window, merged here in submission order.
-        """
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                self.workers, thread_name_prefix=SHARD_THREAD_PREFIX)
-        # The kernel takes the live (c, c_holdout, λ) as arguments, so a
-        # rebound scorer scores at the current values.
-        scalars = (self.c, self.c_holdout, self.lam)
-        submit_s = time.perf_counter()
-        futures = [self._pool.submit(self._score_shard, shard,
-                                     ignore_holdouts, scalars)
-                   for shard in shards]
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
-        tracer = current_tracer()
-        values = []
-        for shard, (shard_values, window, t0, t1) in zip(shards, results):
-            self.stats.merge_worker_counters(window.worker_counters())
-            values.append(shard_values)
-            if tracer is not None:
-                tracer.add_span("shard", t0, t1, {
-                    "items": len(shard),
-                    "queue_wait_ms": round(max(0.0, t0 - submit_s) * 1e3, 3)})
-        self.stats.parallel_batches += 1
-        self.stats.parallel_shards += len(shards)
-        return values
-
-    def _score_shard(self, shard: list[Predicate], ignore_holdouts: bool,
-                     scalars: tuple[float, float, float]) -> tuple:
-        """One shard on a pool thread: ``(influences, stats window,
-        start, end)``, the stamps from ``perf_counter`` for the shard's
-        trace span."""
-        t0 = time.perf_counter()
-        window = ScorerStats()
-        values = self.kernel.with_stats(window).score_masked_chunk(
-            shard, ignore_holdouts, *scalars)
-        return values, window, t0, time.perf_counter()
-
-    def close(self) -> None:
-        """Shut the shard thread pool down, waiting for its threads.
-
-        No-op for serial scorers; idempotent.  The scorer stays fully
-        usable afterwards — a later parallel batch starts a new pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Per-tuple influence (DT's split metric, MC's pruning bound)

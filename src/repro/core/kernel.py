@@ -21,15 +21,11 @@ by group.
 The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
 not kernel state, so a kernel depends only on the table, the query,
 the annotations and the perturbation mode, and its arrays are never
-written after construction.  The scorer's shard threads therefore run
-the method the serial loop runs on the same arrays, each through a
-:meth:`~BatchKernel.with_stats` view that counts into its own stats
-window (see :mod:`repro.parallel`).
+written after construction.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -143,7 +139,6 @@ class BatchKernel:
         for context in self.contexts:
             self.slices.append((context, offset, offset + context.size))
             offset += context.size
-        self.n_labeled = offset
         self.n_outliers = sum(ctx.is_outlier for ctx in self.contexts)
         # ``np.add.reduceat`` returns the next column's value, not 0, for
         # an empty segment; group-by groups always hold a row.
@@ -178,14 +173,6 @@ class BatchKernel:
             np.stack([ctx.mean_state for ctx in self.contexts])
             if self._total_states is not None and perturbation == "mean"
             else None)
-
-    def with_stats(self, stats: "ScorerStats") -> "BatchKernel":
-        """A shallow copy sharing every array but counting into
-        ``stats``: one per parallel shard, so no two threads write the
-        same counters."""
-        view = copy.copy(self)
-        view.stats = stats
-        return view
 
     @property
     def has_holdouts(self) -> bool:
@@ -282,7 +269,7 @@ class BatchKernel:
                            ignore_holdouts: bool, c: float,
                            c_holdout: float, lam: float) -> np.ndarray:
         """Score one chunk of predicates through its mask matrix — the
-        single entry of the serial loop and the shard threads."""
+        entry point of ``score_batch``'s chunk loop."""
         matrix = self.evaluator.evaluate_batch(predicates)
         if ignore_holdouts and self.has_holdouts:
             # Hold-out contexts are skipped entirely downstream; dropping

@@ -32,9 +32,7 @@ each distinct clause of the promising predicates.  Predicates are built
 only for the cells that survive pruning.  Their ranking —
 ``inf(O, ∅, p, V)`` for every surviving cell — goes through one
 :meth:`InfluenceScorer.score_batch` call per round rather than a Scorer
-round-trip per cell.  Those rounds shard across the scorer's threads
-when its ``workers`` knob is set — MC inherits the parallelism with no
-changes here (see :mod:`repro.parallel`).
+round-trip per cell.
 """
 
 from __future__ import annotations

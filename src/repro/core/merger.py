@@ -61,8 +61,7 @@ Expansions run in *lockstep*.  Each round first scans every active
 start for its neighbours, then estimates.  When the approximation is
 *off* (the MC partitioner's default merger configuration), every active
 start's merges go through one :meth:`InfluenceScorer.score_batch` call
-per round, which chunks, dedupes repeated merges and shards across
-the scorer's shard threads when its ``workers`` knob is above 1.  With
+per round, which chunks and dedupes repeated merges.  With
 the approximation on, each start keeps its own estimate pass of at most
 ``max_neighbors`` rows: one pass for a whole round would hold every
 start's (merges × candidates × groups) share and state arrays at once,
@@ -501,7 +500,7 @@ class Merger:
         still-active start — are then verified with one exact
         :meth:`InfluenceScorer.score_batch` call, so approximation drift
         cannot walk an expansion past its best point and the per-round
-        verification cost batches (and parallelizes) across starts.
+        verification cost batches across starts.
 
         Per start, the scan/accept/reject sequence is exactly the scalar
         greedy loop's: at most ``max_rounds`` scans, stop when no

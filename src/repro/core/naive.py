@@ -17,12 +17,6 @@ Enumerated predicates are collected into fixed-size chunks and scored
 through :meth:`InfluenceScorer.score_batch` — one vectorized pass per
 chunk instead of a Scorer round-trip per predicate — while the budget
 checks still run per predicate, so truncation points are unchanged.
-
-Because all scoring funnels through ``score_batch``, NAIVE inherits
-sharded multi-threaded execution from the scorer's ``workers`` knob
-with no changes here: each chunk splits into shards scored on the
-scorer's thread pool, bit-for-bit identical to serial (see
-:mod:`repro.parallel`).
 """
 
 from __future__ import annotations

@@ -165,21 +165,29 @@ class ScorpionQuery:
     def holdout_keys(self) -> list[tuple]:
         return [r.key for r in self.holdout_results]
 
-    def with_c(self, c: float, c_holdout: float | None = None) -> "ScorpionQuery":
-        """A copy of this problem with a different ``c`` (the Section 8.3.3
-        caching experiments sweep ``c`` over an otherwise fixed query)."""
-        return ScorpionQuery(
+    def replace(self, **changes) -> "ScorpionQuery":
+        """A new problem built from this one's constructor arguments, with
+        ``changes`` overriding some of them (the group-by, provenance and
+        domain are rebuilt)."""
+        arguments = dict(
             table=self.raw_table,
             query=self.query,
             outliers=self.outlier_keys,
             holdouts=self.holdout_keys,
             error_vectors=self.error_vectors,
             lam=self.lam,
-            c=c,
-            c_holdout=c_holdout,
+            c=self.c,
+            c_holdout=self.c_holdout,
             attributes=self.attributes,
             perturbation=self.perturbation,
         )
+        arguments.update(changes)
+        return ScorpionQuery(**arguments)
+
+    def with_c(self, c: float, c_holdout: float | None = None) -> "ScorpionQuery":
+        """A copy of this problem with a different ``c`` (the Section 8.3.3
+        caching experiments sweep ``c`` over an otherwise fixed query)."""
+        return self.replace(c=c, c_holdout=c_holdout)
 
     def with_params(self, c: float | None = None,
                     c_holdout: float | None = None,

@@ -67,10 +67,7 @@ class ScorpionResult:
     #: Scorer operation counters (:meth:`ScorerStats.as_dict`), including
     #: the batch-scoring counters ``batch_calls`` / ``batch_predicates``
     #: / ``largest_batch`` / ``batch_seconds`` / ``batch_throughput`` /
-    #: ``masked_predicates``, and the parallel-execution counters
-    #: ``parallel_batches`` / ``parallel_shards`` (worker-side kernel
-    #: counters are merged back in, so totals match a serial run).
-    #: ``Scorpion.explain`` merges in this call's
+    #: ``masked_predicates``.  ``Scorpion.explain`` merges in this call's
     #: :class:`~repro.core.cache.DTCache` window (``dtcache_*`` deltas +
     #: entry gauge); the resident service adds its own ``service_*``
     #: counters on top.
@@ -113,19 +110,6 @@ class Scorpion:
         extension and is off by default.
     relevance_threshold:
         Minimum relevance an attribute must reach to be kept.
-    batch_chunk:
-        Override for the Scorer's per-pass predicate cap (None = the
-        ``SCORPION_BATCH_CHUNK`` environment variable, else the
-        built-in default); benchmarks sweep it.  With ``workers > 1``
-        it is also the largest shard handed to a scoring thread; a
-        smaller batch is cut so every thread gets a shard.
-    workers:
-        Threads for sharded batch scoring (None = the
-        ``SCORPION_WORKERS`` environment variable, else 1 = serial;
-        ``0`` = one thread per CPU).  Every search algorithm funnels
-        through ``InfluenceScorer.score_batch``, so NAIVE, MC, DT, and
-        the Merger all inherit the parallelism; results are bit-for-bit
-        identical at any setting (see :mod:`repro.parallel`).
     trace:
         Record a per-call span tree on :attr:`ScorpionResult.trace`
         (None = the ``SCORPION_TRACE`` environment variable, default
@@ -139,8 +123,6 @@ class Scorpion:
                  use_cache: bool = True, top_k: int = 5,
                  auto_select_attributes: bool = False,
                  relevance_threshold: float = 0.05,
-                 batch_chunk: int | None = None,
-                 workers: int | None = None,
                  trace: bool | None = None):
         if algorithm not in ("auto", "dt", "mc", "naive"):
             raise PartitionerError(f"unknown algorithm {algorithm!r}")
@@ -153,8 +135,6 @@ class Scorpion:
         self.top_k = top_k
         self.auto_select_attributes = auto_select_attributes
         self.relevance_threshold = relevance_threshold
-        self.batch_chunk = batch_chunk
-        self.workers = workers
         self.trace = tracing_enabled() if trace is None else bool(trace)
         self.cache = DTCache()
 
@@ -167,14 +147,12 @@ class Scorpion:
 
         Returns the (possibly narrowed) query alongside its scorer so a
         resident caller can cache both and replay :meth:`explain` against
-        them without rebuilding.  The caller owns the scorer's lifetime
-        (``scorer.close()``).
+        them without rebuilding.
         """
         with span("build") as sp:
             if self.auto_select_attributes:
                 query = self._narrow_attributes(query)
-            scorer = InfluenceScorer(query, batch_chunk=self.batch_chunk,
-                                     workers=self.workers)
+            scorer = InfluenceScorer(query)
             if sp:
                 sp.annotate(groups=len(scorer.contexts),
                             attributes=len(query.attributes))
@@ -184,16 +162,15 @@ class Scorpion:
                 scorer: InfluenceScorer | None = None) -> ScorpionResult:
         """Find the predicates that most influence the flagged outliers.
 
-        With no ``scorer``, builds one via :meth:`build_scorer` and
-        closes it before returning (the one-shot path).  With an
-        injected ``scorer`` — a cached :meth:`build_scorer` product, as
-        the resident :class:`~repro.service.ExplainService` holds — the
-        build is skipped entirely: ``query`` must be the narrowed query
-        the scorer was built from (modulo ``c``/``c_holdout``/``lam``
-        rebinds) and the scorer stays open for the caller to reuse.
+        With no ``scorer``, builds one via :meth:`build_scorer` (the
+        one-shot path).  With an injected ``scorer`` — a cached
+        :meth:`build_scorer` product, as the resident
+        :class:`~repro.service.ExplainService` holds — the build is
+        skipped entirely: ``query`` must be the narrowed query the
+        scorer was built from (modulo ``c``/``c_holdout``/``lam``
+        rebinds).
         """
         start = time.perf_counter()
-        owned = scorer is None
         # Tracer ownership: when a caller (the resident service) already
         # activated one, spans land there and the caller exports; a
         # standalone traced Scorpion owns the whole lifecycle itself.
@@ -201,54 +178,47 @@ class Scorpion:
         tracer = Tracer().activate() if own_tracer else None
         try:
             with span("explain") as root:
-                if owned:
+                if scorer is None:
                     query, scorer = self.build_scorer(query)
                 cache_window = self.cache.counter_snapshot()
-                try:
-                    partitioner = (self.partitioner
-                                   or self._pick_partitioner(query, scorer))
+                partitioner = (self.partitioner
+                               or self._pick_partitioner(query, scorer))
 
-                    merge_elapsed = 0.0
-                    if isinstance(partitioner, DTPartitioner):
-                        ranked, partition_elapsed, merge_elapsed, n_candidates = (
-                            self._run_dt(query, partitioner, scorer))
-                        algorithm = "dt"
-                    else:
-                        with span("partition") as psp:
-                            result = partitioner.run(query, scorer)
-                            if psp:
-                                psp.annotate(algorithm=partitioner.name,
-                                             candidates=result.n_evaluated)
-                        ranked = result.ranked
-                        partition_elapsed = result.elapsed
-                        n_candidates = result.n_evaluated
-                        algorithm = partitioner.name
+                merge_elapsed = 0.0
+                if isinstance(partitioner, DTPartitioner):
+                    ranked, partition_elapsed, merge_elapsed, n_candidates = (
+                        self._run_dt(query, partitioner, scorer))
+                    algorithm = "dt"
+                else:
+                    with span("partition") as psp:
+                        result = partitioner.run(query, scorer)
+                        if psp:
+                            psp.annotate(algorithm=partitioner.name,
+                                         candidates=result.n_evaluated)
+                    ranked = result.ranked
+                    partition_elapsed = result.elapsed
+                    n_candidates = result.n_evaluated
+                    algorithm = partitioner.name
 
-                    with span("finalize") as fsp:
-                        explanations = [self._to_explanation(sp, scorer, query)
-                                        for sp in ranked[: self.top_k]]
-                        if fsp:
-                            fsp.annotate(explanations=len(explanations))
-                    scorer_stats = scorer.stats.as_dict()
-                    scorer_stats.update(self.cache.window_stats(cache_window))
-                    if root:
-                        root.annotate(algorithm=algorithm,
-                                      candidates=n_candidates)
-                    explained = ScorpionResult(
-                        explanations=explanations,
-                        algorithm=algorithm,
-                        elapsed=time.perf_counter() - start,
-                        partition_elapsed=partition_elapsed,
-                        merge_elapsed=merge_elapsed,
-                        n_candidates=n_candidates,
-                        scorer_stats=scorer_stats,
-                    )
-                finally:
-                    # Release the scorer's shard threads promptly (no-op
-                    # for serial scorers).  Injected scorers outlive the
-                    # call — their owner closes them.
-                    if owned:
-                        scorer.close()
+                with span("finalize") as fsp:
+                    explanations = [self._to_explanation(sp, scorer, query)
+                                    for sp in ranked[: self.top_k]]
+                    if fsp:
+                        fsp.annotate(explanations=len(explanations))
+                scorer_stats = scorer.stats.as_dict()
+                scorer_stats.update(self.cache.window_stats(cache_window))
+                if root:
+                    root.annotate(algorithm=algorithm,
+                                  candidates=n_candidates)
+                explained = ScorpionResult(
+                    explanations=explanations,
+                    algorithm=algorithm,
+                    elapsed=time.perf_counter() - start,
+                    partition_elapsed=partition_elapsed,
+                    merge_elapsed=merge_elapsed,
+                    n_candidates=n_candidates,
+                    scorer_stats=scorer_stats,
+                )
             if own_tracer:
                 explained.trace = tracer.export()
             return explained
@@ -266,17 +236,7 @@ class Scorpion:
         selected = select_attributes(query, threshold=self.relevance_threshold)
         if set(selected) == set(query.attributes):
             return query
-        return ScorpionQuery(
-            table=query.raw_table,
-            query=query.query,
-            outliers=query.outlier_keys,
-            holdouts=query.holdout_keys,
-            error_vectors=query.error_vectors,
-            lam=query.lam,
-            c=query.c,
-            c_holdout=query.c_holdout,
-            attributes=tuple(selected),
-        )
+        return query.replace(attributes=tuple(selected))
 
     def _pick_partitioner(self, query: ScorpionQuery, scorer: InfluenceScorer):
         if self.algorithm == "dt":

@@ -51,15 +51,6 @@ class DatasetError(ScorpionError):
     """A synthetic dataset generator received inconsistent parameters."""
 
 
-class ParallelError(ScorpionError):
-    """The ``workers`` knob was set to a negative thread count.
-
-    Shard failures are not wrapped: an exception raised while scoring
-    a shard propagates from ``score_batch`` with its own type, as the
-    serial loop would raise it.
-    """
-
-
 class ResourceExhausted(ScorpionError):
     """The service ran out of a bounded resource and shedding did not
     help.

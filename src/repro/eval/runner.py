@@ -39,15 +39,13 @@ class RunRecord:
     n_candidates: int = 0
     #: Scorer operation counters for the run (see
     #: :meth:`repro.core.influence.ScorerStats.as_dict`), including the
-    #: batch-scoring size/throughput counters, ``masked_predicates`` and
-    #: the parallel-execution counters (``parallel_batches`` /
-    #: ``parallel_shards``) with worker-side kernel counters merged in.
+    #: batch-scoring size/throughput counters and ``masked_predicates``.
     scorer_stats: dict = field(default_factory=dict)
     #: Per-phase wall-clock breakdown in seconds.  Always carries the
     #: result's ``partition`` / ``merge`` timings; with tracing enabled
     #: (``SCORPION_TRACE=1`` or a traced Scorpion/service) every span
-    #: name is a key — ``score_batch``, ``merge_round``, ``build``,
-    #: ``shard``, ... — each summed across the run
+    #: name is a key — ``score_batch``, ``merge_round``, ``build``, ...
+    #: — each summed across the run
     #: (see :func:`repro.obs.trace.phase_totals`).
     phase_seconds: dict = field(default_factory=dict)
     #: The run's exported span tree when tracing was enabled
@@ -69,12 +67,6 @@ class RunRecord:
         """Predicates scored through the mask-matrix kernel during the
         run's batched calls."""
         return int(self.scorer_stats.get("masked_predicates", 0))
-
-    @property
-    def parallel_shards(self) -> int:
-        """Predicate shards the run scored on the scorer's shard threads
-        (0 for serial runs)."""
-        return int(self.scorer_stats.get("parallel_shards", 0))
 
     @property
     def precision(self) -> float:
@@ -100,18 +92,15 @@ def make_partitioner(name: str, **kwargs):
 def run_algorithm(name: str, problem: ScorpionQuery, table: Table | None = None,
                   truth_mask: np.ndarray | None = None,
                   outlier_rows: np.ndarray | None = None,
-                  workers: int | None = None,
                   **partitioner_kwargs) -> RunRecord:
     """Run one algorithm on ``problem`` and score its best predicate.
 
     ``table``/``truth_mask``/``outlier_rows`` enable accuracy scoring;
-    omit them to record influence and runtime only.  ``workers`` selects
-    the scorer's shard threads — influences and counters are identical
-    at any setting, so benches can sweep it freely.
+    omit them to record influence and runtime only.
     """
     started = time.perf_counter()
     scorpion = Scorpion(partitioner=make_partitioner(name, **partitioner_kwargs),
-                        use_cache=False, workers=workers)
+                        use_cache=False)
     result = scorpion.explain(problem)
     runtime = time.perf_counter() - started
     best = result.best

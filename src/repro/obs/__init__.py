@@ -4,9 +4,7 @@ Zero-dependency instrumentation for the resident explain pipeline:
 
 * :mod:`repro.obs.trace` — a ``perf_counter_ns`` span tracer recording
   a per-explain span tree (build/checkout, partition phases, every
-  ``score_batch`` with its cache hits and shards, merger rounds,
-  parallel shard fan-out with each shard thread's wall time and queue
-  wait).
+  ``score_batch`` with its cache hits, merger rounds).
   Off by default; opt in with ``SCORPION_TRACE=1`` or ``--trace``.
   Tracing is bit-for-bit invisible to results — the differential
   oracle runs a traced leg, and ``bench_obs_overhead.py`` pins the

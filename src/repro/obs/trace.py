@@ -16,13 +16,6 @@ falsy — the ``if sp:`` guard means attribute dicts are never even built
 on the disabled path, keeping the off-by-default overhead to one
 ContextVar read per call site (``bench_obs_overhead.py`` pins it).
 
-Shard threads do not see the caller's context variable, so parallel
-shards are timed on their thread with plain ``time.perf_counter()``
-stamps that ride back with the shard's result and are re-attached by
-the calling thread with :meth:`Tracer.add_span`.  One process-wide
-clock means shard stamps and the caller's submit time are directly
-comparable and the difference is the shard's real queue wait.
-
 Spans export as a flat JSON-ready list (``id`` / ``parent`` / ``name``
 / ``start_ns`` relative to the trace origin / ``dur_ns`` / ``attrs``)
 on :attr:`ScorpionResult.trace <repro.core.scorpion.ScorpionResult>`;
@@ -116,11 +109,7 @@ class Tracer:
     """Records one explain's span tree; activate around the request."""
 
     def __init__(self):
-        # Two origin stamps taken back-to-back: ``ns`` anchors spans
-        # recorded here, ``s`` anchors shard-thread perf_counter() stamps
-        # (same clock, float seconds) for add_span().
         self._origin_ns = time.perf_counter_ns()
-        self._origin_s = self._origin_ns / 1e9
         self.spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 0
@@ -155,20 +144,6 @@ class Tracer:
         sp.dur_ns = self._now_ns() - sp.start_ns
         if self._stack and self._stack[-1] is sp:
             self._stack.pop()
-
-    def add_span(self, name: str, start_s: float, end_s: float,
-                 attrs: dict | None = None) -> Span:
-        """Attach an externally-timed span (shard-thread
-        ``perf_counter()`` stamps, seconds) under the current stack top."""
-        parent = self._stack[-1].id if self._stack else None
-        start_ns = max(0, int((start_s - self._origin_s) * 1e9))
-        sp = Span(self, self._next_id, parent, name, start_ns)
-        sp.dur_ns = max(0, int((end_s - start_s) * 1e9))
-        if attrs:
-            sp.attrs.update(attrs)
-        self._next_id += 1
-        self.spans.append(sp)
-        return sp
 
     # -- export ------------------------------------------------------
     def export(self) -> list[dict]:

@@ -1,6 +1,6 @@
-"""Resident explain service: content-keyed caching of problem images,
-batch kernels and shard thread pools across calls (see
-:mod:`repro.service.service` for the design notes)."""
+"""Resident explain service: content-keyed caching of problem images
+and batch kernels across calls (see :mod:`repro.service.service` for
+the design notes)."""
 
 from repro.service.keys import (
     invalidate_fingerprint,

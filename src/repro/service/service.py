@@ -4,11 +4,10 @@ expensive per-problem artifacts behind a content key.
 A one-shot ``Scorpion.explain`` pays, on every call, for work that is
 pure function of the *problem* rather than of the Section 7 knobs: the
 group-by execution and provenance (the problem image), the labeled
-evaluator's factorized comparison arrays, the DT partitions, and — with
-``workers > 1`` — starting the scorer's shard threads.  An interactive
-session (the paper's ``c``-slider UI, Section 8.3.3) or an eval sweep
-repeats the same problem dozens of times with only scalar-knob changes,
-so a resident process should pay once.
+evaluator's factorized comparison arrays and the DT partitions.  An
+interactive session (the paper's ``c``-slider UI, Section 8.3.3) or an
+eval sweep repeats the same problem dozens of times with only
+scalar-knob changes, so a resident process should pay once.
 
 :class:`ExplainService` holds an LRU of cache entries keyed by
 :func:`~repro.service.keys.problem_key` / ``request_key`` — dataset
@@ -17,7 +16,7 @@ set × perturbation, deliberately excluding ``c`` / ``c_holdout`` / ``λ``
 which rebind in O(1).  Each entry owns a narrowed problem, a dedicated
 :class:`~repro.core.scorpion.Scorpion` (its own bounded DT cache), and
 the live :class:`~repro.core.influence.InfluenceScorer` carrying the
-contexts, the batch kernel, and (lazily) its shard thread pool.
+contexts and the batch kernel.
 
 **Equivalence contract.**  A warm ``explain`` returns a result
 bit-for-bit equal to a cold ``Scorpion.explain`` of the same problem —
@@ -36,7 +35,7 @@ bytes when it is built — context index/state arrays, the stacked state
 matrix and evaluator comparison arrays.  Eviction walks LRU order while
 over ``cache_bytes``
 (constructor > ``SCORPION_CACHE_BYTES`` > 512 MiB), skipping pinned
-(in-flight) entries; a closed entry shuts its shard thread pool down.
+(in-flight) entries; a released entry frees its DT cache.
 
 Thread-safe: a service-level lock guards the LRU and counters, a
 per-entry lock serializes requests that share an entry (scorers are
@@ -102,8 +101,6 @@ _PUBLISHED_COUNTERS = (
      "DT-cache signature entries evicted"),
     ("masked_predicates", "scorpion_masked_predicates_total",
      "Predicates scored through the mask-matrix kernel"),
-    ("parallel_shards", "scorpion_parallel_shards_total",
-     "Shards scored on the scorer's thread pool"),
 )
 
 
@@ -157,10 +154,7 @@ class _CacheEntry:
         self.lock = threading.Lock()
 
     def release(self) -> None:
-        """Shut the scorer's shard threads down and free the entry's DT
-        cache.  Idempotent."""
-        if self.scorer is not None:
-            self.scorer.close()
+        """Free the entry's DT cache.  Idempotent."""
         if self.scorpion is not None:
             self.scorpion.cache.clear()
 
@@ -183,9 +177,10 @@ class ExplainService:
         deadline expiries are logged as ``deadline_expired`` events.
     **scorpion_kwargs:
         Forwarded to each entry's :class:`~repro.core.scorpion.Scorpion`
-        (``algorithm``, ``workers``, ``top_k``, ``trace``, ...).
-        Content keys are derived from the problem alone, never from
-        these kwargs.  When tracing is on (``trace=True`` or
+        (``algorithm``, ``top_k``, ``trace``, ...) and checked here, by
+        constructing one, so a bad configuration fails at construction
+        rather than on every request.  Content keys are derived from the
+        problem alone, never from these kwargs.  When tracing is on (``trace=True`` or
         ``SCORPION_TRACE=1``) the service activates one tracer per
         request, so checkout/build spans and the inner explain tree
         share one trace on ``result.trace``.
@@ -194,6 +189,7 @@ class ExplainService:
     def __init__(self, cache_bytes: int | None = None,
                  registry: MetricsRegistry | None = None,
                  logger=None, **scorpion_kwargs):
+        Scorpion(**scorpion_kwargs)  # a bad configuration fails here
         self.cache_bytes = _resolve_cache_bytes(cache_bytes)
         self._scorpion_kwargs = dict(scorpion_kwargs)
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
@@ -300,15 +296,15 @@ class ExplainService:
         started = time.perf_counter()
         tracer = (Tracer().activate()
                   if self._trace and current_tracer() is None else None)
-        hit = False
         try:
             with span("checkout") as csp:
-                entry, hit = self._acquire(key)
-                if csp:
-                    csp.annotate(hit=hit)
+                entry = self._acquire(key)
             try:
                 with entry.lock:
-                    if entry.scorer is None:
+                    hit = self._count_checkout(entry)
+                    if csp:  # decided after the checkout span closed
+                        csp.annotate(hit=hit)
+                    if not hit:
                         self._build_with_shed(entry, make_problem)
                     result = self._run(entry, hit, c=c, c_holdout=c_holdout,
                                        lam=lam)
@@ -381,8 +377,8 @@ class ExplainService:
         completed-request count and error count, and the request-latency
         histogram snapshot.  The extra keys are registry-backed — ``service_requests`` counts
         requests that *completed* while ``service_hits + service_misses``
-        counts requests that *started*, so the two only differ by
-        in-flight or failed requests."""
+        counts requests that reached their cache entry, so the two only
+        differ by in-flight or failed requests."""
         with self._lock:
             base = {
                 "service_hits": self.hits,
@@ -441,11 +437,9 @@ class ExplainService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _acquire(self, key: tuple) -> tuple[_CacheEntry, bool]:
-        """Pin the entry for ``key``, inserting a shell on miss.  The
-        hit/miss decision happens here, atomically under the service
-        lock — concurrent same-key requests see one miss and N-1 hits
-        regardless of how their builds interleave."""
+    def _acquire(self, key: tuple) -> _CacheEntry:
+        """Pin the entry for ``key``, inserting an unbuilt shell if there
+        is none."""
         with self._lock:
             if self._closed:
                 raise ScorpionError("ExplainService is closed")
@@ -453,18 +447,29 @@ class ExplainService:
             if entry is None:
                 entry = _CacheEntry(key)
                 self._entries[key] = entry
-                self.misses += 1
-                hit = False
             else:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                hit = True
             entry.pins += 1
+        return entry
+
+    def _count_checkout(self, entry: _CacheEntry) -> bool:
+        """Count a hit or a miss for a request holding ``entry``'s lock.
+
+        A hit is an entry that is already built, so concurrent same-key
+        requests see one miss and N-1 hits, and a request after a failed
+        build is a miss: it pays the build.
+        """
+        hit = entry.scorer is not None
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
         # Mirror the decision into the registry outside the service lock
         # (counters carry their own locks) so registry totals always
         # reconcile with the service_hits / service_misses counters.
         (self._m_hits if hit else self._m_misses).inc()
-        return entry, hit
+        return hit
 
     def _unpin(self, entry: _CacheEntry) -> None:
         release = False

@@ -4,24 +4,20 @@ cross-path differential scoring oracle."""
 from __future__ import annotations
 
 import itertools
-import threading
-import time
 
 import numpy as np
 import pytest
 
-import repro.parallel as parallel
 from repro.aggregates import Avg, Sum
-from repro.core.influence import SHARD_THREAD_PREFIX, InfluenceScorer
+from repro.core.influence import InfluenceScorer
 from repro.obs.trace import Tracer
 from repro.core.problem import ScorpionQuery
 from repro.query.groupby import GroupByQuery
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
-#: Counters that must agree between the serial batch scorer and a
-#: parallel scorer fed the same batch (per-shard kernel counters merge
-#: back into the scorer's).
-POOL_COUNTERS = ("incremental_deltas", "full_recomputes", "masked_predicates")
+#: Counters that must agree between the batch scorer and a scorer fed
+#: the same batch in small chunks.
+CHUNK_COUNTERS = ("incremental_deltas", "full_recomputes", "masked_predicates")
 
 
 def assert_same_floats(actual, expected) -> None:
@@ -36,8 +32,7 @@ def assert_same_floats(actual, expected) -> None:
 
 
 def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
-                               workers=None, batch_chunk=None,
-                               expect_pool=False, **scorer_kwargs):
+                               batch_chunk=None, **scorer_kwargs):
     """The differential scoring oracle: every execution path of the
     influence metric must produce bit-for-bit identical influences.
 
@@ -48,19 +43,14 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
     1. scalar ``score()`` per predicate (the reference semantics);
     2. ``score_batch`` (the mask-matrix kernel);
     3. ``score_batch`` under an active span tracer;
-    4. when ``workers`` is given: ``score_batch`` with ``workers``
-       threads two ways — the whole batch in one chunk with the
-       dispatch cost zeroed (so the automatic split must cut it into
-       shards), and small predicate chunks.
+    4. ``score_batch`` in small predicate chunks (``batch_chunk``, else
+       8), so every call crosses chunk boundaries.
 
     Also asserts that the batch scorer sent every unique predicate the
-    labeled evaluator supports through the mask kernel, and that every
-    parallel leg's kernel counters (:data:`POOL_COUNTERS`) equal the
-    serial batch run's.  ``expect_pool`` additionally requires that the
-    parallel legs actually dispatched shards to the thread pool (at
-    least two for the one-chunk leg).  Extra keyword arguments
-    construct every scorer (e.g. ``use_incremental=False``).  Returns
-    the agreed influence vector.
+    labeled evaluator supports through the mask kernel, and that the
+    chunk leg's kernel counters (:data:`CHUNK_COUNTERS`) equal the
+    batch leg's.  Extra keyword arguments construct every scorer (e.g.
+    ``use_incremental=False``).  Returns the agreed influence vector.
     """
     predicates = list(predicates)
     chunk_kwargs = {} if batch_chunk is None else {"batch_chunk": batch_chunk}
@@ -99,55 +89,16 @@ def assert_scoring_paths_agree(problem, predicates, *, ignore_holdouts=False,
                 if batched.kernel.evaluator.supports_predicate(p)]
     assert stats.masked_predicates == len(scorable)
 
-    if workers is not None and workers > 1:
-        # Leg 0: the whole batch in one chunk, so only the automatic
-        # predicate split can feed the pool.  Leg 1: small chunks.
-        for leg, chunk in enumerate((max(len(predicates), 1),
-                                     batch_chunk or 8)):
-            parallel_scorer = InfluenceScorer(problem, cache_scores=False,
-                                              workers=workers,
-                                              batch_chunk=chunk,
-                                              **scorer_kwargs)
-            dispatch_ns = parallel.DISPATCH_NS
-            if leg == 0:
-                parallel.DISPATCH_NS = 0.0  # the split's gate always passes
-            try:
-                via_parallel = parallel_scorer.score_batch(
-                    predicates, ignore_holdouts=ignore_holdouts)
-            finally:
-                parallel.DISPATCH_NS = dispatch_ns
-                parallel_scorer.close()
-            assert_same_floats(via_parallel, scalar)
-            for name in POOL_COUNTERS:
-                assert getattr(parallel_scorer.stats, name) == \
-                    getattr(stats, name), (name, leg)
-            if expect_pool:
-                assert parallel_scorer.stats.parallel_shards >= \
-                    (2 if leg == 0 else 1), \
-                    f"pool was never used (leg {leg})"
+    # Chunk leg: the same batch in small chunks.  Chunking must change
+    # neither a value nor a kernel counter.
+    chunked = InfluenceScorer(problem, cache_scores=False,
+                              batch_chunk=batch_chunk or 8, **scorer_kwargs)
+    via_chunks = chunked.score_batch(predicates,
+                                     ignore_holdouts=ignore_holdouts)
+    assert_same_floats(via_chunks, scalar)
+    for name in CHUNK_COUNTERS:
+        assert getattr(chunked.stats, name) == getattr(stats, name), name
     return via_batch
-
-
-def shard_threads() -> set[threading.Thread]:
-    """The live scorer shard threads of this process."""
-    return {thread for thread in threading.enumerate()
-            if thread.name.startswith(SHARD_THREAD_PREFIX)}
-
-
-def assert_no_live_workers(baseline=frozenset(),
-                           timeout: float = 5.0) -> None:
-    """No shard thread outlives its scorer: polls :func:`shard_threads`
-    until it holds nothing beyond ``baseline`` — the shard threads alive
-    before the test started — failing after ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while True:
-        alive = shard_threads() - set(baseline)
-        if not alive:
-            return
-        if time.monotonic() > deadline:
-            raise AssertionError(
-                f"shard threads outlived close(): {sorted(map(str, alive))}")
-        time.sleep(0.02)
 
 
 def replace_calls(monkeypatch, owner, name, effect, calls=(1,)) -> None:

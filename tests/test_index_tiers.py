@@ -215,12 +215,11 @@ class TestConjunctionTier:
         np.testing.assert_array_equal(
             values, assert_scoring_paths_agree(problem, [predicate]))
 
-class TestWorkersTwo:
-    """Every shape bit-for-bit equal to scalar under the oracle at
-    workers ∈ {1, 2} (serial legs run in every oracle call; these add
-    the pooled legs)."""
+class TestSmallChunks:
+    """Every shape bit-for-bit equal to scalar under the oracle with
+    batches cut into chunks of 4 predicates."""
 
-    def test_mixed_tiers_parallel(self):
+    def test_mixed_tiers_small_chunks(self):
         batch = (
             [Predicate([RangeClause("a1", float(i), float(i + 3))])
              for i in range(8)]
@@ -232,15 +231,14 @@ class TestWorkersTwo:
             + [Predicate.true()]
         )
         assert_scoring_paths_agree(build_problem(Avg()), batch,
-                                   workers=2, batch_chunk=4,
-                                   expect_pool=True)
+                                   batch_chunk=4)
 
-    def test_bucket_tier_parallel_integer_sum(self):
+    def test_bucket_tier_small_chunks_integer_sum(self):
         batch = [Predicate([SetClause("ac", AC_POOL[i:i + 2])])
                  for i in range(10)]
         assert_scoring_paths_agree(
             build_problem(Sum(), integer_values=True), batch,
-            workers=2, batch_chunk=4, expect_pool=True)
+            batch_chunk=4)
 
 
 class TestPlannerFallback:

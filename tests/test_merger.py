@@ -834,21 +834,16 @@ class TestAdoptionVerification:
         assert [sp.influence for sp in cached] == \
             [sp.influence for sp in uncached]
 
-    def test_parallel_scorer_preserves_merger_output(self):
+    def test_small_chunk_scorer_preserves_merger_output(self):
         problem = avg_problem(n_per_group=300)
-        serial_scorer = InfluenceScorer(problem)
-        parallel_scorer = InfluenceScorer(problem, workers=2, batch_chunk=8)
-        try:
-            candidates = dt_candidates(problem, serial_scorer)
-            params = MergerParams(expand_fraction=1.0)
-            serial = Merger(serial_scorer, problem.domain, params=params).run(
-                candidates)
-            parallel = Merger(parallel_scorer, problem.domain,
-                              params=params).run(
-                dt_candidates(problem, parallel_scorer))
-            assert [sp.predicate for sp in serial] == \
-                [sp.predicate for sp in parallel]
-            assert [sp.influence for sp in serial] == \
-                [sp.influence for sp in parallel]
-        finally:
-            parallel_scorer.close()
+        default_scorer = InfluenceScorer(problem)
+        chunked_scorer = InfluenceScorer(problem, batch_chunk=8)
+        params = MergerParams(expand_fraction=1.0)
+        default = Merger(default_scorer, problem.domain, params=params).run(
+            dt_candidates(problem, default_scorer))
+        chunked = Merger(chunked_scorer, problem.domain, params=params).run(
+            dt_candidates(problem, chunked_scorer))
+        assert [sp.predicate for sp in default] == \
+            [sp.predicate for sp in chunked]
+        assert [sp.influence for sp in default] == \
+            [sp.influence for sp in chunked]

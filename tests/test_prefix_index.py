@@ -213,15 +213,7 @@ class TestBatchChunkKnob:
         scorer = InfluenceScorer(build_problem(Avg()), batch_chunk=16)
         assert scorer.batch_chunk == 16
 
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("SCORPION_BATCH_CHUNK", "32")
-        assert InfluenceScorer(build_problem(Avg())).batch_chunk == 32
-        # An explicit argument wins over the environment.
-        scorer = InfluenceScorer(build_problem(Avg()), batch_chunk=8)
-        assert scorer.batch_chunk == 8
-
-    def test_builtin_default(self, monkeypatch):
-        monkeypatch.delenv("SCORPION_BATCH_CHUNK", raising=False)
+    def test_builtin_default(self):
         scorer = InfluenceScorer(build_problem(Avg()))
         assert scorer.batch_chunk == InfluenceScorer.BATCH_CHUNK
 
@@ -255,11 +247,8 @@ class TestEndToEndSurface:
     def test_run_record_routing_properties(self):
         record = RunRecord(algorithm="naive", c=0.5, predicate=None,
                            influence=0.0, runtime=0.0,
-                           scorer_stats={"masked_predicates": 3,
-                                         "parallel_shards": 2})
+                           scorer_stats={"masked_predicates": 3})
         assert record.masked_predicates == 3
-        assert record.parallel_shards == 2
         empty = RunRecord(algorithm="naive", c=0.5, predicate=None,
                           influence=0.0, runtime=0.0)
         assert empty.masked_predicates == 0
-        assert empty.parallel_shards == 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.aggregates import (Avg, Count, LinearStateAggregate, Median,
                               Sum, Variance)
 from repro.core.influence import INVALID_INFLUENCE, InfluenceScorer
+from repro.core.kernel import BatchKernel
 from repro.core.problem import ScorpionQuery
 from repro.errors import AggregateError
 from repro.predicates.clause import RangeClause, SetClause
@@ -28,6 +29,7 @@ from tests.conftest import (
     SENSOR_SCHEMA,
     assert_scoring_paths_agree,
     planted_sum_table,
+    replace_calls,
 )
 
 
@@ -342,13 +344,13 @@ def kernel_cases(draw):
 class TestMaskKernelOracle:
     """The mask kernel's branches — per-group counts, repeated bincount
     keys, the count column taken from the counts — through the
-    differential oracle, with two shard threads."""
+    differential oracle."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=kernel_cases())
     def test_random_problems(self, case):
         problem, predicates, ignore_holdouts = case
-        assert_scoring_paths_agree(problem, predicates, workers=2,
+        assert_scoring_paths_agree(problem, predicates,
                                    ignore_holdouts=ignore_holdouts)
 
     def test_count_component_is_checked_on_every_tuple(self):
@@ -367,7 +369,39 @@ class TestMaskKernelOracle:
         predicates = [Predicate([RangeClause("x", 0.0, hi)])
                       for hi in (1.0, 2.0, 3.0)]
         predicates.append(Predicate([SetClause("k", ["b"])]))
-        assert_scoring_paths_agree(problem, predicates, workers=2)
+        assert_scoring_paths_agree(problem, predicates)
+
+
+class ChunkFailure(Exception):
+    """Raised in place of one chunk's kernel call."""
+
+
+class TestChunkFailure:
+    """A chunk that raises fails its whole batch: the exception
+    propagates and nothing of the batch is memoized, because every
+    chunk is scored before any value enters the memo cache."""
+
+    def test_exception_propagates_and_leaves_no_partial_result(
+            self, monkeypatch):
+        table, outliers, holdouts = planted_sum_table()
+        problem = ScorpionQuery(table, GroupByQuery("g", Sum(), "value"),
+                                outliers=outliers, holdouts=holdouts,
+                                error_vectors=+1.0, c=0.5)
+        batch = [Predicate([RangeClause("a1", 8.0 * i, 8.0 * i + 20.0)])
+                 for i in range(12)]
+        expected = InfluenceScorer(problem, cache_scores=False).score_batch(
+            batch)
+        scorer = InfluenceScorer(problem, batch_chunk=4)
+        replace_calls(monkeypatch, BatchKernel, "score_masked_chunk",
+                      ChunkFailure("chunk 2"), calls=(2,))
+        with pytest.raises(ChunkFailure, match="chunk 2"):
+            scorer.score_batch(batch)
+        monkeypatch.undo()
+        # Neither the first chunk nor the failed one entered the memo
+        # cache: the next batch scores every predicate afresh, and
+        # correctly.
+        np.testing.assert_array_equal(scorer.score_batch(batch), expected)
+        assert scorer.stats.cache_hits == 0
 
 
 class TestCacheCoherence:

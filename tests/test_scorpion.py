@@ -169,6 +169,35 @@ class TestAutoAttributeSelection:
         result = scorpion.explain(problem)
         assert result.best is not None
 
+    def test_narrowing_keeps_the_perturbation(self):
+        table, outliers, holdouts = planted_sum_table(seed=0,
+                                                      n_per_group=200)
+        data = {spec.name: table.values(spec.name) for spec in table.schema}
+        data["noise"] = np.random.default_rng(0).uniform(0, 100, len(table))
+        from repro.table import ColumnKind, ColumnSpec, Schema, Table
+        noisy = Table.from_columns(
+            Schema(list(table.schema)
+                   + [ColumnSpec("noise", ColumnKind.CONTINUOUS)]), data)
+
+        def problem(attributes=None):
+            return ScorpionQuery(noisy, GroupByQuery("g", Avg(), "value"),
+                                 outliers=outliers, holdouts=holdouts,
+                                 error_vectors=+1.0, c=0.5,
+                                 attributes=attributes, perturbation="mean")
+
+        auto = Scorpion(algorithm="dt", auto_select_attributes=True,
+                        use_cache=False)
+        narrowed, scorer = auto.build_scorer(problem())
+        assert len(narrowed.attributes) < len(problem().attributes)
+        assert narrowed.perturbation == scorer.perturbation == "mean"
+        # The same answer as a "mean" explain over the attributes chosen
+        # by hand.
+        by_hand = Scorpion(algorithm="dt", use_cache=False).explain(
+            problem(narrowed.attributes))
+        assert [(e.predicate, e.influence)
+                for e in auto.explain(problem()).explanations] == \
+            [(e.predicate, e.influence) for e in by_hand.explanations]
+
 
 class TestRealisticPipelines:
     def test_stddev_pipeline(self):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.problem import ScorpionQuery
 from repro.core.scorpion import Scorpion
-from repro.errors import ScorpionError
+from repro.errors import PartitionerError, ScorpionError
 from repro.query.groupby import GroupByQuery
 from repro.aggregates import Avg, Sum
 from repro.service import (
@@ -34,7 +34,9 @@ from repro.service import (
 from repro.service.service import _resolve_timeout
 from repro.table import ColumnKind, ColumnSpec, Schema, Table
 
-from tests.conftest import planted_sum_table
+from repro.obs.metrics import MetricsRegistry
+
+from tests.conftest import planted_sum_table, replace_calls
 
 
 def make_sum_problem(c: float = 0.5, **table_kwargs) -> ScorpionQuery:
@@ -361,6 +363,43 @@ class TestResolveTimeout:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _resolve_timeout(7.5) == 7.5
+
+
+class TestHitAccounting:
+    def test_failed_build_then_success_counts_two_misses(self,
+                                                         monkeypatch):
+        # A hit is a request that finds its entry built: the request
+        # after a failed build pays the build, so it is a miss.
+        problem = make_sum_problem()
+        registry = MetricsRegistry()
+        with ExplainService(algorithm="dt", registry=registry) as service:
+            replace_calls(monkeypatch, Scorpion, "build_scorer",
+                          RuntimeError("build failed"))
+            with pytest.raises(RuntimeError, match="build failed"):
+                service.explain(problem)
+            second = service.explain(problem).scorer_stats
+            assert second["service_cache_hit"] is False
+            assert (second["service_misses"], second["service_hits"]) == \
+                (2, 0)
+            assert registry.get("scorpion_cache_misses_total").value == 2
+            assert registry.get("scorpion_cache_hits_total").value == 0
+            third = service.explain(problem).scorer_stats
+            assert third["service_cache_hit"] is True
+            assert (third["service_misses"], third["service_hits"]) == \
+                (2, 1)
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"algorithm": "bogus"}, PartitionerError),
+        ({"top_k": 0}, PartitionerError),
+        ({"nonsense": 1}, TypeError),
+        ({"workers": 2}, TypeError),
+    ], ids=["algorithm", "top_k", "unknown", "workers"])
+    def test_bad_scorpion_configuration_fails_at_construction(
+            self, kwargs, error):
+        with pytest.raises(error):
+            ExplainService(**kwargs)
 
 
 class TestReleaseRaces:
