@@ -14,9 +14,11 @@ On the incremental path the back half is one fold,
 :meth:`BatchKernel.fold`: it turns all matched (predicate, group) pairs
 into metric values in one elementwise pass, with no loop over groups.
 The Merger's cached-state estimate (:mod:`repro.core.merger`) calls the
-same fold on its volume-weighted counts and states.  Black-box
-aggregates recompute Δ per matched predicate from the raw values, group
-by group.
+same fold on its volume-weighted counts and states, and the facade's
+explanations take every group's updated output from the same matched
+counts and removed states (:meth:`BatchKernel.updated_values`).
+Black-box aggregates recompute Δ per matched predicate from the raw
+values, group by group.
 
 The search scalars ``c``, ``c_holdout`` and ``λ`` are call arguments,
 not kernel state, so a kernel depends only on the table, the query,
@@ -48,15 +50,22 @@ def _scalar_pow(bases: np.ndarray, exponent: float) -> np.ndarray:
     NumPy's vectorized ``**`` routes through a SIMD pow whose results can
     differ from scalar ``pow`` in the last ulp, which would break the
     bit-for-bit scalar/batch equivalence contract.  Matched-row counts
-    repeat heavily, so one scalar pow per unique count is also cheap."""
+    repeat heavily, so one scalar pow per unique count is also cheap.
+    The uniques come from a sort and each base finds its own by
+    ``searchsorted``: ``np.unique``'s ``return_inverse`` argsort is
+    several times slower, and without it ``np.unique`` fills a hash
+    table outside NumPy's allocator (about 1 MiB more peak RSS on the
+    ``synth-dt`` benchmark workload)."""
     if exponent == 1.0:
         return bases
     if exponent == 0.0:
         return np.ones_like(bases)
-    uniques, inverse = np.unique(bases, return_inverse=True)
+    ordered = np.sort(bases)
+    uniques = np.concatenate((ordered[:1],
+                              ordered[1:][ordered[1:] != ordered[:-1]]))
     table = np.asarray([value ** exponent for value in uniques.tolist()],
                        dtype=np.float64)
-    return table[inverse]
+    return table[np.searchsorted(uniques, bases)]
 
 
 @dataclass
@@ -283,12 +292,28 @@ class BatchKernel:
                            c: float, c_holdout: float,
                            lam: float) -> np.ndarray:
         """The metric for every row of an ``(m, n)`` mask matrix whose
-        columns are the labeled rows of the contexts scoring reads.
+        columns are the labeled rows of the contexts scoring reads:
+        :meth:`_removed`'s matched counts and removed states, then
+        :meth:`fold` (or, for black-box aggregates,
+        :meth:`_recompute_influences`), which applies the scalar path's
+        elementwise arithmetic in its group order."""
+        counts, removed = self._removed(
+            matrix, self.active_contexts(ignore_holdouts))
+        if not self.incremental:
+            return self._recompute_influences(counts, matrix, ignore_holdouts,
+                                              c, c_holdout, lam)
+        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
 
-        Vector counterpart of the scorer's scalar path, in three steps:
+    def _removed(self, matrix: np.ndarray, n_ctx: int,
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every (row, group) pair's matched count ``(m, n_ctx)`` and, on
+        the incremental path, removed state ``(m, n_ctx, k)``, for an
+        ``(m, n)`` mask matrix over the labeled rows of the first
+        ``n_ctx`` contexts.  The vector counterpart of the scalar path's
+        ``count_nonzero`` and masked sum, in two steps:
 
         * one ``np.add.reduceat`` over the matrix's ``uint8`` view at
-          the group starts gives every (predicate, group) matched count,
+          the group starts gives every (row, group) matched count,
           exactly (integers; ``reduceat`` sums float segments pairwise,
           so it is used for counts only);
         * on the incremental path, one weighted ``np.bincount`` per
@@ -298,10 +323,7 @@ class BatchKernel:
           columns, which ``np.flatnonzero``'s flat indices become in
           place.  When every tuple's count component is exactly 1.0
           (:attr:`_unit_counts`), the count column is filled from the
-          counts instead: a ``bincount`` over 1.0s would give the same;
-        * :meth:`fold` (or, for black-box aggregates,
-          :meth:`_recompute_influences`) applies the scalar path's
-          elementwise arithmetic in its group order.
+          counts instead: a ``bincount`` over 1.0s would give the same.
 
         ``np.flatnonzero`` is row-major and a row's groups are
         contiguous column spans in context order, so the repeated keys
@@ -313,18 +335,14 @@ class BatchKernel:
         most three are alive at once: the columns, the keys and one
         gathered component.  The keys are built after the first gather
         and the columns dropped after the last, so a single weighted
-        component (SUM, AVG) needs only two at a time."""
+        component (SUM, AVG) needs only two at a time.  The removed
+        states are None for black-box aggregates and for a matrix that
+        matches no rows (no pair is matched, so nothing reads them)."""
         m, n_cols = matrix.shape
-        n_ctx = self.active_contexts(ignore_holdouts)
         # A group holds fewer than 2**31 rows, and an int32 accumulator
         # is several times faster here than an int64 one.
         counts = np.add.reduceat(matrix.view(np.uint8), self._starts[:n_ctx],
                                  axis=1, dtype=np.int32).astype(np.int64)
-        if not self.incremental:
-            return self._recompute_influences(counts, matrix, ignore_holdouts,
-                                              c, c_holdout, lam)
-        # A chunk matching no rows has no removed states (and the fold
-        # reads none: no pair is matched).
         removed = None
         if self._state_columns is not None and counts.any():
             n_states = len(self._state_columns)
@@ -346,7 +364,37 @@ class BatchKernel:
             if self._unit_counts:
                 removed[:, -1] = counts.ravel()
             removed = removed.reshape(m, n_ctx, n_states)
-        return self.fold(counts, removed, ignore_holdouts, c, c_holdout, lam)
+        return counts, removed
+
+    def updated_values(self, matrix: np.ndarray) -> np.ndarray:
+        """Every labeled group's aggregate value after each row of an
+        ``(m, n)`` mask matrix over all the labeled rows acts on it, as
+        an ``(m, groups)`` array in context order: the "updated output"
+        of Section 4.1, for every explanation at once.
+
+        Equal bit for bit to the scalar path per (row, group): Δ from
+        :meth:`delta` (0.0 for no matched row), then ``total − Δ``, NaN
+        where Δ is not finite.  On the incremental path Δ comes from
+        :meth:`_removed` and :meth:`_matched_deltas`, the steps scoring
+        runs before :meth:`fold`; a black-box aggregate calls
+        :meth:`delta` on the matrix's slices.  Each Δ computed counts as one of
+        ``incremental_deltas`` or ``full_recomputes``, as in the scalar
+        path."""
+        if not self.incremental:
+            deltas = np.asarray(
+                [[self.delta(context, row[start:stop])
+                  for context, start, stop in self.slices] for row in matrix],
+                dtype=np.float64)
+        else:
+            counts, removed = self._removed(matrix, len(self.slices))
+            rows, groups, _, matched = self._matched_deltas(
+                counts, removed, len(self.slices))
+            self.stats.incremental_deltas += len(rows)
+            deltas = np.zeros(counts.shape, dtype=np.float64)
+            deltas[rows, groups] = matched
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(deltas),
+                            self._total_values - deltas, np.nan)
 
     # ------------------------------------------------------------------
     # The back half
@@ -381,20 +429,10 @@ class BatchKernel:
         """
         m = len(counts)
         n_read = self.active_contexts(ignore_holdouts)
-        rows, groups = np.nonzero(counts[:, :n_read] >= 0.5)
-        removed_counts = counts[rows, groups].astype(np.float64)
+        rows, groups, removed_counts, deltas = self._matched_deltas(
+            counts, removed, n_read)
         if count_deltas:
             self.stats.incremental_deltas += len(rows)
-        if len(rows):
-            assert removed is not None and self._total_states is not None
-            updated = self.updated_from_removed_batch(
-                self._total_states[groups], removed[rows, groups],
-                removed_counts,
-                None if self._mean_states is None
-                else self._mean_states[groups])
-        else:
-            updated = np.empty(0, dtype=np.float64)
-        deltas = self._total_values[groups] - updated
         outlier = groups < self.n_outliers
         hold = ~outlier
         denominators = np.empty(len(rows), dtype=np.float64)
@@ -416,6 +454,30 @@ class BatchKernel:
             scores = scores - (1.0 - lam) * spread.max(axis=1)
         scores[rows[bad]] = INVALID_INFLUENCE
         return scores
+
+    def _matched_deltas(self, counts: np.ndarray, removed: np.ndarray | None,
+                        n_read: int) -> tuple[np.ndarray, ...]:
+        """The matched (row, group) pairs among the first ``n_read``
+        groups of ``(m, n)`` counts and ``(m, n, k)`` removed states —
+        those with a count of at least 0.5 — as ``rows`` and ``groups``,
+        with each pair's removed count and Δ: the group's total minus
+        its value after the pair's removed state acts on it
+        (:meth:`updated_from_removed_batch`), elementwise per pair."""
+        rows, groups = np.nonzero(counts[:, :n_read] >= 0.5)
+        # Gathers by flat pair index through ``np.take``: several times
+        # faster than two-array fancy indexing, and the same values.
+        pairs = rows * counts.shape[1] + groups
+        removed_counts = np.take(counts, pairs).astype(np.float64)
+        if not len(rows):
+            return rows, groups, removed_counts, np.empty(0, dtype=np.float64)
+        assert removed is not None and self._total_states is not None
+        updated = self.updated_from_removed_batch(
+            np.take(self._total_states, groups, axis=0),
+            np.take(removed.reshape(-1, removed.shape[2]), pairs, axis=0),
+            removed_counts,
+            None if self._mean_states is None
+            else np.take(self._mean_states, groups, axis=0))
+        return rows, groups, removed_counts, self._total_values[groups] - updated
 
     def _recompute_influences(self, counts: np.ndarray, matrix: np.ndarray,
                               ignore_holdouts: bool, c: float,

@@ -33,10 +33,11 @@ domain's attributes: per candidate an id of its attribute set, lo, hi
 and ``include_hi`` per continuous attribute, and an interned id of its
 value set per discrete attribute.  It owns the candidate order that
 neighbour indices, member masks and the cached-state estimate all refer
-to.  One vectorized test per start and round reproduces
-:meth:`Predicate.is_adjacent_to` against every candidate, excludes the
-start's members and keeps the first ``max_neighbors`` hits in rank
-order.  A :class:`Predicate` is built only where a score needs one.
+to.  One vectorized ``(starts × candidates)`` test per round reproduces
+:meth:`Predicate.is_adjacent_to` for every active start against every
+candidate, excludes each start's members and keeps each start's first
+``max_neighbors`` hits in rank order.  A :class:`Predicate` is built
+only where a score needs one.
 
 The approximation (:class:`_ApproxIndex`) reads the same packed bounds.
 For P merges over n candidate partitions and G outlier groups it builds
@@ -44,39 +45,46 @@ a ``(P, n)`` share matrix from broadcast bounds (discrete clauses
 through a code-membership matrix), derives the removed count and state
 of all P·G (merge, group) pairs, and folds them through
 :meth:`~repro.core.kernel.BatchKernel.fold` — the scoring kernel's own
-back half, so the same perturbation rules apply.  A start's candidate
-merges are estimated from arrays (lo = min, hi = max, code membership
-OR-ed); only its winning merge is built as a :class:`Predicate`, for
-the adoption check.  Every estimate equals the one-merge,
-one-group-at-a-time computation bit for bit, because each reduction
-keeps that computation's order: removed counts are one
-``shares[p] @ counts`` vector product per merge, removed states an
-``einsum`` that sums candidates in ascending order, and the sum over
+back half, so the same perturbation rules apply.  Merges are estimated
+from arrays (lo = min, hi = max, code membership OR-ed, each row with
+its start's constrained attributes); only a start's winning merge is
+built as a :class:`Predicate`, for the adoption check.  Every estimate
+equals the one-merge, one-group-at-a-time computation bit for bit,
+because each reduction keeps that computation's order: removed counts
+are one ``shares[p] @ counts`` vector product per merge, removed states
+an ``einsum`` that sums candidates in ascending order, and the sum over
 groups a left-to-right ``cumsum``.  A single ``(P, n) @ (n, G)`` BLAS
 matmul is deliberately avoided, as in the scoring kernel (see the
 equivalence contract in :mod:`repro.core.influence`): its blocked
 reductions differ from the vector product's in the last bits.
 
-Expansions run in *lockstep*.  Each round first scans every active
-start for its neighbours, then estimates.  When the approximation is
-*off* (the MC partitioner's default merger configuration), every active
-start's merges go through one :meth:`InfluenceScorer.score_batch` call
-per round, which chunks and dedupes repeated merges.  With
-the approximation on, each start keeps its own estimate pass of at most
-``max_neighbors`` rows: one pass for a whole round would hold every
-start's (merges × candidates × groups) share and state arrays at once,
-multiplying the Merger's transient memory for no measured time gain,
-and estimate rows are independent, so pass boundaries cannot change a
-value.  Each start's decision reads only its own slice of the
-estimates.  The round's winning merges — one per still-active start —
-are then adoption-verified through a single ``score_batch`` call.  The
-per-start accept/reject decisions are identical to expanding each start
-to completion with scalar verification: a start's trajectory reads
-only its own state and the shared read-only candidate list, and
-``score_batch`` returns exactly what ``score`` would.  In approximation
-mode each adoption check also records how far the estimate was from the
-exact score, in the ``scorpion_merge_approx_error`` histogram and the
-``merge_round`` span's ``approx_error_max`` attribute.
+Expansions run in *lockstep*, and the round is the unit of work: each
+round scans every active start for its neighbours in one pass, then
+estimates all of the round's merges.  When the approximation is *off*
+(the MC partitioner's default merger configuration), they go through
+one :meth:`InfluenceScorer.score_batch` call, which chunks and dedupes
+repeated merges.  With the approximation on, they are estimated
+together, in passes of whole starts and at most
+``InfluenceScorer.batch_chunk`` rows (1,024 by default; a start has at
+most ``max_neighbors`` rows, 64 by default), which bounds a pass's
+``(rows, n)`` shares and ``(rows, G, k)`` states.  The rows stay
+bit-identical to one pass per start: a row's shares multiply only its
+own factors (an attribute its start leaves unconstrained by exactly
+1.0), its count and state are the per-row reductions above, and the
+fold is elementwise per (merge, group) pair, so neither the pass a row
+lands in nor the other rows in it can change a value.  Each start's
+decision reads only its own slice of the estimates.  The round's
+winning merges — one per still-active start — are then
+adoption-verified through a single ``score_batch`` call.  The per-start
+accept/reject decisions are identical to expanding each start to
+completion with scalar verification: a start's trajectory reads only
+its own state and the shared read-only candidate list, and
+``score_batch`` returns exactly what ``score`` would.  Each
+``merge_round`` span records the merges it ``estimated`` and the
+``passes`` they took.  In approximation mode each adoption check also
+records how far the estimate was from the exact score, in the
+``scorpion_merge_approx_error`` histogram and the ``merge_round``
+span's ``approx_error_max`` attribute.
 """
 
 from __future__ import annotations
@@ -184,29 +192,36 @@ class _Boxes:
         """Boolean mask of the candidates equal to ``predicate``."""
         return self.ids == self._interned.get(predicate, -1)
 
-    def neighbours(self, box: _Packed, members: np.ndarray,
-                   limit: int) -> np.ndarray:
-        """Indices of the first ``limit`` candidates, in rank order, that
-        are adjacent to the one-row ``box`` and not ``members``.
+    def round_neighbours(self, boxes: _Packed, members: np.ndarray,
+                         limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each of the S ``boxes``, the first ``limit`` candidates, in
+        rank order, that are adjacent to it and not among its
+        ``members`` (an ``(S, n)`` mask): ``(starts, hits)`` index
+        pairs, grouped by box in ascending candidate order.
 
-        :meth:`Predicate.is_adjacent_to` as one vectorized test: equal
-        signatures, ``lo <= other.hi and other.lo <= hi`` on every
-        range, and either no differing set clause or exactly one with
-        no differing range.  A range differs when ``lo``, ``hi`` or
-        ``include_hi`` does; a set differs when its values do.  Only the
+        :meth:`Predicate.is_adjacent_to` as one vectorized ``(S, n)``
+        test: equal signatures, ``lo <= other.hi and other.lo <= hi`` on
+        every range, and either no differing set clause or exactly one
+        with no differing range.  A range differs when ``lo``, ``hi`` or
+        ``include_hi`` does; a set differs when its values do.  Only a
         box's ranges are compared: equal signatures leave the other
         continuous attributes unconstrained on both sides.
         """
         packed = self.packed
-        adjacent = (packed.signature == box.signature) & ~members
-        touching = (box.lo <= packed.hi) & (packed.lo <= box.hi)
-        adjacent &= np.all(touching | ~box.ranged, axis=1)
-        ranges_differ = np.any(((packed.lo != box.lo) | (packed.hi != box.hi)
-                                | (packed.include_hi != box.include_hi))
-                               & box.ranged, axis=1)
-        sets_differ = np.count_nonzero(packed.sets != box.sets, axis=1)
+        lo, hi = boxes.lo[:, np.newaxis], boxes.hi[:, np.newaxis]
+        ranged = boxes.ranged[:, np.newaxis]
+        adjacent = (boxes.signature[:, np.newaxis] == packed.signature) & ~members
+        touching = (lo <= packed.hi) & (packed.lo <= hi)
+        adjacent &= np.all(touching | ~ranged, axis=2)
+        ranges_differ = np.any(
+            ((packed.lo != lo) | (packed.hi != hi)
+             | (packed.include_hi != boxes.include_hi[:, np.newaxis]))
+            & ranged, axis=2)
+        sets_differ = np.count_nonzero(
+            packed.sets != boxes.sets[:, np.newaxis], axis=2)
         adjacent &= (sets_differ == 0) | ((sets_differ == 1) & ~ranges_differ)
-        return np.flatnonzero(adjacent)[:limit]
+        adjacent &= np.cumsum(adjacent, axis=1) <= limit
+        return np.nonzero(adjacent)
 
 
 class _ApproxIndex:
@@ -305,32 +320,36 @@ class _ApproxIndex:
     def _shares(self, lo: np.ndarray, hi: np.ndarray, ranged: np.ndarray,
                 wanted: list[np.ndarray], chosen: np.ndarray) -> np.ndarray:
         """``(P, n)`` shares of P boxes given as arrays — ``(P, C)``
-        bounds with ``ranged`` marking the constrained continuous
+        bounds with ``ranged`` marking each box's constrained continuous
         attributes, ``(P, V)`` code rows per discrete attribute with
-        ``chosen`` marking the constrained ones; the two masks may be
-        single rows that hold for all P boxes.  One factor per
-        constrained attribute, multiplied in domain order; an
-        unconstrained one multiplies by exactly 1.0."""
+        ``chosen`` marking each box's constrained ones.  One factor per
+        attribute some box constrains, multiplied in domain order; a box
+        that leaves the attribute unconstrained multiplies by exactly
+        1.0.  Each factor is built in place in one ``(P, n)`` array, so
+        a pass holds two or three such arrays at a time."""
         packed = self.boxes.packed
         shares = np.ones((len(lo), len(self._widths)))
         for j in range(lo.shape[1]):
             if not ranged[:, j].any():
                 continue
-            cand_lo = packed.lo[:, j]
-            overlap = (np.minimum(packed.hi[:, j], hi[:, j, np.newaxis])
-                       - np.maximum(cand_lo, lo[:, j, np.newaxis]))
+            factor = np.minimum(packed.hi[:, j], hi[:, j, np.newaxis])
+            factor -= np.maximum(packed.lo[:, j], lo[:, j, np.newaxis])
             # A zero-width candidate box is inside iff its point is, that
             # is iff the overlap is not negative.
-            factor = np.where(self._wide[:, j],
-                              np.maximum(overlap, 0.0) / self._widths[:, j],
-                              overlap >= 0)
-            shares *= np.where(ranged[:, j, np.newaxis], factor, 1.0)
+            inside = factor >= 0
+            np.maximum(factor, 0.0, out=factor)
+            factor /= self._widths[:, j]
+            np.copyto(factor, inside, where=~self._wide[:, j])
+            del inside
+            np.copyto(factor, 1.0, where=~ranged[:, j, np.newaxis])
+            shares *= factor
         for d in range(len(wanted)):
             if not chosen[:, d].any():
                 continue
-            common = wanted[d] @ self.members[d].T
-            shares *= np.where(chosen[:, d, np.newaxis],
-                               common / self.sizes[d], 1.0)
+            factor = wanted[d] @ self.members[d].T
+            factor /= self.sizes[d]
+            np.copyto(factor, 1.0, where=~chosen[:, d, np.newaxis])
+            shares *= factor
         return shares
 
     def estimate(self, predicates: list[Predicate]) -> np.ndarray:
@@ -338,23 +357,50 @@ class _ApproxIndex:
         predicate (the expansion starts)."""
         return self._estimate_shares(self.shares(predicates))
 
-    def estimate_merges(self, current: Predicate,
-                        hits: np.ndarray) -> np.ndarray:
-        """Estimates of ``current`` merged with each of its neighbours
-        ``hits`` (candidate indices), from arrays: the merged box's lo is
-        the min and hi the max of the two (ties keep ``current``'s
-        bound, as :meth:`RangeClause.merge` does), its code membership
-        the OR.  A neighbour constrains the attributes ``current`` does,
-        and so does every merge."""
-        box = self.boxes.pack([current])
+    def estimate_round(self, currents: list[Predicate], boxes: _Packed,
+                       starts: np.ndarray,
+                       hits: np.ndarray) -> tuple[np.ndarray, int]:
+        """Estimates of a round's merges, one per row — predicate
+        ``currents[starts[r]]`` (row ``starts[r]`` of ``boxes``) merged
+        with candidate ``hits[r]``, rows grouped by start — and the
+        number of passes they took.
+
+        Merged boxes come from arrays: lo is the min and hi the max of
+        the two (ties keep the current bound, as :meth:`RangeClause.merge`
+        does), code membership the OR, and each row takes its start's
+        ``ranged`` and ``chosen`` masks (a neighbour constrains the
+        attributes its start does).  Passes take whole starts, at most
+        ``scorer.batch_chunk`` rows each unless one start alone has more
+        (see the module docstring)."""
         packed = self.boxes.packed
-        cand_lo, cand_hi = packed.lo[hits], packed.hi[hits]
-        return self._estimate_shares(self._shares(
-            np.where(cand_lo < box.lo, cand_lo, box.lo),
-            np.where(cand_hi > box.hi, cand_hi, box.hi), box.ranged,
-            [np.maximum(row, members[hits]) for row, members
-             in zip(self._memberships([current]), self.members)],
-            box.sets >= 0))
+        codes = self._memberships(currents)
+        out = np.empty(len(hits), dtype=np.float64)
+        bounds = self._pass_bounds(starts, self.scorer.batch_chunk)
+        for a, b in zip(bounds, bounds[1:]):
+            rows, cands = starts[a:b], hits[a:b]
+            cand_lo, cand_hi = packed.lo[cands], packed.hi[cands]
+            box_lo, box_hi = boxes.lo[rows], boxes.hi[rows]
+            out[a:b] = self._estimate_shares(self._shares(
+                np.where(cand_lo < box_lo, cand_lo, box_lo),
+                np.where(cand_hi > box_hi, cand_hi, box_hi),
+                boxes.ranged[rows],
+                [np.maximum(code[rows], members[cands])
+                 for code, members in zip(codes, self.members)],
+                boxes.sets[rows] >= 0))
+        return out, len(bounds) - 1
+
+    @staticmethod
+    def _pass_bounds(starts: np.ndarray, limit: int) -> list[int]:
+        """Row offsets that cut start-grouped rows into passes of whole
+        starts, each of at most ``limit`` rows unless one start alone
+        has more."""
+        ends = (np.flatnonzero(np.diff(starts)) + 1).tolist() + [len(starts)]
+        bounds = [0]
+        for previous, end in zip([0] + ends, ends):
+            if end - bounds[-1] > limit and previous > bounds[-1]:
+                bounds.append(previous)
+        bounds.append(len(starts))
+        return bounds
 
     def _estimate_shares(self, shares: np.ndarray) -> np.ndarray:
         """Every partition intersecting a box contributes the volume
@@ -379,8 +425,6 @@ class _Expansion:
     """One start's greedy-expansion state inside the lockstep loop."""
 
     current: Predicate
-    #: ``current`` packed for the adjacency test (one row).
-    box: _Packed
     #: Exact influence of ``current`` (adoption baseline).
     exact: float
     #: Estimated influence of ``current`` (scan baseline).
@@ -493,9 +537,9 @@ class Merger:
         """Greedily grow every start while its influence increases,
         advancing all starts one round at a time.
 
-        Each round scans every active start for its neighbours in box
-        space (:meth:`_Boxes.neighbours`), then ranks the candidate
-        merges with :meth:`_estimate_round` (cheap, possibly
+        Each round scans every active start for its neighbours in one
+        box-space pass (:meth:`_Boxes.round_neighbours`), then ranks the
+        candidate merges with :meth:`_estimate_round` (cheap, possibly
         approximate); the round's *adoptions* — the best merge of each
         still-active start — are then verified with one exact
         :meth:`InfluenceScorer.score_batch` call, so approximation drift
@@ -516,8 +560,8 @@ class Merger:
         else:
             self.report.n_scorer_calls_saved += len(starts)
             start_estimates = self._index.estimate(starts)
-        states = [_Expansion(current=predicate, box=boxes.pack([predicate]),
-                             exact=float(exact), estimate=estimate,
+        states = [_Expansion(current=predicate, exact=float(exact),
+                             estimate=estimate,
                              members=boxes.members_of(predicate))
                   for predicate, exact, estimate
                   in zip(starts, start_exacts, start_estimates)]
@@ -525,7 +569,7 @@ class Merger:
         while True:
             round_no += 1
             with span("merge_round") as rsp:
-                scans: list[tuple[_Expansion, np.ndarray]] = []
+                scanned: list[_Expansion] = []
                 for state in states:
                     if not state.active:
                         continue
@@ -533,27 +577,29 @@ class Merger:
                         state.active = False
                         continue
                     state.scans += 1
-                    hits = boxes.neighbours(state.box, state.members,
-                                            self.params.max_neighbors)
-                    if not len(hits):
+                    scanned.append(state)
+                rows, hits, estimates, passes = self._estimate_round(scanned,
+                                                                     boxes)
+                self.report.n_merge_evaluations += len(hits)
+                proposals: list[tuple[_Expansion, Predicate, int, float]] = []
+                ends = np.searchsorted(rows, np.arange(len(scanned) + 1))
+                for state, lo, hi in zip(scanned, ends.tolist(),
+                                         ends[1:].tolist()):
+                    if lo == hi:  # no neighbour left
                         state.active = False
                         continue
-                    scans.append((state, hits))
-                proposals: list[tuple[_Expansion, Predicate, int, float]] = []
-                for (state, hits), estimates in zip(
-                        scans, self._estimate_round(scans, boxes)):
-                    self.report.n_merge_evaluations += len(hits)
-                    best_index = int(np.argmax(estimates))
-                    estimate = float(estimates[best_index])
+                    best = lo + int(np.argmax(estimates[lo:hi]))
+                    estimate = float(estimates[best])
                     if not estimate > state.estimate:
                         state.active = False
                         continue
-                    member = int(hits[best_index])
+                    member = int(hits[best])
                     proposals.append((
                         state, state.current.merge(boxes.predicates[member]),
                         member, estimate))
                 if rsp:
-                    rsp.annotate(round=round_no, proposals=len(proposals))
+                    rsp.annotate(round=round_no, proposals=len(proposals),
+                                 estimated=len(hits), passes=passes)
                 if not proposals:
                     break
                 exacts = self.scorer.score_batch(
@@ -568,7 +614,6 @@ class Merger:
                         state.active = False
                         continue
                     state.current = merged
-                    state.box = boxes.pack([merged])
                     state.estimate = estimate
                     state.exact = float(exact)
                     state.members |= boxes.ids == boxes.ids[member]
@@ -580,28 +625,35 @@ class Merger:
     # ------------------------------------------------------------------
     # Influence estimation
     # ------------------------------------------------------------------
-    def _estimate_round(self, scans: list[tuple[_Expansion, np.ndarray]],
-                        boxes: _Boxes) -> list[np.ndarray]:
-        """Influences of every scanned start's merges with its ``hits``,
-        one array per start.
+    def _estimate_round(self, scanned: list[_Expansion], boxes: _Boxes,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The round's merges and their influences: every ``scanned``
+        start's neighbours from one :meth:`_Boxes.round_neighbours`
+        pass, as ``(rows, hits)`` pairs (start ``scanned[rows[r]]``
+        merged with candidate ``hits[r]``, grouped by start), their
+        influences and the number of passes these took.
 
         Without the cached-state index every merge needs an exact score,
         so all of the round's merges are built and go through one
-        :meth:`InfluenceScorer.score_batch` call.  With it, each start
-        gets one :meth:`_ApproxIndex.estimate_merges` pass over arrays,
+        :meth:`InfluenceScorer.score_batch` call.  With it, the round
+        takes :meth:`_ApproxIndex.estimate_round`'s passes over arrays,
         and no merge is built here."""
-        if not scans:
-            return []
+        currents = [state.current for state in scanned]
+        packed = boxes.pack(currents)
+        rows = hits = np.empty(0, dtype=np.intp)
+        if scanned:
+            rows, hits = boxes.round_neighbours(
+                packed, np.stack([state.members for state in scanned]),
+                self.params.max_neighbors)
+        if not len(hits):
+            return rows, hits, np.empty(0, dtype=np.float64), 0
         if self._index is not None:
-            self.report.n_scorer_calls_saved += sum(
-                len(hits) for _, hits in scans)
-            return [self._index.estimate_merges(state.current, hits)
-                    for state, hits in scans]
-        values = self.scorer.score_batch(
-            [state.current.merge(boxes.predicates[i])
-             for state, hits in scans for i in hits])
-        ends = np.cumsum([len(hits) for _, hits in scans])
-        return np.split(values, ends[:-1])
+            self.report.n_scorer_calls_saved += len(hits)
+            return (rows, hits,
+                    *self._index.estimate_round(currents, packed, rows, hits))
+        return rows, hits, self.scorer.score_batch(
+            [currents[r].merge(boxes.predicates[i])
+             for r, i in zip(rows.tolist(), hits.tolist())]), 1
 
     @staticmethod
     def _record_approx_error(estimates: list[float], exacts: np.ndarray,

@@ -201,8 +201,8 @@ class Scorpion:
                     algorithm = partitioner.name
 
                 with span("finalize") as fsp:
-                    explanations = [self._to_explanation(sp, scorer, query)
-                                    for sp in ranked[: self.top_k]]
+                    explanations = self._explanations(ranked[: self.top_k],
+                                                      scorer, query)
                     if fsp:
                         fsp.annotate(explanations=len(explanations))
                 scorer_stats = scorer.stats.as_dict()
@@ -278,25 +278,38 @@ class Scorpion:
         return merged, partition_elapsed, merge_elapsed, len(candidates)
 
     # ------------------------------------------------------------------
-    def _to_explanation(self, scored: ScoredPredicate, scorer: InfluenceScorer,
-                        query: ScorpionQuery) -> Explanation:
-        predicate = query.domain.simplify(scored.predicate)
-        mask = predicate.mask(scorer.table)
-        updated_outliers = {}
-        updated_holdouts = {}
-        for context in scorer.contexts:
-            local = mask[context.indices]
-            delta = scorer.kernel.delta(context, local)
-            updated = (context.total_value - delta
-                       if np.isfinite(delta) else float("nan"))
-            if context.is_outlier:
-                updated_outliers[context.key] = updated
-            else:
-                updated_holdouts[context.key] = updated
-        return Explanation(
-            predicate=predicate,
-            influence=scored.influence,
-            n_matched=int(np.count_nonzero(mask)),
-            updated_outliers=updated_outliers,
-            updated_holdouts=updated_holdouts,
-        )
+    @staticmethod
+    def _explanations(ranked: list[ScoredPredicate], scorer: InfluenceScorer,
+                      query: ScorpionQuery) -> list[Explanation]:
+        """The ranked predicates as :class:`Explanation` objects, in one
+        pass: each simplified predicate's full-table mask gives its
+        ``n_matched`` and, at the labeled rows, its row of one mask
+        matrix, from which :meth:`BatchKernel.updated_values` computes
+        every group's updated output.  The full-table mask serves every
+        predicate, including one over attributes outside the labeled
+        evaluator."""
+        if not ranked:
+            return []
+        predicates = [query.domain.simplify(sp.predicate) for sp in ranked]
+        masks = np.stack([p.mask(scorer.table) for p in predicates])
+        kernel = scorer.kernel
+        labeled = np.concatenate([ctx.indices for ctx, _, _ in kernel.slices])
+        updated = kernel.updated_values(masks[:, labeled]).tolist()
+        explanations = []
+        for scored, predicate, mask, values in zip(ranked, predicates, masks,
+                                                   updated):
+            updated_outliers = {}
+            updated_holdouts = {}
+            for (context, _, _), value in zip(kernel.slices, values):
+                if context.is_outlier:
+                    updated_outliers[context.key] = value
+                else:
+                    updated_holdouts[context.key] = value
+            explanations.append(Explanation(
+                predicate=predicate,
+                influence=scored.influence,
+                n_matched=int(np.count_nonzero(mask)),
+                updated_outliers=updated_outliers,
+                updated_holdouts=updated_holdouts,
+            ))
+        return explanations

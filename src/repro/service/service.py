@@ -472,12 +472,18 @@ class ExplainService:
         return hit
 
     def _unpin(self, entry: _CacheEntry) -> None:
+        """Drop a request's pin.  The last pin releases a dead entry, and
+        drops a live one that is still unbuilt (its build failed), so a
+        key whose build failed keeps no shell in the cache."""
         release = False
         with self._lock:
             entry.pins -= 1
             if entry.dead:
                 release = entry.pins == 0
             else:
+                if entry.pins == 0 and entry.scorer is None:
+                    del self._entries[entry.key]
+                    entry.dead = True
                 self._evict_over_capacity()
         if release:
             entry.release()

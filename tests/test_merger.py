@@ -1,5 +1,6 @@
 """Unit tests for the Merger (paper Sections 4.3 and 6.3)."""
 
+import copy
 import dataclasses
 import functools
 import random
@@ -157,11 +158,11 @@ class ReferenceEstimator:
         return np.asarray([reference_approximate(self.scorer, self.index, p)
                            for p in predicates], dtype=np.float64)
 
-    def estimate_merges(self, current, hits):
-        """The box-array entry, answered by rebuilding every merged
-        Predicate and estimating it with the reference loop."""
-        return self.estimate([current.merge(self.candidates[i].predicate)
-                              for i in hits])
+    def estimate_round(self, currents, boxes, starts, hits):
+        """The round entry, answered merge by merge: every merged
+        Predicate rebuilt and estimated alone with the reference loop."""
+        return self.estimate([currents[s].merge(self.candidates[i].predicate)
+                              for s, i in zip(starts, hits)]), len(hits)
 
 
 @dataclass
@@ -254,6 +255,21 @@ class PerStartMerger(Merger):
 def bits(values) -> bytes:
     """Exact float64 bit pattern (tells -0.0 from 0.0 and NaN payloads)."""
     return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def round_scan(boxes, currents, limit, members=None):
+    """One round's neighbour scan of ``currents`` (each excluding the
+    candidates equal to it, unless ``members`` masks are given):
+    ``(starts, hits)``."""
+    if members is None:
+        members = [boxes.members_of(current) for current in currents]
+    return boxes.round_neighbours(boxes.pack(currents),
+                                  np.stack(members), limit)
+
+
+def per_start(starts, hits, n_starts):
+    """``(starts, hits)`` pairs as one hit list per start."""
+    return [hits[starts == s].tolist() for s in range(n_starts)]
 
 
 class TestBasicMerging:
@@ -529,7 +545,7 @@ class TestBatchedEstimator:
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases())
     def test_kernel_matches_reference_bit_for_bit(self, case):
-        # estimate() over the drawn boxes, and estimate_merges() — merged
+        # estimate() over the drawn boxes, and estimate_round() — merged
         # boxes as arrays — for each drawn box and candidate grown with
         # its neighbours: the same bits as merging Predicates one by one.
         scorer, candidates, merges = case
@@ -545,15 +561,16 @@ class TestBatchedEstimator:
                         for merge in merges]
             assert bits(index.estimate(merges)) == bits(expected)
             for current in merges + [c.predicate for c in candidates]:
-                hits = boxes.neighbours(boxes.pack([current]),
-                                        boxes.members_of(current), 64)
+                rows, hits = round_scan(boxes, [current], 64)
                 if not len(hits):
                     continue
                 merged = [current.merge(candidates[i].predicate)
                           for i in hits]
                 expected = [reference_approximate(scorer, reference, merge)
                             for merge in merged]
-                assert bits(index.estimate_merges(current, hits)) == \
+                estimates, _ = index.estimate_round(
+                    [current], boxes.pack([current]), rows, hits)
+                assert bits(estimates) == \
                     bits(index.estimate(merged)) == bits(expected)
 
     @settings(max_examples=40, deadline=None)
@@ -569,6 +586,83 @@ class TestBatchedEstimator:
             for position, i in enumerate(order):
                 assert bits(shuffled[position]) == bits(batch[i])
                 assert bits(index.estimate([merges[i]])) == bits(batch[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases(), chunk=st.sampled_from([1, 2, 3, 1024]))
+    def test_round_matches_reference_bit_for_bit(self, case, chunk):
+        # One round over starts with differing attribute sets, so each
+        # merge row takes its own start's ranged/chosen masks, in passes
+        # of at most `chunk` rows: every start's slice is the reference
+        # estimate of its merges, bit for bit.
+        scorer, candidates, merges = case
+        domain = scorer.query.domain
+        boxes = _Boxes(candidates, domain)
+        chunked = copy.copy(scorer)
+        chunked.batch_chunk = chunk
+        index = _ApproxIndex(boxes, chunked)
+        reference = ReferenceApproxIndex(candidates, domain, scorer)
+        currents = merges + [c.predicate for c in candidates]
+        starts, hits = round_scan(boxes, currents, 64)
+        if not len(hits):
+            return
+        with np.errstate(all="ignore"):
+            estimates, passes = index.estimate_round(
+                currents, boxes.pack(currents), starts, hits)
+            for s, current in enumerate(currents):
+                expected = [reference_approximate(
+                    scorer, reference, current.merge(candidates[i].predicate))
+                    for i in hits[starts == s]]
+                assert bits(estimates[starts == s]) == bits(expected)
+        # A round splits exactly when it holds more rows than a pass and
+        # more than one start.
+        assert (passes > 1) == (len(hits) > chunk
+                                and len(np.unique(starts)) > 1)
+        assert passes >= -(-len(hits) // max(chunk, np.bincount(starts).max()))
+
+    @pytest.mark.parametrize("limit, bounds", [
+        (1, [0, 3, 5, 6]), (2, [0, 3, 5, 6]), (3, [0, 3, 6]),
+        (5, [0, 5, 6]), (6, [0, 6]), (1024, [0, 6])])
+    def test_passes_cut_at_whole_starts(self, limit, bounds):
+        # Starts 0, 1, 2 hold 3, 2 and 1 rows; a start with more rows
+        # than the limit is a pass of its own.
+        starts = np.asarray([0, 0, 0, 1, 1, 2])
+        assert _ApproxIndex._pass_bounds(starts, limit) == bounds
+
+    def test_large_pass_matches_one_row_passes(self):
+        # Two sets of 24 boxes that all overlap (at x = y = 50) make a
+        # round of 2 x 24 x 23 merges: one pass of over 1,024 rows gives
+        # each row the bits it gets estimated alone.
+        scorer = kernel_scorer("stddev", "mean", 0.3)
+        rng = np.random.default_rng(3)
+        keys = [ctx.key for ctx in scorer.outlier_contexts]
+        candidates = []
+        for n in range(48):
+            clauses = [RangeClause(attribute, rng.uniform(0, 50),
+                                   rng.uniform(50, 100))
+                       for attribute in ("x", "y")]
+            if n % 2:
+                clauses.append(SetClause("state", ["CA", "TX"]))
+            stats = {key: GroupRemovalStats(float(rng.uniform(0, 15)),
+                                            rng.normal(0, 30, 3))
+                     for key in keys}
+            candidates.append(CandidatePredicate(Predicate(clauses), 1.0,
+                                                 stats))
+        boxes = _Boxes(candidates, scorer.query.domain)
+        wide = copy.copy(scorer)
+        wide.batch_chunk = 4096
+        index = _ApproxIndex(boxes, wide)
+        currents = [c.predicate for c in candidates]
+        packed = boxes.pack(currents)
+        starts, hits = round_scan(boxes, currents, 64)
+        assert len(hits) >= 1024
+        with np.errstate(all="ignore"):
+            estimates, passes = index.estimate_round(currents, packed,
+                                                     starts, hits)
+            alone = [index.estimate_round(currents, packed,
+                                          starts[r:r + 1], hits[r:r + 1])[0]
+                     for r in range(len(hits))]
+        assert passes == 1
+        assert bits(estimates) == bits(np.concatenate(alone))
 
     @pytest.mark.parametrize("case", ["avg", "sum_discrete", "exact"])
     def test_run_matches_reference_estimator(self, case, sum_problem,
@@ -667,7 +761,7 @@ def adjacency_boxes_of(predicates):
 
 
 class TestBoxSpaceNeighbours:
-    """``_Boxes.neighbours`` against the scalar scan it replaces."""
+    """``_Boxes.round_neighbours`` against the scalar scan it replaces."""
 
     @settings(max_examples=300, deadline=None)
     @given(candidates=st.lists(adjacency_boxes(), max_size=14),
@@ -695,16 +789,58 @@ class TestBoxSpaceNeighbours:
         mask = np.zeros(len(candidates), dtype=bool)
         for member in members:
             mask |= boxes.members_of(member)
-        hits = boxes.neighbours(boxes.pack([current]), mask, limit)
+        _, hits = round_scan(boxes, [current], limit, [mask])
         assert hits.tolist() == reference_neighbours(current, members,
                                                      candidates, limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidates=st.lists(adjacency_boxes(), max_size=14),
+           data=st.data(), limit=st.integers(0, 6) | st.just(64))
+    def test_round_matches_reference_scan(self, candidates, data, limit):
+        # Several boxes, each with its own member set, in one scan: each
+        # box's hits are the scalar scan's.
+        currents = data.draw(st.lists(
+            adjacency_boxes(foreign=True)
+            | (st.sampled_from(candidates) if candidates else st.nothing()),
+            min_size=1, max_size=5))
+        boxes = adjacency_boxes_of(candidates)
+        member_sets, masks = [], []
+        for current in currents:
+            members = {current}
+            if candidates:
+                members |= set(data.draw(st.lists(
+                    st.sampled_from(candidates), max_size=4)))
+            mask = np.zeros(len(candidates), dtype=bool)
+            for member in members:
+                mask |= boxes.members_of(member)
+            member_sets.append(members)
+            masks.append(mask)
+        starts, hits = round_scan(boxes, currents, limit, masks)
+        assert np.all(np.diff(starts) >= 0)
+        assert per_start(starts, hits, len(currents)) == [
+            reference_neighbours(current, members, candidates, limit)
+            for current, members in zip(currents, member_sets)]
+
+    @pytest.mark.parametrize("limit", range(7))
+    def test_limit_cuts_each_box_separately(self, limit):
+        # Ranges on x that all meet [1, 2]: each box has more neighbours
+        # than the smaller limits keep.
+        candidates = [Predicate([RangeClause("x", lo, hi)])
+                      for lo, hi in [(0.0, 2.0), (1.0, 3.0), (0.0, 3.0),
+                                     (1.0, 2.0), (0.0, 1.0), (2.0, 3.0)]]
+        currents = [candidates[2], candidates[0],
+                    Predicate([RangeClause("x", 1.0, 2.0, include_hi=False)])]
+        boxes = adjacency_boxes_of(candidates)
+        starts, hits = round_scan(boxes, currents, limit)
+        assert per_start(starts, hits, len(currents)) == [
+            reference_neighbours(current, {current}, candidates, limit)
+            for current in currents]
 
     def test_empty_candidate_list(self):
         boxes = adjacency_boxes_of([])
         seed = Predicate([RangeClause("x", 0.0, 1.0),
                           SetClause("s", ["Z"])])
-        hits = boxes.neighbours(boxes.pack([seed]), np.zeros(0, dtype=bool),
-                                64)
+        _, hits = round_scan(boxes, [seed], 64, [np.zeros(0, dtype=bool)])
         assert hits.tolist() == []
 
     def test_duplicate_candidates_excluded_together(self):
@@ -714,10 +850,9 @@ class TestBoxSpaceNeighbours:
         b = Predicate([RangeClause("x", 1.0, 2.0)])
         boxes = adjacency_boxes_of([a, b, a])
         members = boxes.members_of(b)
-        assert boxes.neighbours(boxes.pack([b]), members, 64).tolist() == \
-            [0, 2]
+        assert round_scan(boxes, [b], 64, [members])[1].tolist() == [0, 2]
         members |= boxes.members_of(a)
-        assert boxes.neighbours(boxes.pack([b]), members, 64).tolist() == []
+        assert round_scan(boxes, [b], 64, [members])[1].tolist() == []
 
     @pytest.mark.parametrize("clause", [SetClause("x", ["a"]),
                                         RangeClause("s", 0.0, 1.0),
@@ -775,6 +910,28 @@ class TestApproximationProvenance:
         assert bits([sp.influence for sp in merged]) == \
             bits([sp.influence for sp in untraced])
         assert counters == untraced_counters
+
+    @pytest.mark.parametrize("approximate", [True, False])
+    def test_rounds_annotate_estimates_and_passes(self, approximate):
+        # Each merge_round span counts the merges it estimated and the
+        # passes they took: one per round below batch_chunk rows.
+        problem = avg_problem(n_per_group=300)
+        scorer = InfluenceScorer(problem)
+        merger = Merger(scorer, problem.domain,
+                        params=MergerParams(expand_fraction=1.0,
+                                            use_approximation=approximate))
+        candidates = dt_candidates(problem, scorer)
+        tracer = Tracer().activate()
+        try:
+            merger.run(candidates)
+        finally:
+            tracer.deactivate()
+        rounds = [sp["attrs"] for sp in tracer.export()
+                  if sp["name"] == "merge_round"]
+        assert sum(attrs["estimated"] for attrs in rounds) == \
+            merger.report.n_merge_evaluations > 0
+        for attrs in rounds:
+            assert attrs["passes"] == (1 if attrs["estimated"] else 0)
 
     def test_exact_mode_mc_records_nothing(self, sum_problem):
         before = _approx_error_count()

@@ -1,13 +1,20 @@
 """Unit tests for the Scorpion facade (Figure 2's pipeline)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.aggregates import Avg, Median, StdDev, Sum
 from repro.core.dt import DTPartitioner
+from repro.core.influence import InfluenceScorer
+from repro.core.naive import NaivePartitioner
+from repro.core.partition import PartitionerResult, ScoredPredicate
 from repro.core.problem import ScorpionQuery
-from repro.core.scorpion import Scorpion
+from repro.core.scorpion import Explanation, Scorpion
 from repro.errors import PartitionerError
+from repro.predicates.clause import RangeClause, SetClause
+from repro.predicates.predicate import Predicate
 from repro.query.groupby import GroupByQuery
 
 from tests.conftest import planted_sum_table
@@ -118,6 +125,150 @@ class TestExplanations:
         result = Scorpion(algorithm="mc").explain(sum_problem)
         assert result.elapsed > 0
         assert result.scorer_stats["mask_scores"] > 0
+
+
+def reference_explanation(scored: ScoredPredicate, scorer: InfluenceScorer,
+                          query: ScorpionQuery) -> Explanation:
+    """The per-group explanation loop the one-pass build replaced: the
+    full-table mask, then the scalar ``delta`` per group."""
+    predicate = query.domain.simplify(scored.predicate)
+    mask = predicate.mask(scorer.table)
+    updated_outliers = {}
+    updated_holdouts = {}
+    for context in scorer.contexts:
+        local = mask[context.indices]
+        delta = scorer.kernel.delta(context, local)
+        updated = (context.total_value - delta
+                   if np.isfinite(delta) else float("nan"))
+        if context.is_outlier:
+            updated_outliers[context.key] = updated
+        else:
+            updated_holdouts[context.key] = updated
+    return Explanation(
+        predicate=predicate,
+        influence=scored.influence,
+        n_matched=int(np.count_nonzero(mask)),
+        updated_outliers=updated_outliers,
+        updated_holdouts=updated_holdouts,
+    )
+
+
+#: Scorer counters the explanation pass must count as the scalar loop.
+EXPLANATION_COUNTERS = ("incremental_deltas", "full_recomputes")
+
+
+def hexes(values: dict) -> list:
+    return [(key, float(value).hex()) for key, value in values.items()]
+
+
+def assert_same_explanations(got, want) -> None:
+    assert [e.predicate for e in got] == [e.predicate for e in want]
+    assert [e.n_matched for e in got] == [e.n_matched for e in want]
+    assert [e.influence for e in got] == [e.influence for e in want]
+    for g, w in zip(got, want):
+        assert hexes(g.updated_outliers) == hexes(w.updated_outliers)
+        assert hexes(g.updated_holdouts) == hexes(w.updated_holdouts)
+
+
+def assert_matches_reference(ranked, query, **scorer_kwargs):
+    """``Scorpion._explanations`` against :func:`reference_explanation`
+    on twin scorers: the same explanations, bit for bit, and the same
+    Δ counters.  Returns the explanations."""
+    batch = InfluenceScorer(query, **scorer_kwargs)
+    scalar = InfluenceScorer(query, **scorer_kwargs)
+    got = Scorpion._explanations(ranked, batch, query)
+    want = [reference_explanation(sp, scalar, query) for sp in ranked]
+    assert_same_explanations(got, want)
+    for name in EXPLANATION_COUNTERS:
+        assert getattr(batch.stats, name) == getattr(scalar.stats, name), name
+    return got
+
+
+class StubPartitioner:
+    """Answers a fixed ranking without scoring anything."""
+
+    name = "stub"
+
+    def __init__(self, ranked):
+        self.ranked = ranked
+
+    def run(self, query, scorer):
+        return PartitionerResult(ranked=list(self.ranked),
+                                 n_evaluated=len(self.ranked))
+
+
+def planted_query(aggregate, perturbation="delete", **kwargs):
+    table, outliers, holdouts = planted_sum_table(seed=3, n_per_group=60)
+    return ScorpionQuery(table, GroupByQuery("g", aggregate, "value"),
+                         outliers=outliers, holdouts=holdouts,
+                         error_vectors=+1.0, c=0.5,
+                         perturbation=perturbation, **kwargs)
+
+
+#: Predicates over the planted table: the hot region and its parts, a
+#: full-domain clause that simplifies away, one matching no row, one
+#: deleting every row, and one deleting exactly group g0.
+PLANTED_PREDICATES = [
+    Predicate([SetClause("state", ["TX"]), RangeClause("a1", 40.0, 60.0)]),
+    Predicate([SetClause("state", ["TX"])]),
+    Predicate([RangeClause("a1", 40.0, 60.0)]),
+    Predicate([RangeClause("a1", -1.0, 101.0),
+               SetClause("state", ["CA", "NY"])]),
+    Predicate([RangeClause("a1", 200.0, 300.0)]),
+    Predicate([]),
+    Predicate([SetClause("g", ["g0"])]),
+]
+
+
+class TestExplanationPass:
+    """The one-pass explanation build against the per-group loop."""
+
+    @pytest.mark.parametrize("perturbation", ["delete", "mean"])
+    @pytest.mark.parametrize("aggregate", [Sum, Avg, StdDev])
+    def test_matches_per_group_loop(self, aggregate, perturbation):
+        query = planted_query(aggregate(), perturbation)
+        ranked = [ScoredPredicate(p, float(i))
+                  for i, p in enumerate(PLANTED_PREDICATES)]
+        got = assert_matches_reference(ranked, query)
+        assert got[4].n_matched == 0
+        assert got[5].n_matched == len(query.table)
+
+    def test_emptied_avg_group_updates_to_nan(self):
+        query = planted_query(Avg())
+        ranked = [ScoredPredicate(PLANTED_PREDICATES[-1], 1.0)]
+        (explanation,) = assert_matches_reference(ranked, query)
+        assert math.isnan(explanation.updated_outliers[("g0",)])
+        assert not math.isnan(explanation.updated_outliers[("g1",)])
+
+    def test_median_through_naive(self):
+        # A black-box aggregate: Δ recomputed per (explanation, group).
+        query = planted_query(Median())
+        scorer = InfluenceScorer(query)
+        assert not scorer.uses_incremental
+        ranked = NaivePartitioner(max_evaluations=300).run(
+            query, scorer).ranked[:5]
+        assert ranked
+        assert_matches_reference(ranked, query)
+
+    def test_stub_answer_outside_explanation_attributes(self):
+        # The answer's attribute "state" is outside the query's
+        # explanation attributes, so the labeled evaluator cannot read
+        # it; its row comes from the full-table mask.
+        query = planted_query(Avg(), "mean", attributes=("a1",))
+        answer = [ScoredPredicate(PLANTED_PREDICATES[0], 2.0),
+                  ScoredPredicate(Predicate([SetClause("state", ["TX"])]),
+                                  1.0)]
+        scorer = InfluenceScorer(query)
+        assert not scorer.kernel.evaluator.supports_predicate(
+            answer[0].predicate)
+        result = Scorpion(partitioner=StubPartitioner(answer)).explain(query)
+        assert result.algorithm == "stub"
+        scalar = InfluenceScorer(query)
+        assert_same_explanations(
+            result.explanations,
+            [reference_explanation(sp, scalar, query) for sp in answer])
+        for name in EXPLANATION_COUNTERS:
+            assert result.scorer_stats[name] == getattr(scalar.stats, name)
 
 
 class TestAutoAttributeSelection:

@@ -388,6 +388,61 @@ class TestHitAccounting:
             assert (third["service_misses"], third["service_hits"]) == \
                 (2, 1)
 
+    def test_failed_build_keeps_no_entry(self, monkeypatch):
+        # The last request to let go of an entry whose build failed
+        # drops it: nothing of the failed key stays cached.
+        problem = make_sum_problem()
+        with ExplainService(algorithm="dt") as service:
+            replace_calls(monkeypatch, Scorpion, "build_scorer",
+                          RuntimeError("build failed"))
+            with pytest.raises(RuntimeError, match="build failed"):
+                service.explain(problem)
+            assert len(service) == 0
+            assert service.stats()["service_entries"] == 0
+            assert service.health()["cache_entries"] == 0
+            assert service.explain(problem).explanations
+            assert len(service) == 1
+
+    def test_failed_build_leaves_a_pinned_entry_to_the_next_request(
+            self, monkeypatch):
+        # Request A's build fails while request B holds a pin on the same
+        # entry, waiting for its lock: B keeps the entry and builds it.
+        import threading
+        problem = make_sum_problem()
+        service = ExplainService(algorithm="dt")
+
+        def fail_once_both_pinned():
+            entry = next(iter(service._entries.values()))
+            deadline = time.monotonic() + 10
+            while entry.pins < 2:
+                assert time.monotonic() < deadline, "second pin never arrived"
+                time.sleep(0.01)
+            raise RuntimeError("build failed")
+
+        replace_calls(monkeypatch, Scorpion, "build_scorer",
+                      fail_once_both_pinned)
+        boxes: list[dict] = [{}, {}]
+
+        def request(box):
+            try:
+                box["result"] = service.explain(problem)
+            except RuntimeError as exc:
+                box["error"] = exc
+
+        threads = [threading.Thread(target=request, args=(box,))
+                   for box in boxes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        outcomes = sorted(boxes, key=lambda box: "error" in box)
+        assert outcomes[0]["result"].explanations
+        assert str(outcomes[1]["error"]) == "build failed"
+        assert len(service) == 1
+        assert service.stats()["service_misses"] == 2
+        service.close()
+
 
 class TestConfiguration:
     @pytest.mark.parametrize("kwargs, error", [
